@@ -1,11 +1,18 @@
 """Finite-difference stencils shared by the field and operator modules.
 
 All functions act on plain ndarrays along a given axis and broadcast over the
-rest, so algebra components ride along untouched. Node derivatives are
-centered second order inside and one-sided 3-point second order at the two
-ends of a bounded axis; periodic axes wrap. The staggered (cell-midpoint)
-difference and average, together with their exact transposes, carry the
-energy form of the elliptic operators.
+rest, so algebra components ride along untouched. The staggered
+(cell-midpoint) difference and average, together with their exact
+transposes, carry the energy form of the elliptic operators.
+
+Node derivatives are centered second order inside; periodic axes wrap. The
+one-sided rules at a bounded face live in one place, `face_layer_deriv`:
+the 3-point second-order or the 5-point fourth-order rule, re-anchored at
+every layer counted inward from the face. Its callers are the end rows of
+`deriv_node`, `one_sided_deriv_at_face` (the face layer alone, used by the
+mean curvature, the boundary identity and the generator's Hopf derivative),
+the face-layer anchoring of `operators.horizontal_project`, and the layer
+chain of `operators.boundary_operator_T`.
 """
 
 from __future__ import annotations
@@ -28,42 +35,8 @@ def deriv_node(v, axis, h, periodic):
     nd = v.ndim
     s = lambda sl: _axslice(nd, axis, sl)
     out[s(slice(1, -1))] = (v[s(slice(2, None))] - v[s(slice(0, -2))]) / (2.0 * h)
-    out[s(slice(0, 1))] = (
-        -3.0 * v[s(slice(0, 1))] + 4.0 * v[s(slice(1, 2))] - v[s(slice(2, 3))]
-    ) / (2.0 * h)
-    out[s(slice(-1, None))] = (
-        3.0 * v[s(slice(-1, None))] - 4.0 * v[s(slice(-2, -1))] + v[s(slice(-3, -2))]
-    ) / (2.0 * h)
-    return out
-
-
-def second_deriv_node(v, axis, h, periodic):
-    """Second derivative collocated at the nodes (compact 3-point interior).
-
-    End nodes of a bounded axis use the one-sided 4-point second-order rule
-    so the value stays second-order accurate up to the boundary.
-    """
-    v = np.asarray(v)
-    if periodic:
-        return (np.roll(v, -1, axis) - 2.0 * v + np.roll(v, 1, axis)) / (h * h)
-    out = np.empty_like(v, dtype=float)
-    nd = v.ndim
-    s = lambda sl: _axslice(nd, axis, sl)
-    out[s(slice(1, -1))] = (
-        v[s(slice(2, None))] - 2.0 * v[s(slice(1, -1))] + v[s(slice(0, -2))]
-    ) / (h * h)
-    out[s(slice(0, 1))] = (
-        2.0 * v[s(slice(0, 1))]
-        - 5.0 * v[s(slice(1, 2))]
-        + 4.0 * v[s(slice(2, 3))]
-        - v[s(slice(3, 4))]
-    ) / (h * h)
-    out[s(slice(-1, None))] = (
-        2.0 * v[s(slice(-1, None))]
-        - 5.0 * v[s(slice(-2, -1))]
-        + 4.0 * v[s(slice(-3, -2))]
-        - v[s(slice(-4, -3))]
-    ) / (h * h)
+    out[s(slice(0, 1))] = face_layer_deriv(v, axis, h, 0)
+    out[s(slice(-1, None))] = face_layer_deriv(v, axis, h, 1)
     return out
 
 
@@ -149,6 +122,37 @@ def cumulative_trapezoid(v, axis, h):
     return out
 
 
+#: one-sided first-derivative weights on layers 0, 1, ... from a face, and
+#: their denominator in units of h, by order of accuracy
+_ONE_SIDED = {
+    2: ((-3.0, 4.0, -1.0), 2.0),
+    4: ((-25.0, 48.0, -36.0, 16.0, -3.0), 12.0),
+}
+
+
+def face_layer_deriv(v, axis, h, side, depth=1, order=2):
+    """+axis derivative on the first `depth` layers counted inward from a face.
+
+    side 0 is the low end of the axis, side 1 the high end. The one-sided
+    rule of the given order (3-point second order or 5-point fourth order)
+    is re-anchored at every layer, so its truncation constant does not jump
+    from layer to layer. The axis is kept with length `depth`, in array
+    order: the result lines up with the first or last `depth` slices of v.
+    """
+    if order not in _ONE_SIDED:
+        raise ValueError(f"unsupported one-sided order: {order}")
+    weights, den = _ONE_SIDED[order]
+    v = np.asarray(v)
+    if side == 1:
+        v = np.flip(v, axis)
+    nd = v.ndim
+    acc = weights[0] * v[_axslice(nd, axis, slice(0, depth))]
+    for k, w in enumerate(weights[1:], 1):
+        acc = acc + w * v[_axslice(nd, axis, slice(k, k + depth))]
+    out = acc / (den * h)
+    return out if side == 0 else np.flip(-out, axis)
+
+
 def one_sided_deriv_at_face(v, axis, h, side, order=2):
     """Inward-pointing one-sided derivative at a boundary face.
 
@@ -157,21 +161,4 @@ def one_sided_deriv_at_face(v, axis, h, side, order=2):
     face slice, with the axis dimension removed. order selects the 3-point
     second-order or the 5-point fourth-order rule.
     """
-    v = np.asarray(v)
-    nd = v.ndim
-    s = lambda idx: _axslice(nd, axis, idx)
-    if order == 2:
-        if side == 0:
-            return (-3.0 * v[s(0)] + 4.0 * v[s(1)] - v[s(2)]) / (2.0 * h)
-        return (3.0 * v[s(-1)] - 4.0 * v[s(-2)] + v[s(-3)]) / (2.0 * h)
-    if order != 4:
-        raise ValueError(f"unsupported one-sided order: {order}")
-    if side == 0:
-        return (
-            -25.0 * v[s(0)] + 48.0 * v[s(1)] - 36.0 * v[s(2)]
-            + 16.0 * v[s(3)] - 3.0 * v[s(4)]
-        ) / (12.0 * h)
-    return -(
-        -25.0 * v[s(-1)] + 48.0 * v[s(-2)] - 36.0 * v[s(-3)]
-        + 16.0 * v[s(-4)] - 3.0 * v[s(-5)]
-    ) / (12.0 * h)
+    return np.take(face_layer_deriv(v, axis, h, side, 1, order), 0, axis=axis)

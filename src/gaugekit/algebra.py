@@ -40,15 +40,6 @@ STRUCTURE_C = -np.sqrt(2.0)
 RENORM_EVERY = 64
 
 
-def structure_tensor():
-    """Full structure-constant tensor f[i,j,k] with [e_i,e_j] = f[i,j,k] e_k."""
-    eps = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps[i, j, k] = 1.0
-        eps[j, i, k] = -1.0
-    return STRUCTURE_C * eps
-
-
 # ---------------------------------------------------------------------------
 # coefficient-array operations (broadcast over leading axes)
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ diagonal metric does not vary along the tangential axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _stencils as st
 from .algebra import ALGEBRA_DIM, STRUCTURE_C, coeff_bracket
-from .coulomb import horizontality_ratio
+from .coulomb import IdentityReport, horizontality_ratio
 from .errors import (
     BadCover,
     BadGeometry,
@@ -319,7 +319,6 @@ class GeneratorResult:
     realized: BoundaryField
     residual: float
     hopf_min: float
-    sources: list = field(default_factory=list)
 
 
 def _hopf_potential(ch, A, solve_tol):
@@ -380,7 +379,6 @@ def generator_for_boundary_data(target, side=0, pieces=8, depth=None, A=None,
 
     fvals = target.values[side]
     pairs = []
-    sources = []
     u = Section.zeros(ch)
     for d in range(ALGEBRA_DIM):
         fd = fvals[..., d]
@@ -388,15 +386,13 @@ def generator_for_boundary_data(target, side=0, pieces=8, depth=None, A=None,
             continue
         face_coef = fd / (3.0 * bprime * c2)
         profile = face_coef[:, None] * plateau[None, :] * ext
-        piece_fields = [lam_k.data * profile for lam_k in lam]
         src_scalar = profile * sum(lk.data for lk in lam)
-        ia, ic = (d + 2) % 3, (d + 2) % 3
-        br = coeff_bracket(_unit(ia), _unit(d))
+        e = _unit((d + 2) % 3)
+        br = coeff_bracket(e, _unit(d))
         g_d = green_A(Section(ch, src_scalar[..., None] * br), A, tol=solve_tol)
-        h_d = Section(ch, wvals[..., None] * _unit(ic))
+        h_d = Section(ch, wvals[..., None] * e)
         u = u + Section(ch, coeff_bracket(g_d.data, h_d.data))
         pairs.append((g_d, h_d))
-        sources.append([ScalarField(ch, p) for p in piece_fields])
 
     realized = boundary_operator_T(u, A)
     scale = max(target.sup(), _TINY)
@@ -407,7 +403,6 @@ def generator_for_boundary_data(target, side=0, pieces=8, depth=None, A=None,
         realized=realized,
         residual=residual,
         hopf_min=hopf_min,
-        sources=sources,
     )
 
 
@@ -498,7 +493,11 @@ def full_decompose(u, pieces=8, depth=None, kernel_gate=0.25, A=None,
             solve_tol=solve_tol, _shared=wvals,
         )
         u_comm = u_comm + gen.u
-        gen_res = max(gen_res, gen.residual)
+        # each call targets one face; the other face's trace is left to the
+        # call that targets it
+        face = trace.values[side]
+        miss = float(np.max(np.abs(gen.realized.values[side] - face)))
+        gen_res = max(gen_res, miss / max(float(np.max(np.abs(face))), _TINY))
         n_pairs += len(gen.pairs)
     v = u - u_comm
     kd = kernel_decompose(
@@ -521,16 +520,6 @@ def full_decompose(u, pieces=8, depth=None, kernel_gate=0.25, A=None,
 # ---------------------------------------------------------------------------
 # bracket identity
 # ---------------------------------------------------------------------------
-
-@dataclass
-class BracketIdentityReport:
-    residual: float
-    scale: float
-
-    @property
-    def ratio(self):
-        return self.residual / self.scale if self.scale > 0 else 0.0
-
 
 def bracket_identity_check(g1, g2, A=None):
     """Residual of Lap[g1,g2] = [Lap g1, g2] + [g1, Lap g2] - 2 [dg1 . dg2].
@@ -558,7 +547,7 @@ def bracket_identity_check(g1, g2, A=None):
         float(np.max(np.abs(rhs.data[ii]))),
         _TINY,
     )
-    return BracketIdentityReport(residual, scale)
+    return IdentityReport(residual, scale)
 
 
 def kernel_class_potential(chart, seed, depth=None, solve_tol=1e-10):
@@ -636,4 +625,4 @@ def bracket_boundary_identity_check(g1, f1, g2, f2):
             float(np.max(np.abs(lhs.values[fc.side]))),
             float(np.max(np.abs(rhs))),
         )
-    return BracketIdentityReport(residual, scale)
+    return IdentityReport(residual, scale)

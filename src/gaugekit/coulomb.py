@@ -84,10 +84,6 @@ class GaugeTransformation:
             mu[..., ax, :] = np.sqrt(2.0) * quat_mul(qc, dq)[..., 1:]
         return cls(ch, q, mu)
 
-    @property
-    def mu_form(self):
-        return OneForm(self.chart, self.mu.copy())
-
     def compose(self, other):
         """Pointwise product self * other with the cocycle derivative rule."""
         require_same_chart(self.chart, other.chart)
@@ -169,6 +165,8 @@ def curvature_form(alpha, beta, A=None, horizontal_tol=0.05, solve_tol=1e-10, in
 
 @dataclass
 class IdentityReport:
+    """Sup residual of an identity and the scale that makes it relative."""
+
     residual: float
     scale: float
 

@@ -13,7 +13,7 @@ import io
 import numpy as np
 
 from . import _stencils as st
-from .algebra import ALGEBRA_DIM, coeff_bracket
+from .algebra import ALGEBRA_DIM
 from .errors import BadGeometry, ChartMismatch, DbcViolation, RankMismatch
 from .geometry import build_chart, require_same_chart
 
@@ -148,15 +148,6 @@ def flat_d(f):
     if isinstance(f, ScalarField):
         return data  # raw (..., n) array; scalar forms stay internal
     return OneForm(ch, data)
-
-
-def grad_scalar(f: ScalarField):
-    """Node gradient of a real field as a raw (..., n) array."""
-    ch = f.chart
-    return np.stack(
-        [st.deriv_node(f.data, ax, ch.h[ax], ch.periodic[ax]) for ax in range(ch.n)],
-        axis=-1,
-    )
 
 
 def exterior_d(omega):

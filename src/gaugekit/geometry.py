@@ -9,7 +9,7 @@ analytic generator where available so cell-midpoint values are exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

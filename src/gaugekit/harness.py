@@ -38,7 +38,6 @@ from .coulomb import (
 from .errors import ConfigError
 from .fields import (
     OneForm,
-    ScalarField,
     Section,
     check_dbc,
     dump_field,
@@ -94,6 +93,40 @@ def parse_grid(text):
     return {"sizes": sizes}
 
 
+def _is_int(v, least=None):
+    if not isinstance(v, int) or isinstance(v, bool):
+        return False
+    return least is None or v >= least
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_shape(v):
+    return isinstance(v, list) and len(v) in (2, 3) and all(_is_int(s, 4) for s in v)
+
+
+#: RunConfig field -> (check of its JSON value, what the value must be)
+_CONFIG_CHECKS = {
+    "domain": (lambda v: isinstance(v, str), "a domain name"),
+    "domain_params": (lambda v: isinstance(v, dict), "an object of chart parameters"),
+    "grid": (_is_shape, "a list of 2 or 3 sizes >= 4"),
+    "ladder": (
+        lambda v: v is None
+        or (isinstance(v, list) and all(_is_int(s, 4) or _is_shape(s) for s in v)),
+        "null or a list of sizes >= 4 or of grid shapes",
+    ),
+    "seed": (_is_int, "an integer"),
+    "solve_tol": (lambda v: _is_number(v) and 0 < v < math.inf, "a positive number"),
+    "jobs": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "thresholds": (
+        lambda v: isinstance(v, dict) and all(_is_number(t) for t in v.values()),
+        "an object of numeric thresholds",
+    ),
+}
+
+
 @dataclass
 class RunConfig:
     """One verification run: domain, base grid, seed, solver tolerance."""
@@ -112,17 +145,19 @@ class RunConfig:
     def from_json(cls, path):
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError("a run configuration must be a JSON object")
         cfg = cls()
         for key, val in raw.items():
-            if not hasattr(cfg, key):
+            if key not in _CONFIG_CHECKS:
                 raise ConfigError(f"unknown config key {key!r}")
+            valid, what = _CONFIG_CHECKS[key]
+            if not valid(val):
+                raise ConfigError(f"config key {key!r} must be {what}, not {val!r}")
             if key == "grid":
-                val = tuple(int(v) for v in val)
-            if key == "ladder":
-                val = [
-                    int(s) if np.isscalar(s) else tuple(int(v) for v in s)
-                    for s in val
-                ]
+                val = tuple(val)
+            if key == "ladder" and val is not None:
+                val = [s if _is_int(s) else tuple(s) for s in val]
             setattr(cfg, key, val)
         return cfg
 
@@ -159,12 +194,19 @@ class RunConfig:
             if any(b <= a for a, b in zip(shapes, shapes[1:])):
                 raise ConfigError("ladder grid sizes must be strictly increasing")
             return shapes
-        raw = [tuple(max(8, g // div) for g in self.grid) for div in (4, 2, 1)]
-        shapes = []
-        for s in raw:
-            if not shapes or s > shapes[-1]:
-                shapes.append(s)
-        return shapes
+        return _increasing(
+            [tuple(max(8, g // div) for g in self.grid) for div in (4, 2, 1)]
+        )
+
+
+def _increasing(raw):
+    """Drop the rungs that do not exceed their predecessor (small base grids
+    collapse), keeping the ladder strictly increasing."""
+    shapes = []
+    for s in raw:
+        if not shapes or s > shapes[-1]:
+            shapes.append(s)
+    return shapes
 
 
 def _chart(cfg, shape=None):
@@ -256,20 +298,29 @@ def convergence_order(hs, errs, floor=ORDER_FLOOR):
     return math.log(e1 / e2) / math.log(h1 / h2)
 
 
-def pair_orders(hs, errs, floor=ORDER_FLOOR):
-    """Observed order for every adjacent ladder pair (summary = median)."""
-    return [
-        convergence_order(hs[i : i + 2], errs[i : i + 2], floor)
-        for i in range(len(errs) - 1)
-    ]
-
-
 def _monotone_ratio(values):
     """Largest consecutive ratio; < 1 means strictly decreasing."""
     worst = 0.0
     for a, b in zip(values, values[1:]):
         worst = max(worst, b / a if a > 0 else float("inf"))
     return worst
+
+
+def _ladder(shapes, rung):
+    """Measure every rung of a grid ladder.
+
+    `rung(shape)` builds its chart, measures on it and returns
+    `(chart, value)`; the largest step of that chart is the rung's h.
+    Returns the values, the steps and the shapes in ladder order.
+    """
+    values, hs, grids = [], [], []
+    for shape in shapes:
+        ch, value = rung(shape)
+        values.append(value)
+        hs.append(max(ch.h))
+        grids.append(shape)
+        del ch  # otherwise this chart stays alive through the next rung
+    return values, hs, grids
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +337,8 @@ N_IDENTITY_PAIRS = 5
 
 def _identity_ladder(cfg, general):
     """Residual ratios per rung and pair for the trace identity."""
-    rows, hs, grids = [], [], []
-    for shape in cfg.ladder_shapes():
+
+    def rung(shape):
         ch = _chart(cfg, shape)
         A = _rand_connection(ch, cfg.seed + 11, **_GENTLE)
         rats = []
@@ -298,9 +349,9 @@ def _identity_ladder(cfg, general):
                 e1 = horizontal_project(e1, A, tol=cfg.solve_tol)
                 e2 = horizontal_project(e2, A, tol=cfg.solve_tol)
             rats.append(boundary_identity_residual(e1, e2, A, general=general).ratio)
-        rows.append(rats)
-        hs.append(max(ch.h))
-        grids.append(shape)
+        return ch, rats
+
+    rows, hs, grids = _ladder(cfg.ladder_shapes(), rung)
     return np.array(rows), hs, grids
 
 
@@ -376,31 +427,24 @@ def _psi_variants(ch):
 
 def _inverse_shapes(cfg):
     """Window-inverse rungs: the band needs >= 3 layers, so the coarse rungs
-    are floored at 48 nodes per axis instead of the default quarter grid.
-    Duplicate rungs (small base grids) collapse, keeping the ladder strict."""
+    are floored at 48 nodes per axis instead of the default quarter grid."""
     if cfg.ladder is not None:
         return cfg.ladder_shapes()
-    raw = [
+    return _increasing([
         tuple(max(48, g // 2) for g in cfg.grid),
         tuple(max(64, (3 * g) // 4) for g in cfg.grid),
         tuple(cfg.grid),
-    ]
-    shapes = []
-    for s in raw:
-        if not shapes or s > shapes[-1]:
-            shapes.append(s)
-    return shapes
+    ])
 
 
 def _inverse_ladder(cfg, which):
     """Per-profile series over the rungs for one window-inverse family."""
-    shapes = _inverse_shapes(cfg)
-    series = {"product": [], "route": [], "horiz": [], "dbc": []}
-    hs, grids = [], []
-    for shape in shapes:
+    keys = ("product", "route", "horiz", "dbc")
+
+    def rung(shape):
         ch = _chart(cfg, shape)
         lo, hi = ch.coords[-1][0], ch.coords[-1][-1]
-        row = {k: [] for k in series}
+        row = {k: [] for k in keys}
         for window, pair in _psi_variants(ch):
             if which == "boundary":
                 psi = band_profile(ch, side=0, **window)
@@ -417,11 +461,10 @@ def _inverse_ladder(cfg, which):
             _, d1 = check_dbc(res.alpha)
             _, d2 = check_dbc(res.beta)
             row["dbc"].append(max(d1, d2))
-        for k in series:
-            series[k].append(row[k])
-        hs.append(max(ch.h))
-        grids.append(shape)
-    return {k: np.array(v) for k, v in series.items()}, hs, grids
+        return ch, row
+
+    rows, hs, grids = _ladder(_inverse_shapes(cfg), rung)
+    return {k: np.array([r[k] for r in rows]) for k in keys}, hs, grids
 
 
 def suite_chart_inverse(cfg):
@@ -487,16 +530,16 @@ def make_boundary_target(ch, side, seed, scale=1.0):
 
 def suite_generator(cfg):
     """Commutator pairs realize prescribed face data, improving with h."""
-    residuals, hs, grids = [], [], []
-    hopf = None
-    for shape in cfg.ladder_shapes():
+
+    def rung(shape):
         ch = _chart(cfg, shape)
         target = make_boundary_target(ch, 0, cfg.seed + 55)
         gen = generator_for_boundary_data(target, side=0, solve_tol=cfg.solve_tol)
-        residuals.append(gen.residual)
-        hs.append(max(ch.h))
-        grids.append(shape)
-        hopf = gen.hopf_min
+        return ch, (gen.residual, gen.hopf_min)
+
+    rows, hs, grids = _ladder(cfg.ladder_shapes(), rung)
+    residuals = [r for r, _ in rows]
+    hopf = rows[-1][1]
     checks = [
         Check("residual", residuals[-1], 5e-2),
         Check("monotone", _monotone_ratio(residuals), 1.0, "lt"),
@@ -508,21 +551,21 @@ def suite_generator(cfg):
 
 def suite_full_decompose(cfg):
     """End-to-end decomposition certificates on three random targets."""
-    worsts, hs, grids = [], [], []
-    per_target = {}
-    for shape in cfg.ladder_shapes():
+
+    def rung(shape):
         ch = _chart(cfg, shape)
-        worst = 0.0
+        residuals = []
         for t in range(3):
             u = random_smooth_field(ch, "section", cfg.seed + 100 + t)
             # the coarse rungs carry a large first-stage trace residual into
             # the kernel stage; the certificate itself is the pass criterion
             cert = full_decompose(u, kernel_gate=0.9, solve_tol=cfg.solve_tol)
-            worst = max(worst, cert.residual)
-            per_target.setdefault(f"target-{t}", []).append(cert.residual)
-        worsts.append(worst)
-        hs.append(max(ch.h))
-        grids.append(shape)
+            residuals.append(cert.residual)
+        return ch, residuals
+
+    rows, hs, grids = _ladder(cfg.ladder_shapes(), rung)
+    worsts = [max(0.0, *r) for r in rows]
+    per_target = {f"target-{t}": [r[t] for r in rows] for t in range(3)}
     checks = [
         Check("residual", worsts[-1], 5e-2),
         Check("monotone", _monotone_ratio(worsts), 1.0, "lt"),
@@ -533,17 +576,19 @@ def suite_full_decompose(cfg):
 
 def suite_bracket_identity(cfg):
     """Laplacian product rule on brackets plus its boundary-trace form."""
-    ratios, bratios, hs, grids = [], [], [], []
-    for shape in cfg.ladder_shapes():
+
+    def rung(shape):
         ch = _chart(cfg, shape)
         g1 = random_smooth_field(ch, "section", cfg.seed + 61, **_GENTLE)
         g2 = random_smooth_field(ch, "section", cfg.seed + 62, **_GENTLE)
-        ratios.append(bracket_identity_check(g1, g2).ratio)
+        ratio = bracket_identity_check(g1, g2).ratio
         k1, f1 = kernel_class_potential(ch, cfg.seed + 63, solve_tol=cfg.solve_tol)
         k2, f2 = kernel_class_potential(ch, cfg.seed + 64, solve_tol=cfg.solve_tol)
-        bratios.append(bracket_boundary_identity_check(k1, f1, k2, f2).ratio)
-        hs.append(max(ch.h))
-        grids.append(shape)
+        return ch, (ratio, bracket_boundary_identity_check(k1, f1, k2, f2).ratio)
+
+    rows, hs, grids = _ladder(cfg.ladder_shapes(), rung)
+    ratios = [r for r, _ in rows]
+    bratios = [b for _, b in rows]
     checks = [
         Check("interior-ratio", ratios[-1], 5e-3),
         Check("interior-order", convergence_order(hs, ratios), 1.5, "min"),
@@ -593,19 +638,17 @@ def suite_mean_curvature(cfg):
     shapes = [s for s in cfg.ladder_shapes() if len(s) == 2]
     if not shapes:
         shapes = [(32, 32), (64, 64), (128, 128)]
-    errs, hs, grids = [], [], []
-    for shape in shapes:
+
+    def rung(shape):
         chb = build_chart("annulus_log", shape)
         Ha = mean_curvature(build_chart("annulus", shape))
         Hb = mean_curvature_typeB(chb)
-        errs.append(
-            max(
-                float(np.max(np.abs(Hb.values[0] - Ha.values[0]))),
-                float(np.max(np.abs(Hb.values[1] - Ha.values[1]))),
-            )
+        return chb, max(
+            float(np.max(np.abs(Hb.values[0] - Ha.values[0]))),
+            float(np.max(np.abs(Hb.values[1] - Ha.values[1]))),
         )
-        hs.append(max(chb.h))
-        grids.append(shape)
+
+    errs, hs, grids = _ladder(shapes, rung)
     if grids and grids[-1][-1] >= 128:
         # the absolute agreement bound is tied to the named 128-node grid
         checks.append(Check("type-agreement", errs[-1], 1e-3))
@@ -655,30 +698,27 @@ def suite_elliptic_core(cfg):
             worst_adj = max(worst_adj, abs(ip1 - ip2) / max(abs(ip1), 1e-30))
             min_ray = min(min_ray, l2_inner(ef, ef, "cell") / l2_inner(f, f))
 
-    errs, hs = [], []
-    cg_rel = 0.0
-    for shape in cfg.ladder_shapes():
-        if len(shape) != 2:
-            continue
+    def mms_rung(shape):
         chm, usec, fsec = _mms_annulus(shape)
         info = SolveInfo()
         sol = green_A(fsec, tol=cfg.solve_tol, info=info)
-        errs.append(l2_norm(sol - usec) / l2_norm(usec))
-        hs.append(max(chm.h))
-        cg_rel = info.residual
+        return chm, (l2_norm(sol - usec) / l2_norm(usec), info.residual)
 
-    lams = []
-    for shape in cfg.ladder_shapes():
+    mms, hs, _ = _ladder([s for s in cfg.ladder_shapes() if len(s) == 2], mms_rung)
+    errs = [e for e, _ in mms]
+    cg_rel = mms[-1][1] if mms else 0.0
+
+    def ritz_rung(shape):
+        ch = _chart(cfg, shape)
         # the drift budget is 5e-2, so 1e-6 on the eigenvalue and 1e-8 on
         # the inner solves leave the measurement discretization-dominated
-        lam, _ = ritz_smallest(
-            Connection.flat(_chart(cfg, shape)), tol=1e-6, solve_tol=1e-8
-        )
-        lams.append(lam)
+        lam, _ = ritz_smallest(Connection.flat(ch), tol=1e-6, solve_tol=1e-8)
+        return ch, lam
+
+    lams, _, _ = _ladder(cfg.ladder_shapes(), ritz_rung)
     drift = max(abs(l - lams[-1]) / abs(lams[-1]) for l in lams)
 
-    exp_ratios, ehs = [], []
-    for shape in cfg.ladder_shapes():
+    def expansion_rung(shape):
         chx = _chart(cfg, shape)
         Ax = _rand_connection(chx, cfg.seed + 51)
         fx = random_smooth_field(chx, "section", cfg.seed + 71)
@@ -687,8 +727,9 @@ def suite_elliptic_core(cfg):
         ii = chx.interior_slice()
         num = float(np.max(np.abs(lhs.data[ii] - rhs.data[ii])))
         den = max(float(np.max(np.abs(lhs.data[ii]))), 1e-30)
-        exp_ratios.append(num / den)
-        ehs.append(max(chx.h))
+        return chx, num / den
+
+    exp_ratios, ehs, _ = _ladder(cfg.ladder_shapes(), expansion_rung)
 
     checks = [
         Check("adjointness", worst_adj, 1e-12),

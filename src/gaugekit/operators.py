@@ -369,12 +369,6 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
     )
 
 
-def _row(arr, ax, j):
-    sl = [slice(None)] * arr.ndim
-    sl[ax] = j
-    return tuple(sl)
-
-
 def _anchor_face_rows(grad, f, ch, depth=8):
     """Re-evaluate the flat normal derivative inside `grad` on the first and
     last `depth` node layers with the one-sided 5-point rule anchored at
@@ -390,37 +384,15 @@ def _anchor_face_rows(grad, f, ch, depth=8):
     if ch.periodic[ax]:
         return grad
     N = ch.shape[-1]
-    depth = min(depth, N - 4)
-    h12 = 12.0 * ch.h[-1]
-    v = f.data
+    depth = max(0, min(depth, N - 4))
+    h = ch.h[-1]
+    plain = st.deriv_node(f.data, ax, h, False)
     comp = grad.data[..., ax, :]
-    for j in range(depth):
-        anch = (
-            -25.0 * v[_row(v, ax, j)] + 48.0 * v[_row(v, ax, j + 1)]
-            - 36.0 * v[_row(v, ax, j + 2)] + 16.0 * v[_row(v, ax, j + 3)]
-            - 3.0 * v[_row(v, ax, j + 4)]
-        ) / h12
-        comp[_row(comp, ax, j)] += anch - _plain_row(v, ax, j, ch.h[-1])
-        k = N - 1 - j
-        anch = -(
-            -25.0 * v[_row(v, ax, k)] + 48.0 * v[_row(v, ax, k - 1)]
-            - 36.0 * v[_row(v, ax, k - 2)] + 16.0 * v[_row(v, ax, k - 3)]
-            - 3.0 * v[_row(v, ax, k - 4)]
-        ) / h12
-        comp[_row(comp, ax, k)] += anch - _plain_row(v, ax, k, ch.h[-1])
+    for side, rows in ((0, slice(0, depth)), (1, slice(N - depth, N))):
+        sl = (slice(None),) * ax + (rows,)
+        anch = st.face_layer_deriv(f.data, ax, h, side, depth, order=4)
+        comp[sl] += anch - plain[sl]
     return grad
-
-
-def _plain_row(v, ax, j, h):
-    """Row j of the default node derivative along a bounded axis."""
-    N = v.shape[ax]
-    if j == 0:
-        return (-3.0 * v[_row(v, ax, 0)] + 4.0 * v[_row(v, ax, 1)]
-                - v[_row(v, ax, 2)]) / (2.0 * h)
-    if j == N - 1:
-        return (3.0 * v[_row(v, ax, N - 1)] - 4.0 * v[_row(v, ax, N - 2)]
-                + v[_row(v, ax, N - 3)]) / (2.0 * h)
-    return (v[_row(v, ax, j + 1)] - v[_row(v, ax, j - 1)]) / (2.0 * h)
 
 
 def horizontal_project(eta, A=None, tol=1e-10, info=None):
@@ -509,30 +481,6 @@ def codiff_2form(omega, A=None):
 # boundary operators
 # ---------------------------------------------------------------------------
 
-def _face_layers(arr, ch, side, depth):
-    ax = ch.n - 1
-    size = ch.shape[ax]
-    if side == 0:
-        idx = range(depth)
-    else:
-        idx = range(size - 1, size - 1 - depth, -1)
-    return [np.take(arr, i, axis=ax) for i in idx]
-
-
-def _dn_layers(layers, h, side):
-    """Normal-coordinate derivative on inward-counted layers.
-
-    The same one-sided 3-point stencil is anchored at every layer, so the
-    truncation constant does not jump between layers and outer one-sided
-    derivatives of the result stay second order.
-    """
-    sgn = 1.0 if side == 0 else -1.0
-    return [
-        sgn * (-3.0 * layers[j] + 4.0 * layers[j + 1] - layers[j + 2]) / (2.0 * h)
-        for j in range(len(layers) - 2)
-    ]
-
-
 def boundary_operator_T0(f):
     """Flat boundary operator: df(nu) + 2(n-1) H f on each face."""
     from .geometry import BoundaryField
@@ -574,54 +522,52 @@ def boundary_operator_T(f, A=None, split=False):
     if ch.shape[-1] < 8:
         raise BadGeometry("the obstruction operator needs at least 8 normal layers")
     n = ch.n
+    ax = n - 1
     hn = ch.h[-1]
     H = mean_curvature(ch)
     cfull = ch.vol[..., None, None] * ch.ginv
+    first = lambda arr, k: arr[(slice(None),) * ax + (slice(0, k),)]
     dvals = {}
     hvals = {}
     for fc in ch.faces:
-        side = fc.side
-        fl = _face_layers(f.data, ch, side, 7)
-        al = _face_layers(ch.vol, ch, side, 7)
-        cl = _face_layers(cfull, ch, side, 7)
-        gl = _face_layers(ch.ginv, ch, side, 7)
-        Al = None if A.is_flat else _face_layers(A.eta.data, ch, side, 7)
-        dn_f = _dn_layers(fl, hn, side)  # layers 0..4
-        om = []
-        for j in range(5):
-            comps = []
-            for t in range(n - 1):
-                c = st.deriv_node(fl[j], t, ch.h[t], True)
-                if Al is not None:
-                    c = c + coeff_bracket(Al[j][..., t, :], fl[j])
-                comps.append(c)
-            cn = dn_f[j]
+        sgn = fc.inward_sign
+        # slabs of face layers whose normal axis counts inward from the face
+        layers = lambda arr, k: first(arr if fc.side == 0 else np.flip(arr, ax), k)
+        dn = lambda v, depth: sgn * st.face_layer_deriv(v, ax, hn, 0, depth)
+        fl = layers(f.data, 7)
+        f5 = first(fl, 5)
+        cl = layers(cfull, 5)
+        Al = None if A.is_flat else layers(A.eta.data, 5)
+        om = []  # covariant derivative on layers 0..4, one array per axis
+        for t in range(n - 1):
+            c = st.deriv_node(f5, t, ch.h[t], True)
             if Al is not None:
-                cn = cn + coeff_bracket(Al[j][..., n - 1, :], fl[j])
-            comps.append(cn)
-            om.append(comps)
-        flux_n = [cl[j][..., n - 1, n - 1, None] * om[j][n - 1] for j in range(5)]
-        dn_flux = _dn_layers(flux_n, hn, side)  # layers 0..2
-        lap = []
-        for j in range(3):
-            div = dn_flux[j].copy()
-            for t in range(n - 1):
-                ft = sum(
-                    cl[j][..., t, tt, None] * om[j][tt] for tt in range(n - 1)
-                )
-                div += st.deriv_node(ft, t, ch.h[t], True)
-            lj = -div / al[j][..., None]
-            if Al is not None:
-                for i in range(n):
-                    raised = sum(gl[j][..., i, k, None] * om[j][k] for k in range(n))
-                    lj = lj - coeff_bracket(Al[j][..., i, :], raised)
-            lap.append(lj)
-        dlap = _dn_layers(lap, hn, side)[0]
+                c = c + coeff_bracket(Al[..., t, :], f5)
+            om.append(c)
+        cn = dn(fl, 5)
         if Al is not None:
-            dlap = dlap + coeff_bracket(Al[0][..., n - 1, :], lap[0])
+            cn = cn + coeff_bracket(Al[..., ax, :], f5)
+        om.append(cn)
+        div = dn(cl[..., ax, ax, None] * om[ax], 3)  # layers 0..2
+        c3 = first(cl, 3)
+        om3 = [first(c, 3) for c in om]
+        for t in range(n - 1):
+            ft = sum(c3[..., t, tt, None] * om3[tt] for tt in range(n - 1))
+            div += st.deriv_node(ft, t, ch.h[t], True)
+        lap = -div / layers(ch.vol, 3)[..., None]
+        if Al is not None:
+            g3 = layers(ch.ginv, 3)
+            a3 = first(Al, 3)
+            for i in range(n):
+                raised = sum(g3[..., i, k, None] * om3[k] for k in range(n))
+                lap = lap - coeff_bracket(a3[..., i, :], raised)
+        lap0 = np.take(lap, 0, axis=ax)
+        dlap = np.take(dn(lap, 1), 0, axis=ax)
+        if Al is not None:
+            dlap = dlap + coeff_bracket(np.take(Al, 0, axis=ax)[..., ax, :], lap0)
         gnn = ch.g[ch.face_slice(fc)][..., -1, -1]
-        dvals[side] = fc.inward_sign * dlap / np.sqrt(gnn)[..., None]
-        hvals[side] = 2.0 * (n - 1) * H.values[side][..., None] * lap[0]
+        dvals[fc.side] = fc.inward_sign * dlap / np.sqrt(gnn)[..., None]
+        hvals[fc.side] = 2.0 * (n - 1) * H.values[fc.side][..., None] * lap0
     d_part = BoundaryField(ch, dvals)
     h_part = BoundaryField(ch, hvals)
     if split:

@@ -34,6 +34,12 @@ def rng():
     return np.random.default_rng(0)
 
 
+@pytest.fixture(scope="session")
+def criteria():
+    """Acceptance-criteria registry, printed at the end of the run."""
+    return CRITERIA
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not CRITERIA:
         return

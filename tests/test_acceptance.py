@@ -9,7 +9,6 @@ nothing is loosened here.
 import numpy as np
 import pytest
 
-import conftest
 from gaugekit.algebra import (
     ALGEBRA_DIM,
     AlgebraElement,
@@ -32,9 +31,9 @@ def _suite(name, **kw):
     return _cache[key]
 
 
-def _record(num, title, checks, detail):
+def _record(criteria, num, title, checks, detail):
     ok = all(c.passed for c in checks)
-    conftest.CRITERIA.append((num, title, ok, detail))
+    criteria.append((num, title, ok, detail))
     failed = [f"{c.name}={c.value:.3g} (want {c.kind} {c.threshold:g})"
               for c in checks if not c.passed]
     assert ok, f"criterion {num}: " + "; ".join(failed)
@@ -48,7 +47,7 @@ def _identity_detail(res):
     return f"order {np.median(m['orders']):.2f}, final {m['worst-final']:.2e}"
 
 
-def test_criterion_01_boundary_identity():
+def test_criterion_01_boundary_identity(criteria):
     checks, parts = [], []
     for label, kw in (
         ("annulus", {}),
@@ -58,10 +57,12 @@ def test_criterion_01_boundary_identity():
         res = _suite("boundary-identity", **kw)
         checks += res.checks
         parts.append(f"{label}: {_identity_detail(res)}")
-    _record(1, "boundary identity, horizontal pairs", checks, "; ".join(parts))
+    _record(
+        criteria, 1, "boundary identity, horizontal pairs", checks, "; ".join(parts)
+    )
 
 
-def test_criterion_02_general_identity():
+def test_criterion_02_general_identity(criteria):
     checks, parts = [], []
     for label, kw in (
         ("annulus", {}),
@@ -71,10 +72,10 @@ def test_criterion_02_general_identity():
         res = _suite("general-identity", **kw)
         checks += res.checks
         parts.append(f"{label}: {_identity_detail(res)}")
-    _record(2, "general identity with source terms", checks, "; ".join(parts))
+    _record(criteria, 2, "general identity with source terms", checks, "; ".join(parts))
 
 
-def test_criterion_03_obstruction_on_curvature():
+def test_criterion_03_obstruction_on_curvature(criteria):
     res = _suite("obstruction")
     m = res.metrics
     detail = (
@@ -82,10 +83,10 @@ def test_criterion_03_obstruction_on_curvature():
         f"generic {m['generic']['ratio_curvature']:.2e}/"
         f"{m['generic']['ratio_reference']:.2f}"
     )
-    _record(3, "obstruction kills curvature values", res.checks, detail)
+    _record(criteria, 3, "obstruction kills curvature values", res.checks, detail)
 
 
-def test_criterion_04_boundary_chart_inverse():
+def test_criterion_04_boundary_chart_inverse(criteria):
     res = _suite("chart-inverse")
     checks = [c for c in res.checks if c.name.startswith("boundary-")]
     by = {c.name: c for c in checks}
@@ -94,10 +95,10 @@ def test_criterion_04_boundary_chart_inverse():
         f"dbc {by['boundary-dbc'].value:.2e}, "
         f"codiff order {by['boundary-codiff-order'].value:.2f}"
     )
-    _record(4, "boundary window inverse", checks, detail)
+    _record(criteria, 4, "boundary window inverse", checks, detail)
 
 
-def test_criterion_05_interior_chart_inverse():
+def test_criterion_05_interior_chart_inverse(criteria):
     res = _suite("chart-inverse")
     checks = [c for c in res.checks if c.name.startswith("interior-")]
     by = {c.name: c for c in checks}
@@ -106,10 +107,10 @@ def test_criterion_05_interior_chart_inverse():
         f"dbc {by['interior-dbc'].value:.2e}, "
         f"codiff order {by['interior-codiff-order'].value:.2f}"
     )
-    _record(5, "interior window inverse", checks, detail)
+    _record(criteria, 5, "interior window inverse", checks, detail)
 
 
-def test_criterion_06_bracket_identities():
+def test_criterion_06_bracket_identities(criteria):
     res = _suite("bracket-identity")
     by = {c.name: c for c in res.checks}
     detail = (
@@ -118,26 +119,26 @@ def test_criterion_06_bracket_identities():
         f"boundary {by['boundary-ratio'].value:.2e} "
         f"(order {by['boundary-order'].value:.2f})"
     )
-    _record(6, "bracket product rules", res.checks, detail)
+    _record(criteria, 6, "bracket product rules", res.checks, detail)
 
 
-def test_criterion_07_generator_realizes_face_data():
+def test_criterion_07_generator_realizes_face_data(criteria):
     res = _suite("generator")
     by = {c.name: c for c in res.checks}
     detail = (
         f"residual {by['residual'].value:.2e}, hopf min {by['hopf-min'].value:.3g}"
     )
-    _record(7, "commutator generator", res.checks, detail)
+    _record(criteria, 7, "commutator generator", res.checks, detail)
 
 
-def test_criterion_08_full_decomposition():
+def test_criterion_08_full_decomposition(criteria):
     res = _suite("full-decompose")
     by = {c.name: c for c in res.checks}
     detail = f"certificate residual {by['residual'].value:.2e} over 3 targets"
-    _record(8, "full decomposition certificate", res.checks, detail)
+    _record(criteria, 8, "full decomposition certificate", res.checks, detail)
 
 
-def test_criterion_09_mean_curvature():
+def test_criterion_09_mean_curvature(criteria):
     res = _suite("mean-curvature")
     by = {c.name: c for c in res.checks}
     detail = (
@@ -146,10 +147,10 @@ def test_criterion_09_mean_curvature():
         f"shell {by['shell-analytic'].value:.2e}, "
         f"agreement order {by['type-agreement-order'].value:.2f}"
     )
-    _record(9, "mean curvature both metric types", res.checks, detail)
+    _record(criteria, 9, "mean curvature both metric types", res.checks, detail)
 
 
-def test_criterion_10_elliptic_core():
+def test_criterion_10_elliptic_core(criteria):
     res = _suite("elliptic-core")
     by = {c.name: c for c in res.checks}
     detail = (
@@ -157,30 +158,30 @@ def test_criterion_10_elliptic_core():
         f"mms order {by['mms-order'].value:.2f}, "
         f"eigenvalue drift {by['eigenvalue-drift'].value:.2e}"
     )
-    _record(10, "elliptic core", res.checks, detail)
+    _record(criteria, 10, "elliptic core", res.checks, detail)
 
 
-def test_criterion_11_gauge_action():
+def test_criterion_11_gauge_action(criteria):
     res = _suite("gauge")
     by = {c.name: c for c in res.checks}
     detail = (
         f"cocycle {by['cocycle'].value:.2e}, dbc {by['dbc-preserved'].value:.2e}, "
         f"freeness margin {by['freeness-margin'].value:.2f}"
     )
-    _record(11, "gauge action identities", res.checks, detail)
+    _record(criteria, 11, "gauge action identities", res.checks, detail)
 
 
-def test_criterion_12_holonomy_area_law():
+def test_criterion_12_holonomy_area_law(criteria):
     res = _suite("holonomy")
     m = res.metrics
     detail = (
         f"ratio k2 {m['k2']['ratio']:.2f}, k4 {m['k4']['ratio']:.2f}, "
         f"cosine {min(m['k2']['cosine'], m['k4']['cosine']):.3f}"
     )
-    _record(12, "holonomy area law", res.checks, detail)
+    _record(criteria, 12, "holonomy area law", res.checks, detail)
 
 
-def test_criterion_13_algebra_layer():
+def test_criterion_13_algebra_layer(criteria):
     from gaugekit.harness import Check
 
     rng = np.random.default_rng(0)
@@ -215,4 +216,4 @@ def test_criterion_13_algebra_layer():
         f"jacobi {worst_jac:.1e}, ad {worst_ad:.1e}, "
         f"roundtrip {worst_rt:.1e}, decompose {worst_dec:.1e}"
     )
-    _record(13, "algebra layer exactness", checks, detail)
+    _record(criteria, 13, "algebra layer exactness", checks, detail)

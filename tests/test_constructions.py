@@ -312,6 +312,18 @@ def test_full_decomposition_certificate():
     assert abs(re - cert.residual) < 1e-12
 
 
+def test_full_decomposition_scores_generator_on_its_face():
+    # each stage-one call targets one face; scoring it against the trace on
+    # both faces would read about 1 whatever the grid
+    res = []
+    for n in (32, 64):
+        ch = build_chart("annulus", (n, n))
+        u = random_smooth_field(ch, "section", 100)
+        res.append(full_decompose(u).generator_residual)
+    assert res[0] < 5e-2
+    assert res[1] < res[0]
+
+
 def test_full_decomposition_zero_input():
     ch = build_chart("annulus", (48, 48))
     cert = full_decompose(Section.zeros(ch))

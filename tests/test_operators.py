@@ -24,7 +24,14 @@ from gaugekit import (
 )
 from gaugekit.algebra import coeff_bracket, coeff_to_matrix, matrix_to_coeff
 from gaugekit.fields import flat_d
-from gaugekit.operators import SolveInfo, bracket_dot, codiff_2form, d_A_cell, hodge_star
+from gaugekit.operators import (
+    SolveInfo,
+    _anchor_face_rows,
+    bracket_dot,
+    codiff_2form,
+    d_A_cell,
+    hodge_star,
+)
 
 
 def _rand_conn(ch, seed, scale=0.3):
@@ -184,6 +191,26 @@ def test_projector_outputs_horizontal_fields():
     order = np.log(ratios[0] / ratios[1]) / np.log(hs[0] / hs[1])
     assert order > 1.2
     assert idems[1] < idems[0] / 2.0
+
+
+def test_anchored_face_rows_match_the_per_layer_rule(ann32):
+    # reference: the 5-point rule written out at each of the 8 layers from
+    # either face; every other row keeps the default node derivative
+    f = random_smooth_field(ann32, "section", 9)
+    got = _anchor_face_rows(d_A(f), f, ann32).data[:, :, 1, :]
+    v, h, N = f.data, ann32.h[-1], ann32.shape[-1]
+    want = d_A(f).data[:, :, 1, :]
+    for j in range(8):
+        want[:, j] = (
+            -25 * v[:, j] + 48 * v[:, j + 1] - 36 * v[:, j + 2]
+            + 16 * v[:, j + 3] - 3 * v[:, j + 4]
+        ) / (12 * h)
+        k = N - 1 - j
+        want[:, k] = (
+            25 * v[:, k] - 48 * v[:, k - 1] + 36 * v[:, k - 2]
+            - 16 * v[:, k - 3] + 3 * v[:, k - 4]
+        ) / (12 * h)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_projector_preserves_tangential_traces(ann32):

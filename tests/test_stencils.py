@@ -1,6 +1,7 @@
 """Stencil layer: polynomial exactness, adjointness, quadrature."""
 
 import numpy as np
+import pytest
 import scipy.integrate
 
 from gaugekit import _stencils as st
@@ -26,28 +27,46 @@ def test_deriv_node_periodic_exact_on_modes():
     assert np.max(np.abs(d - np.cos(x))) < h**2
 
 
-def test_second_deriv_exact_on_quadratics():
+#: (axis, side) of a 3d array: axis 0 and the last axis, low and high face
+FACES = pytest.mark.parametrize(
+    "axis, side",
+    [(0, 0), (0, 1), (2, 0), (2, 1)],
+    ids=["axis0-low", "axis0-high", "last-low", "last-high"],
+)
+
+
+def _check_face_layers(prof, dprof, order, axis, side, atol):
+    """Exactness of the anchored rule at every layer it can reach, with the
+    profile laid along `axis` of a 3d array and scaled across the others."""
     x = _grid()
-    v = 3.0 * x**2 - 2.0 * x + 1.0
-    d2 = st.second_deriv_node(v, 0, 0.25, False)
-    np.testing.assert_allclose(d2, np.full_like(x, 6.0), atol=1e-11)
+    scale = np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -1.0]])
+    v = np.moveaxis(scale[..., None] * prof(x), -1, axis)
+    depth = x.size - order
+    layers = x[:depth] if side == 0 else x[-depth:]
+    want = np.moveaxis(scale[..., None] * dprof(layers), -1, axis)
+    got = st.face_layer_deriv(v, axis, 0.25, side, depth, order)
+    np.testing.assert_allclose(got, want, atol=atol)
+    face = st.one_sided_deriv_at_face(v, axis, 0.25, side, order)
+    np.testing.assert_allclose(face, np.take(want, -side, axis=axis), atol=atol)
 
 
-def test_one_sided_order2_exact_on_quadratics():
-    x = _grid()
-    v = x**2 - 5.0 * x
-    d0 = st.one_sided_deriv_at_face(v, 0, 0.25, 0)
-    d1 = st.one_sided_deriv_at_face(v, 0, 0.25, 1)
-    assert abs(d0 - (2 * x[0] - 5.0)) < 1e-12
-    assert abs(d1 - (2 * x[-1] - 5.0)) < 1e-12
+@FACES
+def test_one_sided_order2_exact_on_quadratics(axis, side):
+    _check_face_layers(
+        lambda x: x**2 - 5.0 * x, lambda x: 2 * x - 5.0, 2, axis, side, 1e-11
+    )
 
 
-def test_one_sided_order4_exact_on_quartics():
-    x = _grid()
-    v = x**4 - 2.0 * x**3 + x
-    for side, xs in ((0, x[0]), (1, x[-1])):
-        d = st.one_sided_deriv_at_face(v, 0, 0.25, side, order=4)
-        assert abs(d - (4 * xs**3 - 6 * xs**2 + 1.0)) < 1e-10
+@FACES
+def test_one_sided_order4_exact_on_quartics(axis, side):
+    _check_face_layers(
+        lambda x: x**4 - 2.0 * x**3 + x,
+        lambda x: 4 * x**3 - 6 * x**2 + 1.0,
+        4,
+        axis,
+        side,
+        1e-9,
+    )
 
 
 def test_one_sided_applies_along_chosen_axis():
