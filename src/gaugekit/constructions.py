@@ -84,8 +84,7 @@ def _check_construction_chart(ch):
         raise BadGeometry("window constructions are implemented on 2d charts")
     if not ch.is_diagonal:
         raise BadGeometry("window constructions need a diagonal metric")
-    rolled = np.roll(ch.g, 1, axis=0)
-    if float(np.max(np.abs(ch.g - rolled))) > 1e-12:
+    if not ch.is_tangentially_uniform:
         raise BadGeometry(
             "window constructions need a metric constant along the tangential axis"
         )

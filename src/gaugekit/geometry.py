@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,6 +94,8 @@ class Chart:
             w = w * w1.reshape([-1 if a == ax else 1 for a in range(self.n)])
         self.quad_w = w
         self._mid_cache = {}
+        # Thomas pivots of the flat separable Green solve (operators.green_A)
+        self._separable = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -124,6 +127,20 @@ class Chart:
 
     def mesh(self):
         return np.meshgrid(*self.coords, indexing="ij")
+
+    @cached_property
+    def is_tangentially_uniform(self):
+        """True when g is constant along every tangential axis, at the nodes
+        and at the midpoints of every axis.
+
+        The flat energy matrix is then separable: circulant along the
+        tangential axes with coefficients that depend on the normal node only.
+        """
+        t0 = (0,) * (self.n - 1)
+        samples = itertools.chain(
+            [self.g], (self.metric_at(self.mid_coords(ax)) for ax in range(self.n))
+        )
+        return all(float(np.max(np.abs(g - g[t0]))) <= _TYPE_TOL for g in samples)
 
     # -- boundary helpers ----------------------------------------------------
 

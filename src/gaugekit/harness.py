@@ -104,17 +104,25 @@ def _is_number(v):
 
 
 def _is_shape(v):
-    return isinstance(v, list) and len(v) in (2, 3) and all(_is_int(s, 4) for s in v)
+    return (
+        isinstance(v, (list, tuple))
+        and len(v) in (2, 3)
+        and all(_is_int(s, 4) for s in v)
+    )
 
 
-#: RunConfig field -> (check of its JSON value, what the value must be)
+#: RunConfig field -> (check of its value, what the value must be); JSON
+#: lists and the tuples the CLI passes are both accepted as sequences
 _CONFIG_CHECKS = {
     "domain": (lambda v: isinstance(v, str), "a domain name"),
     "domain_params": (lambda v: isinstance(v, dict), "an object of chart parameters"),
-    "grid": (_is_shape, "a list of 2 or 3 sizes >= 4"),
+    "grid": (_is_shape, "2 or 3 sizes >= 4"),
     "ladder": (
         lambda v: v is None
-        or (isinstance(v, list) and all(_is_int(s, 4) or _is_shape(s) for s in v)),
+        or (
+            isinstance(v, (list, tuple))
+            and all(_is_int(s, 4) or _is_shape(s) for s in v)
+        ),
         "null or a list of sizes >= 4 or of grid shapes",
     ),
     "seed": (_is_int, "an integer"),
@@ -125,6 +133,12 @@ _CONFIG_CHECKS = {
         "an object of numeric thresholds",
     ),
 }
+
+
+def _check_keys(values):
+    for key in values:
+        if key not in _CONFIG_CHECKS:
+            raise ConfigError(f"unknown config key {key!r}")
 
 
 @dataclass
@@ -147,10 +161,19 @@ class RunConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ConfigError("a run configuration must be a JSON object")
-        cfg = cls()
-        for key, val in raw.items():
-            if key not in _CONFIG_CHECKS:
-                raise ConfigError(f"unknown config key {key!r}")
+        return cls()._update(raw)
+
+    def with_overrides(self, **kw):
+        """Copy with the given fields replaced; None leaves a field as it is."""
+        _check_keys(kw)
+        return RunConfig(**self.to_dict())._update(
+            {k: v for k, v in kw.items() if v is not None}
+        )
+
+    def _update(self, values):
+        """Set checked values in place: grids become tuples, ladders lists."""
+        _check_keys(values)
+        for key, val in values.items():
             valid, what = _CONFIG_CHECKS[key]
             if not valid(val):
                 raise ConfigError(f"config key {key!r} must be {what}, not {val!r}")
@@ -158,18 +181,8 @@ class RunConfig:
                 val = tuple(val)
             if key == "ladder" and val is not None:
                 val = [s if _is_int(s) else tuple(s) for s in val]
-            setattr(cfg, key, val)
-        return cfg
-
-    def with_overrides(self, **kw):
-        cfg = RunConfig(**self.to_dict())
-        for key, val in kw.items():
-            if val is None:
-                continue
-            if not hasattr(cfg, key):
-                raise ConfigError(f"unknown config key {key!r}")
-            setattr(cfg, key, val)
-        return cfg
+            setattr(self, key, val)
+        return self
 
     def to_dict(self):
         return {

@@ -7,6 +7,15 @@ what the conjugate-gradient Green solve and the Ritz bounds rely on. The
 "pointwise" form composes collocated node stencils exactly as the continuum
 formula reads; it is the form used for boundary evaluations. Both are second
 order in the interior and agree to O(h^2) on smooth data.
+
+The Green solve is preconditioned conjugate gradient with one stopping rule,
+||S u - M g|| <= tol ||M g||. With a flat connection on a chart whose metric
+depends on the normal coordinate only (`Chart.is_tangentially_uniform`, true
+for every built-in chart) the energy matrix is separable, and the
+preconditioner is its direct solve: an FFT along the periodic axes and one
+cached tridiagonal sweep per mode along the normal axis, so CG stops after
+one iteration. Solves under a connection, and flat solves on other charts,
+use the Jacobi diagonal.
 """
 
 from __future__ import annotations
@@ -310,11 +319,62 @@ class SolveInfo:
     converged: bool = False
 
 
-def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
-    """Solve laplacian_A u = g with zero Dirichlet data (Jacobi-PCG).
+def _separable_solver(ch):
+    """Direct solve of the flat energy matrix on a tangentially uniform chart.
 
-    The residual criterion is ||S u - M g||_2 <= tol * ||M g||_2 on the
-    interior unknowns; the cap is 200 sqrt(#nodes) iterations.
+    There S = sum_t L_t (x) diag(c_t) + I (x) K_n, with L_t the circulant
+    deriv_mid^T deriv_mid along tangential axis t and c_t, c_n the normal
+    profiles of the cell coefficients. A real FFT over the tangential axes
+    leaves one SPD tridiagonal system sum_t lam_t(k) c_t + K_n per mode, with
+    lam_t(k) = 4 sin^2(pi k / N_t) / h_t^2, on the interior normal nodes;
+    a batched Thomas sweep solves them. The pivots are cached on the chart.
+    """
+    n = ch.n
+    tang = tuple(range(n - 1))
+    if ch._separable is None:
+        A = Connection.flat(ch)
+        t0 = (0,) * (n - 1)
+        col = (-1,) + (1,) * (n - 1)
+        cn = A._cell_c(n - 1)[t0] / ch.h[-1] ** 2
+        off = -cn[1:-1]
+        # diagonal per (interior normal node, mode...), normal axis first;
+        # the last tangential axis carries the rfft's half spectrum
+        diag = (cn[:-1] + cn[1:]).reshape(col)
+        for t in tang:
+            nt = ch.shape[t]
+            k = np.arange(nt // 2 + 1 if t == n - 2 else nt)
+            lam = 4.0 * np.sin(np.pi * k / nt) ** 2 / ch.h[t] ** 2
+            mode = (1,) + tuple(-1 if a == t else 1 for a in tang)
+            diag = diag + A._cell_c(t)[t0][1:-1].reshape(col) * lam.reshape(mode)
+        inv = np.empty_like(diag)
+        mult = np.zeros_like(diag)
+        inv[0] = 1.0 / diag[0]
+        for j in range(1, diag.shape[0]):
+            mult[j] = off[j - 1] * inv[j - 1]
+            inv[j] = 1.0 / (diag[j] - mult[j] * off[j - 1])
+        ch._separable = (off, mult[..., None], inv[..., None])
+    off, mult, inv = ch._separable
+
+    def solve(r):
+        y = np.moveaxis(np.fft.rfftn(r, axes=tang), n - 1, 0).copy()
+        for j in range(1, y.shape[0]):
+            y[j] -= mult[j] * y[j - 1]
+        y[-1] *= inv[-1]
+        for j in range(y.shape[0] - 2, -1, -1):
+            y[j] = (y[j] - off[j] * y[j + 1]) * inv[j]
+        return np.fft.irfftn(np.moveaxis(y, 0, n - 1), s=ch.shape[:-1], axes=tang)
+
+    return solve
+
+
+def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
+    """Solve laplacian_A u = g with zero Dirichlet data (preconditioned CG).
+
+    A flat connection on a tangentially uniform chart is preconditioned by
+    the exact separable solve of its energy matrix, so CG stops after one
+    iteration; any other solve is preconditioned by the Jacobi diagonal.
+    Either way the residual criterion is ||S u - M g||_2 <= tol * ||M g||_2
+    on the interior unknowns; the cap is 200 sqrt(#nodes) iterations.
     """
     if not isinstance(g, Section):
         raise RankMismatch("green_A expects a Section right-hand side")
@@ -332,7 +392,11 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
         return sol
     if maxiter is None:
         maxiter = int(200 * np.sqrt(float(np.prod(ch.shape))))
-    pre = 1.0 / A._jacobi_diag()[ii][..., None]
+    if A.is_flat and ch.is_tangentially_uniform:
+        pre = _separable_solver(ch)
+    else:
+        dinv = 1.0 / A._jacobi_diag()[ii][..., None]
+        pre = lambda v: dinv * v
     work = np.zeros(ch.shape + (ALGEBRA_DIM,))
 
     def apply(v):
@@ -342,7 +406,7 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
 
     x = np.zeros_like(b)
     r = b.copy()
-    z = pre * r
+    z = pre(r)
     p = z.copy()
     rz = float(np.sum(r * z))
     res = bnorm
@@ -356,7 +420,7 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
             info.iterations, info.residual, info.converged = k, res / bnorm, True
             sol.data[ii] = x
             return sol
-        z = pre * r
+        z = pre(r)
         rz_new = float(np.sum(r * z))
         p = z + (rz_new / rz) * p
         rz = rz_new

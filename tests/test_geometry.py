@@ -125,3 +125,20 @@ def test_face_slices_cover_normal_ends(ann32):
     assert ann32.face_slice(f0)[-1] == 0
     assert ann32.face_slice(f1)[-1] == -1
     assert f0.inward_sign == 1.0 and f1.inward_sign == -1.0
+
+
+def test_tangential_uniformity_looks_at_the_midpoints():
+    n = 16
+
+    def metric(mesh):
+        theta, r = mesh
+        g = np.zeros(np.broadcast(theta, r).shape + (2, 2))
+        # vanishes at the theta nodes, varies between them
+        g[..., 0, 0] = r**2 * (1.0 + 0.2 * np.sin(n * theta / 2) ** 2 * np.cos(theta))
+        g[..., 1, 1] = 1.0
+        return g
+
+    ch = build_chart("custom", (n, 12), metric=metric,
+                     extents=[(0.0, 2 * np.pi), (0.5, 1.0)])
+    assert np.max(np.abs(ch.g - ch.g[:1])) <= 1e-12
+    assert not ch.is_tangentially_uniform

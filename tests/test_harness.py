@@ -137,6 +137,22 @@ def test_config_rejects_malformed_values(tmp_path, raw):
         RunConfig.from_json(path)
 
 
+@pytest.mark.parametrize(
+    "kw", [{"ladder_shapes": 3}, {"jobs": "2"}, {"grid": (2, 2)}],
+    ids=["method-name", "string-jobs", "small-grid"],
+)
+def test_overrides_reject_malformed_values(kw):
+    with pytest.raises(ConfigError):
+        RunConfig().with_overrides(**kw)
+
+
+def test_cli_grid_override_passes_the_check():
+    args = cli.build_parser().parse_args(["verify", "--grid", "64x64", "--jobs", "2"])
+    cfg = cli._load_config(args)
+    assert cfg.grid == (64, 64)
+    assert cfg.jobs == 2
+
+
 # ---------------------------------------------------------------------------
 # suite running and report emission
 # ---------------------------------------------------------------------------

@@ -142,11 +142,9 @@ def test_green_solves_manufactured_problem():
     assert err < 2e-3
 
 
-def test_green_matches_dense_direct_solve():
-    # assemble the operator column by column on a small grid and compare
-    # the iterative inverse against numpy's dense factorization
-    ch = build_chart("annulus", (16, 16))
-    A = _rand_conn(ch, 8, scale=0.2)
+def _dense_green(ch, A, rhs):
+    """Green solution from numpy's dense factorization of the operator,
+    assembled column by column on the interior unknowns."""
     shape = ch.shape + (ALGEBRA_DIM,)
     interior = np.ones(shape, dtype=bool)
     for fc in ch.faces:
@@ -159,11 +157,65 @@ def test_green_matches_dense_direct_solve():
         e.reshape(-1)[flat_i] = 1.0
         le = laplacian_A(Section(ch, e), A)
         mat[:, col] = le.data.reshape(-1)[idx]
-    rhs_field = random_smooth_field(ch, "section", 10)
     x = np.zeros(shape)
-    x.reshape(-1)[idx] = np.linalg.solve(mat, rhs_field.data.reshape(-1)[idx])
+    x.reshape(-1)[idx] = np.linalg.solve(mat, rhs.data.reshape(-1)[idx])
+    return x
+
+
+def test_green_matches_dense_direct_solve():
+    # the iterative inverse under a connection against the dense solve
+    ch = build_chart("annulus", (16, 16))
+    A = _rand_conn(ch, 8, scale=0.2)
+    rhs_field = random_smooth_field(ch, "section", 10)
+    x = _dense_green(ch, A, rhs_field)
     sol = green_A(rhs_field, A, tol=1e-12)
     assert float(np.max(np.abs(sol.data - x))) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "kind, shape",
+    [
+        ("annulus", (16, 16)),
+        ("annulus_log", (16, 16)),
+        ("periodic_slab", (12, 12)),
+        # two tangential axes with different profiles: c_theta ~ 1/r, c_z ~ r
+        ("cylindrical_shell", (8, 8, 10)),
+    ],
+)
+def test_flat_green_is_one_separable_step(kind, shape):
+    ch = build_chart(kind, shape)
+    # evaluated on first use only, so building a chart pays nothing for it
+    assert "is_tangentially_uniform" not in vars(ch)
+    assert ch.is_tangentially_uniform
+    rhs_field = random_smooth_field(ch, "section", 12)
+    x = _dense_green(ch, Connection.flat(ch), rhs_field)
+    info = SolveInfo()
+    tol = 1e-12
+    sol = green_A(rhs_field, None, tol=tol, info=info)
+    assert info.iterations == 1
+    assert info.residual <= tol
+    assert float(np.max(np.abs(sol.data - x))) < 1e-8 * float(np.max(np.abs(x)))
+
+
+def test_flat_green_falls_back_to_jacobi_on_a_nonuniform_chart():
+    def metric(mesh):
+        theta, r = mesh
+        g = np.zeros(np.broadcast(theta, r).shape + (2, 2))
+        g[..., 0, 0] = r**2 * (1.0 + 0.3 * np.cos(theta))
+        g[..., 1, 1] = 1.0
+        return g
+
+    ch = build_chart(
+        "custom", (16, 16), metric=metric, extents=[(0.0, 2 * np.pi), (0.5, 1.0)]
+    )
+    assert not ch.is_tangentially_uniform
+    rhs_field = random_smooth_field(ch, "section", 13)
+    x = _dense_green(ch, Connection.flat(ch), rhs_field)
+    info = SolveInfo()
+    sol = green_A(rhs_field, None, tol=1e-12, info=info)
+    assert info.iterations > 1
+    assert ch._separable is None  # the Jacobi path builds no separable factor
+    assert float(np.max(np.abs(sol.data - x))) < 1e-8 * float(np.max(np.abs(x)))
 
 
 def test_cg_reports_converged_residual(ann32):
@@ -171,7 +223,7 @@ def test_cg_reports_converged_residual(ann32):
     g = random_smooth_field(ann32, "section", 11)
     green_A(g, None, tol=1e-10, info=info)
     assert info.residual <= 1e-10
-    assert info.iterations > 0
+    assert info.iterations == 1
 
 
 def test_projector_outputs_horizontal_fields():
