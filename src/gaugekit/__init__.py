@@ -50,7 +50,6 @@ from .errors import (
     DbcViolation,
     GaugekitError,
     HopfViolation,
-    IncompatibleBoundaryData,
     KernelConditionViolated,
     NearCutLocus,
     NoConvergence,
@@ -59,7 +58,6 @@ from .errors import (
     NotTypeB,
     RankMismatch,
     SupportTouchesBoundary,
-    UnsupportedDegree,
     WindowTooSmall,
 )
 from .fields import (
@@ -95,7 +93,6 @@ from .operators import (
     hodge_star,
     horizontal_project,
     laplacian_A,
-    poincare_constant,
     ritz_smallest,
 )
 

@@ -69,11 +69,11 @@ class GaugeTransformation:
         )
 
     @classmethod
-    def from_section(cls, f, dbc_tol=1e-12):
+    def from_section(cls, f):
         """Exponentiate a Dirichlet section; boundary values are exactly 1."""
         if not isinstance(f, Section):
             raise RankMismatch("from_section expects a Section")
-        require_dbc(f, dbc_tol)
+        require_dbc(f)
         ch = f.chart
         q = quat_exp(f.data)
         mu = np.empty(ch.shape + (ch.n, ALGEBRA_DIM))
@@ -114,17 +114,17 @@ class GaugeTransformation:
     def log_section(self, tol=1e-8):
         return Section(self.chart, quat_log(self.quat, tol=tol))
 
-    def act_on(self, A, dbc_tol=1e-12):
-        return gauge_act(A, self, dbc_tol=dbc_tol)
+    def act_on(self, A):
+        return gauge_act(A, self)
 
 
-def gauge_act(A, g, dbc_tol=1e-12):
+def gauge_act(A, g):
     """Transformed connection Ad(g^-1) A + g^-1 dg."""
     require_same_chart(A.chart, g.chart)
     new = g.mu.copy()
     if not A.is_flat:
         new += quat_rotate_inv(g.quat[..., None, :], A.eta.data)
-    return Connection(A.chart, OneForm(A.chart, new), dbc_tol=dbc_tol)
+    return Connection(A.chart, OneForm(A.chart, new))
 
 
 # ---------------------------------------------------------------------------
@@ -142,21 +142,26 @@ def horizontality_ratio(omega, A=None):
     return l2_norm(codiff_A(omega, A, form="adjoint")) * span / den
 
 
-def curvature_form(alpha, beta, A=None, horizontal_tol=0.05, solve_tol=1e-10, info=None):
+#: largest horizontality_ratio that curvature_form accepts
+_HORIZONTAL_TOL = 0.05
+
+
+def curvature_form(alpha, beta, A=None, solve_tol=1e-10):
     """Curvature of the Dirichlet connection: -2 G_A([alpha . beta]).
 
-    Both arguments must pass the horizontality gate; project first if they
-    came from anywhere other than horizontal_project.
+    Both arguments must pass the horizontality gate, a ratio of at most
+    0.05; project first if they came from anywhere other than
+    horizontal_project.
     """
     A = _conn(alpha.chart, A)
     for name, w in (("first", alpha), ("second", beta)):
         rho = horizontality_ratio(w, A)
-        if rho > horizontal_tol:
+        if rho > _HORIZONTAL_TOL:
             raise NotHorizontal(
-                f"{name} argument has codifferential ratio {rho:.3e} > {horizontal_tol:.1e}"
+                f"{name} argument has codifferential ratio {rho:.3e} > {_HORIZONTAL_TOL:.1e}"
             )
     rhs = bracket_dot(alpha, beta)
-    return -2.0 * green_A(rhs, A, tol=solve_tol, info=info)
+    return -2.0 * green_A(rhs, A, tol=solve_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -279,26 +284,25 @@ class FreenessReport:
         return min(pairs) if pairs else float("inf")
 
 
-def freeness_check(A, n_seeds=20, amplitude=0.05, margin=0.8, seed0=1000):
+def freeness_check(A, n_seeds=20, seed0=1000):
     """Quantitative freeness probe for the gauge action.
 
-    For transforms exp(f) with small Dirichlet f, the moved connection must
-    stay at least margin * sqrt(lambda_min) * ||f|| away from the original,
-    the Poincare bound for the linearized motion d_A f. The eigenvalue only
-    sets that lower bound, so a few digits suffice.
+    For transforms exp(f) with small Dirichlet f (sup 0.05), the moved
+    connection must stay at least 0.8 sqrt(lambda_min) ||f|| away from the
+    original, a fraction of the Poincare bound for the linearized motion
+    d_A f. The eigenvalue only sets that lower bound, so a few digits
+    suffice.
     """
     lam, _ = ritz_smallest(A, tol=2e-3, solve_tol=1e-8)
     root = float(np.sqrt(lam))
     distances, bounds = [], []
     for k in range(n_seeds):
-        f = random_smooth_field(
-            A.chart, "section", seed=seed0 + k, dbc=True, scale=amplitude
-        )
+        f = random_smooth_field(A.chart, "section", seed=seed0 + k, dbc=True, scale=0.05)
         g = GaugeTransformation.from_section(f)
         moved = gauge_act(A, g)
         diff = moved.perturbation() - A.perturbation()
         distances.append(l2_norm(diff, quadrature="cell"))
-        bounds.append(margin * root * l2_norm(f))
+        bounds.append(0.8 * root * l2_norm(f))
     ok = all(d >= b for d, b in zip(distances, bounds))
     return FreenessReport(distances, bounds, ok)
 
@@ -318,10 +322,11 @@ class HolonomyProbe:
     scale_const: float
 
 
-def _loop_transport(A, axes, k):
-    """Quaternion holonomy of the k-cell coordinate parallelogram at each node."""
+def _loop_transport(A, k):
+    """Quaternion holonomy of the k-cell loop in the (0, normal) coordinate
+    plane at each node."""
     ch = A.chart
-    i, j = axes
+    i, j = 0, ch.n - 1
     eta = A.eta.data
     U = quat_identity(ch.shape)
     path = (
@@ -345,8 +350,9 @@ def _loop_transport(A, axes, k):
     return U
 
 
-def small_loop_holonomy(A, k=2, axes=None):
-    """Holonomy defect of coordinate loops with sides k and 2k cells.
+def small_loop_holonomy(A, k=2):
+    """Holonomy defect of loops with sides k and 2k cells in the plane of
+    the first tangential axis and the normal axis.
 
     Returns the sup defects, their ratio (near 4 for a curvature-dominated
     defect), and the alignment of the defect direction with the curvature
@@ -355,35 +361,28 @@ def small_loop_holonomy(A, k=2, axes=None):
     if A.is_flat:
         raise BadGeometry("holonomy probes need a non-flat connection")
     ch = A.chart
-    if axes is None:
-        axes = (0, ch.n - 1)
-    i, j = axes
+    i, j = 0, ch.n - 1
     if k < 2 or k % 2:
         raise BadGeometry("loop size k must be even and at least 2")
     K = 2 * k
-    nrm = ch.n - 1
-    if nrm in axes and ch.shape[-1] < K + 6:
+    if ch.shape[-1] < K + 6:
         raise BadGeometry("normal axis too short for the requested loop")
 
     valid = [slice(None)] * ch.n
-    if nrm in axes:
-        valid[-1] = slice(2, ch.shape[-1] - 1 - K)
+    valid[-1] = slice(2, ch.shape[-1] - 1 - K)
     valid = tuple(valid)
 
     # defect fields for both loop sizes (log only where the loop is real,
     # away from rows where the normal-axis roll wrapped around)
     gam = {}
     for kk in (k, K):
-        U = _loop_transport(A, axes, kk)
+        U = _loop_transport(A, kk)
         gam[kk] = quat_log(U[valid])
 
     # curvature two-form component along the loop plane, at each node
-    lo, hi = min(i, j), max(i, j)
     dd = exterior_d(A.eta)
-    p = dd.pairs.index((lo, hi))
-    F = dd.data[..., p, :] + coeff_bracket(A.eta.data[..., lo, :], A.eta.data[..., hi, :])
-    if (i, j) != (lo, hi):
-        F = -F
+    p = dd.pairs.index((i, j))
+    F = dd.data[..., p, :] + coeff_bracket(A.eta.data[..., i, :], A.eta.data[..., j, :])
 
     # sample F at the small-loop center
     shift = [0] * ch.n

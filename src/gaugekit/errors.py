@@ -47,16 +47,8 @@ class NearCutLocus(GaugekitError):
     """Group logarithm requested too close to trace = -2."""
 
 
-class UnsupportedDegree(GaugekitError):
-    """Hodge star / codifferential asked for a form degree outside n in {2,3}."""
-
-
 class NotHorizontal(GaugekitError):
     """Curvature input fails the horizontality residual gate."""
-
-
-class IncompatibleBoundaryData(GaugekitError):
-    """Scalar profile violates the boundary compatibility relation."""
 
 
 class WindowTooSmall(GaugekitError):

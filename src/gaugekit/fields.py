@@ -4,6 +4,10 @@ Sections and one-/two-forms carry su(2) coefficients in their trailing axis;
 ScalarField holds plain real samples for cut-offs and profiles. Derivatives
 are collocated at the nodes: centered second order inside, one-sided 3-point
 second order at the two boundary layers, periodic wrap tangentially.
+
+The cell quadrature of one-forms weights each axis's midpoint samples by the
+coefficients of the staggered energy form, which the chart owns
+(`Chart.cell_c`); `MidOneForm.of` carries node one-forms to the midpoints.
 """
 
 from __future__ import annotations
@@ -203,15 +207,6 @@ def normal_component(omega):
 # inner products
 # ---------------------------------------------------------------------------
 
-def _cell_component(u, ax):
-    """Component of a one-form along ax, carried to that axis's midpoints."""
-    data = u.axis_data(ax) if isinstance(u, MidOneForm) else None
-    if data is not None:
-        return data
-    ch = u.chart
-    return st.avg_mid(u.data[..., ax, :], ax, ch.periodic[ax])
-
-
 class MidOneForm:
     """One-form sampled natively at cell midpoints, one array per axis.
 
@@ -225,6 +220,18 @@ class MidOneForm:
         self.chart = chart
         self.arrays = list(arrays)
 
+    @classmethod
+    def of(cls, omega):
+        """Midpoint samples of a one-form: each node component averaged to
+        its axis's midpoints; a MidOneForm comes back as it is."""
+        if isinstance(omega, MidOneForm):
+            return omega
+        ch = omega.chart
+        return cls(ch, [
+            st.avg_mid(omega.data[..., ax, :], ax, ch.periodic[ax])
+            for ax in range(ch.n)
+        ])
+
     def axis_data(self, ax):
         return self.arrays[ax]
 
@@ -234,8 +241,8 @@ def l2_inner(u, v, quadrature="node"):
 
     quadrature="node" is the trapezoid/periodic node rule contracted with the
     metric. quadrature="cell" (one-forms only, diagonal metrics) integrates
-    per-axis components at cell midpoints; it is the pairing against which
-    the adjoint codifferential is exactly adjoint.
+    per-axis components at cell midpoints against `Chart.cell_c`; it is the
+    pairing against which the adjoint codifferential is exactly adjoint.
     """
     require_same_chart(u.chart, v.chart)
     if u.rank != v.rank:
@@ -244,16 +251,11 @@ def l2_inner(u, v, quadrature="node"):
     if quadrature == "cell":
         if u.rank != "oneform":
             raise RankMismatch("cell quadrature is defined for one-forms")
-        if not ch.is_diagonal:
-            raise BadGeometry("cell quadrature needs a diagonal metric")
+        c = ch.cell_c
+        um, vm = MidOneForm.of(u), MidOneForm.of(v)
         total = 0.0
         for ax in range(ch.n):
-            uc = _cell_component(u, ax)
-            vc = _cell_component(v, ax)
-            vol_mid, ginv_mid = ch.mid_metric(ax)
-            wmid = _cell_weights(ch, ax)
-            c = wmid * vol_mid * ginv_mid[..., ax, ax]
-            total += float(np.sum(c[..., None] * uc * vc))
+            total += float(np.sum(c[ax][..., None] * um.axis_data(ax) * vm.axis_data(ax)))
         return total
     if quadrature != "node":
         raise ValueError("quadrature must be 'node' or 'cell'")
@@ -280,22 +282,6 @@ def l2_inner(u, v, quadrature="node"):
     raise RankMismatch(f"unsupported rank for l2_inner: {u.rank}")
 
 
-def _cell_weights(ch, ax):
-    """Quadrature weights on the ax-midpoint grid (cells along ax, nodes else)."""
-    shape = []
-    w = None
-    n_mid = ch.shape[ax] if ch.periodic[ax] else ch.shape[ax] - 1
-    for a in range(ch.n):
-        cnt = n_mid if a == ax else ch.shape[a]
-        if a == ax:
-            w1 = np.full(cnt, ch.h[a])
-        else:
-            w1 = st.quad_weights_1d(ch.shape[a], ch.h[a], ch.periodic[a])
-        shape = [cnt if b == a else 1 for b in range(ch.n)]
-        w = w1.reshape(shape) if w is None else w * w1.reshape(shape)
-    return w
-
-
 def l2_norm(u, quadrature="node"):
     return float(np.sqrt(max(l2_inner(u, u, quadrature=quadrature), 0.0)))
 
@@ -304,7 +290,11 @@ def l2_norm(u, quadrature="node"):
 # Dirichlet boundary checks
 # ---------------------------------------------------------------------------
 
-def check_dbc(field, tol=1e-12):
+#: sup tolerance of the Dirichlet checks on sections and connection one-forms
+DBC_TOL = 1e-12
+
+
+def check_dbc(field, tol=DBC_TOL):
     """Return (ok, worst violation) for the field's Dirichlet condition.
 
     Sections and scalars must vanish on the boundary node set; one-forms must
@@ -325,7 +315,7 @@ def check_dbc(field, tol=1e-12):
     return worst <= tol, worst
 
 
-def require_dbc(field, tol=1e-12):
+def require_dbc(field, tol=DBC_TOL):
     ok, worst = check_dbc(field, tol)
     if not ok:
         raise DbcViolation(f"boundary violation {worst:.3e} exceeds {tol:.1e}")

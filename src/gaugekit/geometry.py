@@ -82,7 +82,7 @@ class Chart:
         self.is_type_b = bool(np.max(normal_off) <= _TYPE_TOL)
         gnn_dev = np.max(np.abs(self.g[..., -1, -1] - 1.0))
         bdry_off = max(
-            float(np.max(np.abs(self.g[self._face_slice(f)][..., :-1, -1])))
+            float(np.max(np.abs(self.g[self.face_slice(f)][..., :-1, -1])))
             for f in self.faces
         )
         self.is_type_a = bool(gnn_dev <= _TYPE_TOL and bdry_off <= _TYPE_TOL)
@@ -125,6 +125,38 @@ class Chart:
             self._mid_cache[axis] = (np.sqrt(det), np.linalg.inv(g))
         return self._mid_cache[axis]
 
+    def cell_weights(self, axis):
+        """Quadrature weights on one axis's midpoint grid (cells along that
+        axis, the node rule along the others)."""
+        w = None
+        n_mid = self.shape[axis] if self.periodic[axis] else self.shape[axis] - 1
+        for a in range(self.n):
+            cnt = n_mid if a == axis else self.shape[a]
+            if a == axis:
+                w1 = np.full(cnt, self.h[a])
+            else:
+                w1 = st.quad_weights_1d(self.shape[a], self.h[a], self.periodic[a])
+            shape = [cnt if b == a else 1 for b in range(self.n)]
+            w = w1.reshape(shape) if w is None else w * w1.reshape(shape)
+        return w
+
+    @cached_property
+    def cell_c(self):
+        """Coefficients of the staggered Dirichlet energy form, one array per
+        axis on that axis's midpoint grid: cell weight x vol x g^aa.
+
+        Every operator paired under the cell quadrature (the energy matrix,
+        the adjoint codifferential, the cell inner product, the Green
+        preconditioners) reads them from here.
+        """
+        if not self.is_diagonal:
+            raise BadGeometry("the staggered energy form needs a diagonal metric")
+        out = []
+        for ax in range(self.n):
+            vol_mid, ginv_mid = self.mid_metric(ax)
+            out.append(self.cell_weights(ax) * vol_mid * ginv_mid[..., ax, ax])
+        return out
+
     def mesh(self):
         return np.meshgrid(*self.coords, indexing="ij")
 
@@ -144,13 +176,10 @@ class Chart:
 
     # -- boundary helpers ----------------------------------------------------
 
-    def _face_slice(self, face):
+    def face_slice(self, face):
         sl = [slice(None)] * self.n
         sl[-1] = 0 if face.side == 0 else -1
         return tuple(sl)
-
-    def face_slice(self, face):
-        return self._face_slice(face)
 
     @property
     def tangential_shape(self):

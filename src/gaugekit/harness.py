@@ -182,6 +182,7 @@ class RunConfig:
             if key == "ladder" and val is not None:
                 val = [s if _is_int(s) else tuple(s) for s in val]
             setattr(self, key, val)
+        self.ladder_shapes()
         return self
 
     def to_dict(self):

@@ -8,6 +8,12 @@ what the conjugate-gradient Green solve and the Ritz bounds rely on. The
 formula reads; it is the form used for boundary evaluations. Both are second
 order in the interior and agree to O(h^2) on smooth data.
 
+The adjoint form, the staggered gradient d_A_cell and the energy matrix are
+built from one per-axis pair: the covariant gradient at an axis's midpoints
+(`_grad_mid`) and its transpose weighted by the energy-form coefficients
+(`_add_div_mid`). The chart owns those coefficients (`Chart.cell_c`); a
+connection holds only its perturbation and its midpoint average.
+
 The Green solve is preconditioned conjugate gradient with one stopping rule,
 ||S u - M g|| <= tol ||M g||. With a flat connection on a chart whose metric
 depends on the normal coordinate only (`Chart.is_tangentially_uniform`, true
@@ -34,13 +40,13 @@ from .errors import (
     RankMismatch,
 )
 from .fields import (
+    DBC_TOL,
     MidOneForm,
     OneForm,
     ScalarField,
     Section,
     ThreeForm,
     TwoForm,
-    _cell_weights,
     check_dbc,
     flat_d,
     l2_inner,
@@ -51,21 +57,19 @@ from .geometry import mean_curvature, require_same_chart
 class Connection:
     """Base connection plus an optional Dirichlet perturbation one-form."""
 
-    def __init__(self, chart, eta=None, dbc_tol=1e-12):
+    def __init__(self, chart, eta=None):
         self.chart = chart
         if eta is not None:
             if not isinstance(eta, OneForm):
                 raise RankMismatch("connection perturbations are one-forms")
             require_same_chart(chart, eta.chart)
-            ok, worst = check_dbc(eta, dbc_tol)
+            ok, worst = check_dbc(eta)
             if not ok:
                 raise DbcViolation(
-                    f"perturbation tangential trace {worst:.3e} exceeds {dbc_tol:.1e}"
+                    f"perturbation tangential trace {worst:.3e} exceeds {DBC_TOL:.1e}"
                 )
         self.eta = eta
         self._mid = None
-        self._cell = None
-        self._diag = None
 
     @classmethod
     def flat(cls, chart):
@@ -83,39 +87,8 @@ class Connection:
         if self.is_flat:
             return None
         if self._mid is None:
-            ch = self.chart
-            self._mid = [
-                st.avg_mid(self.eta.data[..., a, :], a, ch.periodic[a])
-                for a in range(ch.n)
-            ]
-        return self._mid[ax]
-
-    def _cell_c(self, ax):
-        """Cell quadrature times metric coefficient on the ax-midpoint grid."""
-        if self._cell is None:
-            ch = self.chart
-            if not ch.is_diagonal:
-                raise BadGeometry("the adjoint-form operators need a diagonal metric")
-            cs = []
-            for a in range(ch.n):
-                vol_mid, ginv_mid = ch.mid_metric(a)
-                cs.append(_cell_weights(ch, a) * vol_mid * ginv_mid[..., a, a])
-            self._cell = cs
-        return self._cell[ax]
-
-    def _jacobi_diag(self):
-        """Diagonal of the derivative part of the energy matrix (preconditioner)."""
-        if self._diag is None:
-            ch = self.chart
-            diag = np.zeros(ch.shape)
-            for ax in range(ch.n):
-                diag += (
-                    st.avg_mid_t(self._cell_c(ax), ax, ch.periodic[ax])
-                    * 2.0
-                    / ch.h[ax] ** 2
-                )
-            self._diag = diag
-        return self._diag
+            self._mid = MidOneForm.of(self.eta)
+        return self._mid.axis_data(ax)
 
 
 def _conn(chart, A):
@@ -140,20 +113,35 @@ def d_A(f, A=None):
     return out
 
 
+def _grad_mid(A, x, ax):
+    """Staggered covariant gradient of node values x along ax, sampled at
+    that axis's midpoints."""
+    ch = A.chart
+    t = st.deriv_mid(x, ax, ch.h[ax], ch.periodic[ax])
+    Am = A._mid_A(ax)
+    if Am is not None:
+        t = t + coeff_bracket(Am, st.avg_mid(x, ax, ch.periodic[ax]))
+    return t
+
+
+def _add_div_mid(out, A, mid, ax):
+    """Add to the node array `out` the transpose of _grad_mid along ax
+    applied to the midpoint values `mid` weighted by `Chart.cell_c`."""
+    ch = A.chart
+    per = ch.periodic[ax]
+    m = ch.cell_c[ax][..., None] * mid
+    out += st.deriv_mid_t(m, ax, ch.h[ax], per)
+    Am = A._mid_A(ax)
+    if Am is not None:
+        out -= st.avg_mid_t(coeff_bracket(Am, m), ax, per)
+
+
 def d_A_cell(f, A=None):
     """Covariant derivative sampled natively at cell midpoints (staggered)."""
     if not isinstance(f, Section):
         raise RankMismatch("d_A_cell expects a Section")
     A = _conn(f.chart, A)
-    ch = f.chart
-    arrays = []
-    for ax in range(ch.n):
-        t = st.deriv_mid(f.data, ax, ch.h[ax], ch.periodic[ax])
-        Am = A._mid_A(ax)
-        if Am is not None:
-            t = t + coeff_bracket(Am, st.avg_mid(f.data, ax, ch.periodic[ax]))
-        arrays.append(t)
-    return MidOneForm(ch, arrays)
+    return MidOneForm(f.chart, [_grad_mid(A, f.data, ax) for ax in range(f.chart.n)])
 
 
 def bracket_dot(alpha, beta):
@@ -207,18 +195,12 @@ def _codiff_pointwise_data(omega, A):
 
 def _energy_apply(A, x):
     """Energy matrix of the covariant Dirichlet form applied to node values."""
-    ch = A.chart
     out = np.zeros_like(x)
-    for ax in range(ch.n):
-        per = ch.periodic[ax]
-        t = st.deriv_mid(x, ax, ch.h[ax], per)
-        Am = A._mid_A(ax)
-        if Am is not None:
-            t = t + coeff_bracket(Am, st.avg_mid(x, ax, per))
-        m = A._cell_c(ax)[..., None] * t
-        out += st.deriv_mid_t(m, ax, ch.h[ax], per)
-        if Am is not None:
-            out -= st.avg_mid_t(coeff_bracket(Am, m), ax, per)
+    for ax in range(A.chart.n):
+        # t stays bound until the next axis: freeing it inside the call
+        # changes the heap layout under CG enough to double its page faults
+        t = _grad_mid(A, x, ax)
+        _add_div_mid(out, A, t, ax)
     return out
 
 
@@ -262,18 +244,10 @@ def codiff_A(omega, A=None, form="adjoint"):
         return Section(ch, _codiff_pointwise_data(omega, A))
     if form != "adjoint":
         raise ValueError("form must be 'adjoint' or 'pointwise'")
+    mid = MidOneForm.of(omega)
     acc = np.zeros(ch.shape + (ALGEBRA_DIM,))
     for ax in range(ch.n):
-        per = ch.periodic[ax]
-        if isinstance(omega, MidOneForm):
-            mid = omega.axis_data(ax)
-        else:
-            mid = st.avg_mid(omega.data[..., ax, :], ax, per)
-        m = A._cell_c(ax)[..., None] * mid
-        acc += st.deriv_mid_t(m, ax, ch.h[ax], per)
-        Am = A._mid_A(ax)
-        if Am is not None:
-            acc -= st.avg_mid_t(coeff_bracket(Am, m), ax, per)
+        _add_div_mid(acc, A, mid.axis_data(ax), ax)
     out = acc / (ch.quad_w * ch.vol)[..., None]
     node_omega = _mid_to_node(omega) if isinstance(omega, MidOneForm) else omega
     pt = _codiff_pointwise_data(node_omega, A)
@@ -332,10 +306,10 @@ def _separable_solver(ch):
     n = ch.n
     tang = tuple(range(n - 1))
     if ch._separable is None:
-        A = Connection.flat(ch)
+        c = ch.cell_c
         t0 = (0,) * (n - 1)
         col = (-1,) + (1,) * (n - 1)
-        cn = A._cell_c(n - 1)[t0] / ch.h[-1] ** 2
+        cn = c[n - 1][t0] / ch.h[-1] ** 2
         off = -cn[1:-1]
         # diagonal per (interior normal node, mode...), normal axis first;
         # the last tangential axis carries the rfft's half spectrum
@@ -345,7 +319,7 @@ def _separable_solver(ch):
             k = np.arange(nt // 2 + 1 if t == n - 2 else nt)
             lam = 4.0 * np.sin(np.pi * k / nt) ** 2 / ch.h[t] ** 2
             mode = (1,) + tuple(-1 if a == t else 1 for a in tang)
-            diag = diag + A._cell_c(t)[t0][1:-1].reshape(col) * lam.reshape(mode)
+            diag = diag + c[t][t0][1:-1].reshape(col) * lam.reshape(mode)
         inv = np.empty_like(diag)
         mult = np.zeros_like(diag)
         inv[0] = 1.0 / diag[0]
@@ -395,7 +369,11 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
     if A.is_flat and ch.is_tangentially_uniform:
         pre = _separable_solver(ch)
     else:
-        dinv = 1.0 / A._jacobi_diag()[ii][..., None]
+        # inverse diagonal of the derivative part of the energy matrix
+        dinv = 1.0 / sum(
+            st.avg_mid_t(c, ax, ch.periodic[ax]) * 2.0 / ch.h[ax] ** 2
+            for ax, c in enumerate(ch.cell_c)
+        )[ii][..., None]
         pre = lambda v: dinv * v
     work = np.zeros(ch.shape + (ALGEBRA_DIM,))
 
@@ -459,7 +437,7 @@ def _anchor_face_rows(grad, f, ch, depth=8):
     return grad
 
 
-def horizontal_project(eta, A=None, tol=1e-10, info=None):
+def horizontal_project(eta, A=None, tol=1e-10):
     """Project a one-form onto the discrete horizontal space.
 
     Subtracts d_A gamma with gamma the Galerkin solution of the vertical
@@ -470,7 +448,7 @@ def horizontal_project(eta, A=None, tol=1e-10, info=None):
     projected form keep their full order.
     """
     A = _conn(eta.chart, A)
-    gamma = green_A(codiff_A(eta, A, form="adjoint"), A, tol=tol, info=info)
+    gamma = green_A(codiff_A(eta, A, form="adjoint"), A, tol=tol)
     grad = _anchor_face_rows(d_A(gamma, A), gamma, eta.chart)
     return eta - grad
 
@@ -665,9 +643,3 @@ def ritz_smallest(A, tol=1e-9, maxiter=200, seed=0, solve_tol=1e-10):
             return lam_new, x
         lam = lam_new
     return lam, x
-
-
-def poincare_constant(A, **kw):
-    """Condition-style bound 1/sqrt(lambda_min) for the covariant Laplacian."""
-    lam, _ = ritz_smallest(A, **kw)
-    return 1.0 / np.sqrt(lam)

@@ -128,6 +128,8 @@ def test_config_rejects_unknown_keys(tmp_path):
         {"thresholds": {"gauge.cocycle": "1e-12"}},
         {"ladder_shapes": None},
         [64, 64],
+        {"ladder": [64, 32]},
+        {"ladder": [64, 64]},
     ],
 )
 def test_config_rejects_malformed_values(tmp_path, raw):
@@ -138,8 +140,9 @@ def test_config_rejects_malformed_values(tmp_path, raw):
 
 
 @pytest.mark.parametrize(
-    "kw", [{"ladder_shapes": 3}, {"jobs": "2"}, {"grid": (2, 2)}],
-    ids=["method-name", "string-jobs", "small-grid"],
+    "kw",
+    [{"ladder_shapes": 3}, {"jobs": "2"}, {"grid": (2, 2)}, {"ladder": [64, 32]}],
+    ids=["method-name", "string-jobs", "small-grid", "decreasing-ladder"],
 )
 def test_overrides_reject_malformed_values(kw):
     with pytest.raises(ConfigError):

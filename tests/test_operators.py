@@ -5,7 +5,9 @@ import pytest
 
 from gaugekit import (
     ALGEBRA_DIM,
+    BadGeometry,
     Connection,
+    NoConvergence,
     OneForm,
     Section,
     boundary_operator_T,
@@ -224,6 +226,48 @@ def test_cg_reports_converged_residual(ann32):
     green_A(g, None, tol=1e-10, info=info)
     assert info.residual <= 1e-10
     assert info.iterations == 1
+
+
+def test_green_raises_at_its_iteration_cap(ann32):
+    A = _rand_conn(ann32, 5)
+    info = SolveInfo()
+    with pytest.raises(NoConvergence) as exc:
+        green_A(random_smooth_field(ann32, "section", 6), A, tol=1e-10, maxiter=2, info=info)
+    assert exc.value.iterations == 2
+    assert exc.value.residual > 1e-10
+    assert (info.iterations, info.residual, info.converged) == (2, exc.value.residual, False)
+
+
+def test_energy_form_rejects_a_non_diagonal_metric():
+    def metric(mesh):
+        theta, r = mesh
+        g = np.zeros(np.broadcast(theta, r).shape + (2, 2))
+        g[..., 0, 0] = r**2
+        g[..., 0, 1] = g[..., 1, 0] = 0.1 * r
+        g[..., 1, 1] = 1.0
+        return g
+
+    ch = build_chart(
+        "custom", (16, 16), metric=metric, extents=[(0.0, 2 * np.pi), (0.5, 1.0)]
+    )
+    w = random_smooth_field(ch, "oneform", 3)
+    calls = (
+        lambda: green_A(random_smooth_field(ch, "section", 4)),
+        lambda: codiff_A(w, None, form="adjoint"),
+        lambda: l2_inner(w, w, "cell"),
+    )
+    for call in calls:
+        with pytest.raises(BadGeometry, match="staggered energy form needs a diagonal"):
+            call()
+
+
+def test_connections_share_the_chart_energy_coefficients(ann32):
+    c = ann32.cell_c
+    g = random_smooth_field(ann32, "section", 6)
+    for A in (Connection.flat(ann32), _rand_conn(ann32, 5)):
+        green_A(g, A, tol=1e-8)
+        assert ann32.cell_c is c
+        assert set(vars(A)) == {"chart", "eta", "_mid"}  # no chart-only cache
 
 
 def test_projector_outputs_horizontal_fields():
