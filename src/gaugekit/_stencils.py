@@ -3,7 +3,9 @@
 All functions act on plain ndarrays along a given axis and broadcast over the
 rest, so algebra components ride along untouched. The staggered
 (cell-midpoint) difference and average, together with their exact
-transposes, carry the energy form of the elliptic operators.
+transposes, carry the energy form of the elliptic operators. They write
+into a caller's `out` buffer when given one, and periodic axes wrap by
+slicing, so the Green solve's inner loop allocates nothing.
 
 Node derivatives are centered second order inside; periodic axes wrap. The
 one-sided rules at a bounded face live in one place, `face_layer_deriv`:
@@ -40,56 +42,82 @@ def deriv_node(v, axis, h, periodic):
     return out
 
 
-def deriv_mid(v, axis, h, periodic):
-    """Difference at cell midpoints: (v_{i+1} - v_i)/h.
-
-    Periodic axes return N midpoints (the last wraps); bounded axes N-1.
-    """
-    v = np.asarray(v)
-    if periodic:
-        return (np.roll(v, -1, axis) - v) / h
+def _pair(v, axis, periodic, op, out):
+    """op(v_{i+1}, v_i) at every cell midpoint; a periodic axis wraps by
+    slicing, so `out` may be a preallocated buffer."""
+    v = np.asarray(v, dtype=float)
     nd = v.ndim
     s = lambda sl: _axslice(nd, axis, sl)
-    return (v[s(slice(1, None))] - v[s(slice(0, -1))]) / h
-
-
-def avg_mid(v, axis, periodic):
-    """Two-point average at cell midpoints, matching deriv_mid's layout."""
-    v = np.asarray(v)
-    if periodic:
-        return 0.5 * (np.roll(v, -1, axis) + v)
-    nd = v.ndim
-    s = lambda sl: _axslice(nd, axis, sl)
-    return 0.5 * (v[s(slice(1, None))] + v[s(slice(0, -1))])
-
-
-def deriv_mid_t(m, axis, h, periodic):
-    """Exact transpose of deriv_mid, mapping midpoint arrays back to nodes."""
-    m = np.asarray(m)
-    if periodic:
-        return (np.roll(m, 1, axis) - m) / h
-    nd = m.ndim
-    s = lambda sl: _axslice(nd, axis, sl)
-    shape = list(m.shape)
-    shape[axis] += 1
-    out = np.zeros(shape, dtype=float)
-    out[s(slice(0, -1))] -= m / h
-    out[s(slice(1, None))] += m / h
+    if not periodic:
+        return op(v[s(slice(1, None))], v[s(slice(0, -1))], out=out)
+    if out is None:
+        out = np.empty_like(v)
+    op(v[s(slice(1, None))], v[s(slice(0, -1))], out=out[s(slice(0, -1))])
+    op(v[s(slice(0, 1))], v[s(slice(-1, None))], out=out[s(slice(-1, None))])
     return out
 
 
-def avg_mid_t(m, axis, periodic):
-    """Exact transpose of avg_mid."""
-    m = np.asarray(m)
-    if periodic:
-        return 0.5 * (np.roll(m, 1, axis) + m)
+def deriv_mid(v, axis, h, periodic, out=None):
+    """Difference at cell midpoints: (v_{i+1} - v_i)/h.
+
+    Periodic axes return N midpoints (the last wraps); bounded axes N-1.
+    The result goes to `out` when one is given.
+    """
+    out = _pair(v, axis, periodic, np.subtract, out)
+    out /= h
+    return out
+
+
+def avg_mid(v, axis, periodic, out=None):
+    """Two-point average at cell midpoints, matching deriv_mid's layout."""
+    out = _pair(v, axis, periodic, np.add, out)
+    out *= 0.5
+    return out
+
+
+def _pair_t(m, axis, periodic, op, out):
+    """op(m_{i-1}, m_i) at every node, from the midpoints on either side of
+    node i: a periodic axis wraps, and on a bounded axis each end node pairs
+    its one midpoint with 0."""
+    m = np.asarray(m, dtype=float)
     nd = m.ndim
     s = lambda sl: _axslice(nd, axis, sl)
-    shape = list(m.shape)
-    shape[axis] += 1
-    out = np.zeros(shape, dtype=float)
-    out[s(slice(0, -1))] += 0.5 * m
-    out[s(slice(1, None))] += 0.5 * m
+    if out is None:
+        shape = list(m.shape)
+        shape[axis] += 0 if periodic else 1
+        out = np.empty(shape)
+    if periodic:
+        op(m[s(slice(-1, None))], m[s(slice(0, 1))], out=out[s(slice(0, 1))])
+        op(m[s(slice(0, -1))], m[s(slice(1, None))], out=out[s(slice(1, None))])
+    else:
+        op(0.0, m[s(slice(0, 1))], out=out[s(slice(0, 1))])
+        op(m[s(slice(0, -1))], m[s(slice(1, None))], out=out[s(slice(1, -1))])
+        op(m[s(slice(-1, None))], 0.0, out=out[s(slice(-1, None))])
+    return out
+
+
+def deriv_mid_t(m, axis, h, periodic, out=None):
+    """Exact transpose of deriv_mid, mapping midpoint arrays back to nodes.
+
+    With `out` the result goes there, and on a bounded axis m is divided by
+    h in place, so the call allocates nothing.
+    """
+    if periodic:
+        out = _pair_t(m, axis, True, np.subtract, out)
+        out /= h
+        return out
+    if out is None:
+        m = np.asarray(m) / h
+    else:
+        m /= h
+    return _pair_t(m, axis, False, np.subtract, out)
+
+
+def avg_mid_t(m, axis, periodic, out=None):
+    """Exact transpose of avg_mid; the result goes to `out` when one is
+    given."""
+    out = _pair_t(m, axis, periodic, np.add, out)
+    out *= 0.5
     return out
 
 

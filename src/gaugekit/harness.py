@@ -12,7 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .coulomb import (
     obstruction_report,
     small_loop_holonomy,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NoConvergence
 from .fields import (
     OneForm,
     Section,
@@ -154,6 +154,9 @@ class RunConfig:
     jobs: int = 1
     #: optional "suite.check" -> value overrides for the documented defaults
     thresholds: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self._update({f.name: getattr(self, f.name) for f in fields(self)})
 
     @classmethod
     def from_json(cls, path):
@@ -871,8 +874,17 @@ def _resolve_suite(name):
 
 
 def run_suite(name, cfg):
+    """Run one suite; a Green solve that hits its iteration cap becomes a
+    failed `solve` check instead of aborting the run."""
     name = _resolve_suite(name)
-    res = SUITES[name](cfg)
+    try:
+        res = SUITES[name](cfg)
+    except NoConvergence as exc:
+        res = SuiteResult(
+            name,
+            [Check("solve", exc.residual, cfg.solve_tol)],
+            {"iterations": exc.iterations, "residual": exc.residual},
+        )
     for c in res.checks:
         override = cfg.thresholds.get(f"{res.suite}.{c.name}")
         if override is not None:

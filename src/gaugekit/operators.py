@@ -14,6 +14,13 @@ built from one per-axis pair: the covariant gradient at an axis's midpoints
 (`_add_div_mid`). The chart owns those coefficients (`Chart.cell_c`); a
 connection holds only its perturbation and its midpoint average.
 
+The pair works on component-first arrays, shape (3, *chart.shape), so that
+each su(2) component is contiguous and the bracket multiplies whole
+components. Fields keep their node-major layout (*chart.shape, 3);
+d_A_cell, the adjoint codiff_A and laplacian_A convert at their edges. The
+pair writes into buffers its caller passes in: three midpoint arrays shared
+by all axes and one single-component array for the bracket (`_scratch`).
+
 The Green solve is preconditioned conjugate gradient with one stopping rule,
 ||S u - M g|| <= tol ||M g||. With a flat connection on a chart whose metric
 depends on the normal coordinate only (`Chart.is_tangentially_uniform`, true
@@ -21,7 +28,13 @@ for every built-in chart) the energy matrix is separable, and the
 preconditioner is its direct solve: an FFT along the periodic axes and one
 cached tridiagonal sweep per mode along the normal axis, so CG stops after
 one iteration. Solves under a connection, and flat solves on other charts,
-use the Jacobi diagonal.
+use the Jacobi diagonal. Each solve allocates its work buffers once and
+reuses them in every iteration: the search direction is the interior of a
+zero-padded array, S p the interior of the energy output, and the CG
+updates go through `out=`; temporaries made afresh every iteration would
+come from fresh, zeroed pages (about 430 minor page faults per iteration at
+128^2). The buffers belong to the call, not to the chart or the module,
+because `RunConfig.jobs` runs suites on threads.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _stencils as st
-from .algebra import ALGEBRA_DIM, coeff_bracket
+from .algebra import ALGEBRA_DIM, STRUCTURE_C, coeff_bracket
 from .errors import (
     BadGeometry,
     DbcViolation,
@@ -83,12 +96,20 @@ class Connection:
         return self.eta if self.eta is not None else OneForm.zeros(self.chart)
 
     def _mid_A(self, ax):
-        """Connection component along ax averaged to that axis's midpoints."""
+        """Connection component along ax averaged to that axis's midpoints,
+        component first: shape (3, *midpoint shape)."""
         if self.is_flat:
             return None
         if self._mid is None:
-            self._mid = MidOneForm.of(self.eta)
-        return self._mid.axis_data(ax)
+            ch = self.chart
+            self._mid = [
+                st.avg_mid(
+                    _comps(self.eta.data[..., a, :]), a + 1, ch.periodic[a],
+                    out=np.empty((ALGEBRA_DIM,) + _mid_shape(ch, a)),
+                )
+                for a in range(ch.n)
+            ]
+        return self._mid[ax]
 
 
 def _conn(chart, A):
@@ -113,27 +134,83 @@ def d_A(f, A=None):
     return out
 
 
-def _grad_mid(A, x, ax):
-    """Staggered covariant gradient of node values x along ax, sampled at
-    that axis's midpoints."""
+def _comps(data):
+    """Component-first view of node-major field data."""
+    return np.moveaxis(data, -1, 0)
+
+
+def _nodes(data):
+    """Node-major copy of component-first data."""
+    return np.moveaxis(data, 0, -1).copy()
+
+
+def _mid_shape(ch, ax):
+    """Node shape with axis ax moved to its midpoints (N-1 when bounded)."""
+    return tuple(
+        n - (a == ax and not ch.periodic[a]) for a, n in enumerate(ch.shape)
+    )
+
+
+def _scratch(A):
+    """Work buffers of one energy-form evaluation under the connection A, as
+    per-axis views (gradient, average, bracket, one component, node).
+
+    Three midpoint arrays and one single-component array are shared by all
+    axes; a bounded axis views the leading N-1 slices of each. The node view
+    is the whole average buffer, free again once the gradient is formed. A
+    flat connection has no bracket: its bracket and component views are None.
+    """
     ch = A.chart
-    t = st.deriv_mid(x, ax, ch.h[ax], ch.periodic[ax])
+    lead = [(ALGEBRA_DIM,)] * 2 + ([] if A.is_flat else [(ALGEBRA_DIM,), ()])
+    bufs = [np.empty(int(np.prod(d + ch.shape))) for d in lead]
+    node = bufs[1].reshape((ALGEBRA_DIM,) + ch.shape)
+    views = []
+    for ax in range(ch.n):
+        shape = _mid_shape(ch, ax)
+        v = [b[: int(np.prod(d + shape))].reshape(d + shape) for b, d in zip(bufs, lead)]
+        views.append(tuple(v + [None] * (4 - len(v))) + (node,))
+    return views
+
+
+def _bracket(u, v, out, tmp):
+    """Bracket [u, v] of component-first arrays, written into `out` and
+    rounded as `algebra.coeff_bracket` rounds; `tmp` is one component of
+    scratch."""
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(u[i], v[j], out=out[k])
+        np.subtract(out[k], np.multiply(u[j], v[i], out=tmp), out=out[k])
+    out *= STRUCTURE_C
+    return out
+
+
+def _grad_mid(A, x, ax, out, avg, br, tmp):
+    """Staggered covariant gradient of the component-first node values x
+    along ax, written into `out` at that axis's midpoints; `avg`, `br` (the
+    shape of `out`) and `tmp` (one component) are scratch."""
+    ch = A.chart
+    st.deriv_mid(x, ax + 1, ch.h[ax], ch.periodic[ax], out=out)
     Am = A._mid_A(ax)
     if Am is not None:
-        t = t + coeff_bracket(Am, st.avg_mid(x, ax, ch.periodic[ax]))
-    return t
+        st.avg_mid(x, ax + 1, ch.periodic[ax], out=avg)
+        out += _bracket(Am, avg, br, tmp)
+    return out
 
 
-def _add_div_mid(out, A, mid, ax):
-    """Add to the node array `out` the transpose of _grad_mid along ax
-    applied to the midpoint values `mid` weighted by `Chart.cell_c`."""
+def _add_div_mid(out, A, mid, ax, node, br, tmp):
+    """Add to the component-first node array `out` the transpose of
+    _grad_mid along ax applied to the midpoint values `mid` weighted by
+    `Chart.cell_c`. `mid` is overwritten; `node` (the shape of `out`), `br`
+    (the shape of `mid`) and `tmp` (one component) are scratch."""
     ch = A.chart
     per = ch.periodic[ax]
-    m = ch.cell_c[ax][..., None] * mid
-    out += st.deriv_mid_t(m, ax, ch.h[ax], per)
+    mid *= ch.cell_c[ax]
     Am = A._mid_A(ax)
     if Am is not None:
-        out -= st.avg_mid_t(coeff_bracket(Am, m), ax, per)
+        _bracket(Am, mid, br, tmp)
+    out += st.deriv_mid_t(mid, ax + 1, ch.h[ax], per, out=node)
+    if Am is not None:
+        out -= st.avg_mid_t(br, ax + 1, per, out=node)
+    return out
 
 
 def d_A_cell(f, A=None):
@@ -141,7 +218,10 @@ def d_A_cell(f, A=None):
     if not isinstance(f, Section):
         raise RankMismatch("d_A_cell expects a Section")
     A = _conn(f.chart, A)
-    return MidOneForm(f.chart, [_grad_mid(A, f.data, ax) for ax in range(f.chart.n)])
+    x = _comps(f.data)
+    return MidOneForm(f.chart, [
+        _nodes(_grad_mid(A, x, ax, *bufs[:4])) for ax, bufs in enumerate(_scratch(A))
+    ])
 
 
 def bracket_dot(alpha, beta):
@@ -193,14 +273,28 @@ def _codiff_pointwise_data(omega, A):
     return out
 
 
-def _energy_apply(A, x):
-    """Energy matrix of the covariant Dirichlet form applied to node values."""
-    out = np.zeros_like(x)
-    for ax in range(A.chart.n):
-        # t stays bound until the next axis: freeing it inside the call
-        # changes the heap layout under CG enough to double its page faults
-        t = _grad_mid(A, x, ax)
-        _add_div_mid(out, A, t, ax)
+def _div_mid(A, mid):
+    """Node-major sum over the axes of _add_div_mid applied to a MidOneForm.
+    Its scratch is freed on return, before the caller's next temporaries."""
+    acc = np.zeros((ALGEBRA_DIM,) + A.chart.shape)
+    for ax, (t, _, br, tmp, node) in enumerate(_scratch(A)):
+        t[...] = _comps(mid.axis_data(ax))
+        _add_div_mid(acc, A, t, ax, node, br, tmp)
+    return _nodes(acc)
+
+
+def _energy_apply(A, x, out=None, scratch=None):
+    """Energy matrix of the covariant Dirichlet form applied to the
+    component-first node values x. The result goes to `out`, and `scratch`
+    is a `_scratch` set; both are allocated when not given."""
+    if out is None:
+        out = np.empty(x.shape)
+    if scratch is None:
+        scratch = _scratch(A)
+    out.fill(0.0)
+    for ax, (t, avg, br, tmp, node) in enumerate(scratch):
+        _grad_mid(A, x, ax, t, avg, br, tmp)
+        _add_div_mid(out, A, t, ax, node, br, tmp)
     return out
 
 
@@ -244,11 +338,8 @@ def codiff_A(omega, A=None, form="adjoint"):
         return Section(ch, _codiff_pointwise_data(omega, A))
     if form != "adjoint":
         raise ValueError("form must be 'adjoint' or 'pointwise'")
-    mid = MidOneForm.of(omega)
-    acc = np.zeros(ch.shape + (ALGEBRA_DIM,))
-    for ax in range(ch.n):
-        _add_div_mid(acc, A, mid.axis_data(ax), ax)
-    out = acc / (ch.quad_w * ch.vol)[..., None]
+    out = _div_mid(A, MidOneForm.of(omega))
+    out /= (ch.quad_w * ch.vol)[..., None]
     node_omega = _mid_to_node(omega) if isinstance(omega, MidOneForm) else omega
     pt = _codiff_pointwise_data(node_omega, A)
     for fc in ch.faces:
@@ -272,7 +363,8 @@ def laplacian_A(f, A=None, form="adjoint"):
         return Section(ch, _codiff_pointwise_data(d_A(f, A), A))
     if form != "adjoint":
         raise ValueError("form must be 'adjoint' or 'pointwise'")
-    out = _energy_apply(A, f.data) / (ch.quad_w * ch.vol)[..., None]
+    out = _nodes(_energy_apply(A, _comps(f.data)))
+    out /= (ch.quad_w * ch.vol)[..., None]
     pt = _codiff_pointwise_data(d_A(f, A), A)
     for fc in ch.faces:
         sl = ch.face_slice(fc)
@@ -304,7 +396,7 @@ def _separable_solver(ch):
     a batched Thomas sweep solves them. The pivots are cached on the chart.
     """
     n = ch.n
-    tang = tuple(range(n - 1))
+    tang = tuple(range(n - 1))  # chart axes
     if ch._separable is None:
         c = ch.cell_c
         t0 = (0,) * (n - 1)
@@ -326,17 +418,18 @@ def _separable_solver(ch):
         for j in range(1, diag.shape[0]):
             mult[j] = off[j - 1] * inv[j - 1]
             inv[j] = 1.0 / (diag[j] - mult[j] * off[j - 1])
-        ch._separable = (off, mult[..., None], inv[..., None])
+        ch._separable = (off, mult[:, None], inv[:, None])
     off, mult, inv = ch._separable
+    axes = tuple(t + 1 for t in tang)  # behind the component axis
 
-    def solve(r):
-        y = np.moveaxis(np.fft.rfftn(r, axes=tang), n - 1, 0).copy()
+    def solve(r, out):
+        y = np.moveaxis(np.fft.rfftn(r, axes=axes), n, 0).copy()
         for j in range(1, y.shape[0]):
             y[j] -= mult[j] * y[j - 1]
         y[-1] *= inv[-1]
         for j in range(y.shape[0] - 2, -1, -1):
             y[j] = (y[j] - off[j] * y[j + 1]) * inv[j]
-        return np.fft.irfftn(np.moveaxis(y, 0, n - 1), s=ch.shape[:-1], axes=tang)
+        out[...] = np.fft.irfftn(np.moveaxis(y, 0, n), s=ch.shape[:-1], axes=axes)
 
     return solve
 
@@ -355,15 +448,24 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
     A = _conn(g.chart, A)
     ch = g.chart
     ii = ch.interior_slice()
-    m_full = (ch.quad_w * ch.vol)[..., None]
-    b = (m_full * g.data)[ii]
-    sol = Section.zeros(ch)
-    bnorm = float(np.sqrt(np.sum(b * b)))
+    ic = (slice(None),) + ii  # the interior rows, component first
+    m = (ch.quad_w * ch.vol)[ii]
+    # the right-hand side M g, which CG turns into its residual in place
+    r = np.multiply(m, _comps(g.data)[ic], out=np.empty((ALGEBRA_DIM,) + m.shape))
+    # products are summed in node-major order, so every inner product, and
+    # with it the whole iteration, rounds exactly as on node-major fields
+    prod = np.empty(m.shape + (ALGEBRA_DIM,))
+
+    def dot(u, v):
+        np.multiply(u, v, out=_comps(prod))
+        return float(prod.sum())
+
+    bnorm = float(np.sqrt(dot(r, r)))
     if info is None:
         info = SolveInfo()
     if bnorm == 0.0:
         info.iterations, info.residual, info.converged = 0, 0.0, True
-        return sol
+        return Section.zeros(ch)
     if maxiter is None:
         maxiter = int(200 * np.sqrt(float(np.prod(ch.shape))))
     if A.is_flat and ch.is_tangentially_uniform:
@@ -373,34 +475,37 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
         dinv = 1.0 / sum(
             st.avg_mid_t(c, ax, ch.periodic[ax]) * 2.0 / ch.h[ax] ** 2
             for ax, c in enumerate(ch.cell_c)
-        )[ii][..., None]
-        pre = lambda v: dinv * v
-    work = np.zeros(ch.shape + (ALGEBRA_DIM,))
-
-    def apply(v):
-        work[...] = 0.0
-        work[ii] = v
-        return _energy_apply(A, work)[ii]
-
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = pre(r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
+        )[ii]
+        pre = lambda v, out: np.multiply(dinv, v, out=out)
+    # One set of work buffers per solve, reused by every iteration. The
+    # search direction p is the interior of a zero-padded array (the
+    # Dirichlet rows stay zero) and S p the interior of the energy output.
+    pad = np.zeros((ALGEBRA_DIM,) + ch.shape)
+    spad = np.empty_like(pad)
+    p, ap = pad[ic], spad[ic]
+    scratch = _scratch(A)
+    x = np.zeros_like(r)
+    z = np.empty_like(r)
+    tmp = np.empty_like(r)
+    pre(r, z)
+    p[...] = z
+    rz = dot(r, z)
     res = bnorm
     for k in range(1, maxiter + 1):
-        ap = apply(p)
-        alpha = rz / float(np.sum(p * ap))
-        x += alpha * p
-        r -= alpha * ap
-        res = float(np.sqrt(np.sum(r * r)))
+        _energy_apply(A, pad, spad, scratch)
+        alpha = rz / dot(p, ap)
+        x += np.multiply(p, alpha, out=tmp)
+        r -= np.multiply(ap, alpha, out=tmp)
+        res = float(np.sqrt(dot(r, r)))
         if res <= tol * bnorm:
             info.iterations, info.residual, info.converged = k, res / bnorm, True
-            sol.data[ii] = x
+            sol = Section.zeros(ch)
+            sol.data[ii] = np.moveaxis(x, 0, -1)
             return sol
-        z = pre(r)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
+        pre(r, z)
+        rz_new = dot(r, z)
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     info.iterations, info.residual, info.converged = maxiter, res / bnorm, False
     raise NoConvergence(

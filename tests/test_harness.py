@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from gaugekit import cli
-from gaugekit.errors import ConfigError
+from gaugekit import cli, harness
+from gaugekit.errors import ConfigError, NoConvergence
 from gaugekit.harness import (
     Check,
     RunConfig,
@@ -79,12 +79,11 @@ def test_ladder_shapes_default_and_explicit():
 
 
 def test_ladder_must_increase():
-    cfg = RunConfig(grid=(64, 64), ladder=[64, 64])
+    # the constructor runs the same checks as from_json and with_overrides
     with pytest.raises(ConfigError):
-        cfg.ladder_shapes()
-    cfg2 = RunConfig(grid=(64, 64), ladder=[64, 32])
+        RunConfig(grid=(64, 64), ladder=[64, 64])
     with pytest.raises(ConfigError):
-        cfg2.ladder_shapes()
+        RunConfig(grid=(64, 64), ladder=[64, 32])
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -247,11 +246,30 @@ def test_study_emits_ladder_tables():
 
 def test_parallel_jobs_give_identical_results():
     cfg = RunConfig(grid=(32, 32), seed=2)
-    seq = run_all(cfg, ["mean-curvature", "gauge"])
-    par = run_all(cfg.with_overrides(jobs=2), ["mean-curvature", "gauge"])
-    a = [s.to_dict() for s in seq.suites]
-    b = [s.to_dict() for s in par.suites]
-    assert a == b
+    # the second pair runs one solve suite twice, so both threads solve on
+    # the same grids at once; a work buffer shared between them would
+    # change the reports
+    for names in (["mean-curvature", "gauge"], ["boundary-identity", "boundary-identity"]):
+        seq = run_all(cfg, names)
+        par = run_all(cfg.with_overrides(jobs=2), names)
+        a = [s.to_dict() for s in seq.suites]
+        b = [s.to_dict() for s in par.suites]
+        assert a == b
+
+
+def test_unconverged_solve_is_a_failed_check(monkeypatch):
+    def capped(eta, A=None, tol=1e-10):
+        raise NoConvergence("capped", iterations=7, residual=0.25)
+
+    monkeypatch.setattr(harness, "horizontal_project", capped)
+    report = run_all(RunConfig(grid=(32, 32)), ["boundary-identity", "gauge"])
+    failed, other = report.suites
+    assert not failed.passed and other.passed  # the run went on
+    assert [c.to_dict() for c in failed.checks] == [{
+        "name": "solve", "value": 0.25, "threshold": 1e-10, "kind": "max",
+        "passed": False,
+    }]
+    assert failed.metrics == {"iterations": 7, "residual": 0.25}
 
 
 # ---------------------------------------------------------------------------
