@@ -30,7 +30,6 @@ from .constructions import (
     interior_inverse,
     kernel_class_potential,
     kernel_decompose,
-    make_partition_of_unity,
 )
 from .coulomb import (
     GaugeTransformation,

@@ -4,9 +4,10 @@ The forward statements (boundary identity, obstruction) say what the
 curvature image cannot reach; this module builds the reaching side. Window
 inverses produce horizontal one-form pairs whose bracket product equals a
 prescribed profile exactly; the generator realizes prescribed boundary data
-through commutators of Green potentials; the kernel stage localizes what is
-left over a collar partition. All constructions live on 2d charts whose
-diagonal metric does not vary along the tangential axis.
+through commutators of Green potentials whose sources live in a collar at
+the face; the kernel stage solves what is left back from its pointwise
+Laplacian once its obstruction trace passes a gate. All constructions live
+on 2d charts whose diagonal metric does not vary along the tangential axis.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ from .operators import (
 #: depth fractions of the construction ladder: eta band, plateau rise,
 #: profile band, plateau fall.
 LADDER = (0.15, 0.25, 0.35, 0.45, 0.75, 0.9)
+
+#: collar depths as fractions of the normal extent: the generator's source
+#: collar and the collar of the kernel-class potential's source
+_GENERATOR_DEPTH = 0.4
+_KERNEL_CLASS_DEPTH = 0.35
 
 _TINY = 1e-30
 
@@ -90,6 +96,11 @@ def _check_construction_chart(ch):
         )
 
 
+def _check_side(side):
+    if side not in (0, 1):
+        raise BadGeometry(f"side must be 0 or 1, not {side!r}")
+
+
 def _unit(k):
     v = np.zeros(ALGEBRA_DIM)
     v[k] = 1.0
@@ -129,6 +140,7 @@ def _band_coordinates(chart, side, interval, depth):
     if (side is None) == (interval is None):
         raise BadGeometry("give exactly one of side= or interval=")
     if side is not None:
+        _check_side(side)
         if depth is None:
             depth = 0.8 * (hi - lo)
         if not 0 < depth <= hi - lo:
@@ -270,44 +282,6 @@ def interior_inverse(psi, interval, pair=(0, 1)):
 
 
 # ---------------------------------------------------------------------------
-# collar partitions
-# ---------------------------------------------------------------------------
-
-def make_partition_of_unity(chart, side, pieces=8, depth=None):
-    """Collar partition: tangential bumps times a face plateau.
-
-    The pieces sum exactly to the collar plateau (1 near the face), each is
-    nonnegative, and each has exactly vanishing normal derivative at the
-    face because the plateau is constant on the first layers.
-    """
-    _check_construction_chart(chart)
-    if pieces < 2:
-        raise BadCover("need at least 2 pieces")
-    xn = chart.coords[-1]
-    lo, hi = xn[0], xn[-1]
-    if depth is None:
-        depth = 0.4 * (hi - lo)
-    s = (xn - lo) if side == 0 else (hi - xn)
-    t = s / depth
-    if 2 * chart.h[-1] >= 0.6 * depth:
-        raise BadCover("collar too shallow: plateau must cover 3 node layers")
-    chi = 1.0 - BumpKit.smoothstep((t - 0.6) / 0.3)
-
-    theta = chart.coords[0]
-    span = chart.shape[0] * chart.h[0]
-    width = 2.0 * span / pieces
-    raw = []
-    for k in range(pieces):
-        center = theta[0] + (k + 0.5) * span / pieces
-        delta = np.mod(theta - center + 0.5 * span, span) - 0.5 * span
-        raw.append(BumpKit.bump01(delta / width + 0.5))
-    total = np.sum(raw, axis=0)
-    if float(np.min(total)) <= 0.0:
-        raise BadCover("tangential bumps leave a gap")
-    return [ScalarField(chart, (r / total)[:, None] * chi[None, :]) for r in raw]
-
-
-# ---------------------------------------------------------------------------
 # generator for prescribed boundary data
 # ---------------------------------------------------------------------------
 
@@ -330,11 +304,24 @@ def _hopf_potential(ch, A, solve_tol):
     src = np.zeros(ch.shape + (ALGEBRA_DIM,))
     src[..., 0] = prof[None, :]
     w = green_A(Section(ch, src), A, tol=solve_tol)
-    return w.data[..., 0], prof
+    return w.data[..., 0]
 
 
-def generator_for_boundary_data(target, side=0, pieces=8, depth=None, A=None,
-                                solve_tol=1e-10, _shared=None):
+def _collar_extension(ch, side, depth):
+    """Collar coordinate t = s / depth at one face (s the normal distance
+    from it), the collar plateau, and the factor exp(-2(n-1) H s) that
+    cancels the curvature term of the trace operator on that face."""
+    xn = ch.coords[-1]
+    s = (xn - xn[0]) if side == 0 else (xn[-1] - xn)
+    t = s / depth
+    plateau = 1.0 - BumpKit.smoothstep((t - 0.5) / 0.4)
+    H = mean_curvature(ch).values[side]
+    ext = np.exp(-2.0 * (ch.n - 1) * H[:, None] * s[None, :])
+    return t, plateau, ext
+
+
+def generator_for_boundary_data(target, side=0, A=None, solve_tol=1e-10,
+                                _shared=None):
     """Commutator pairs whose obstruction trace realizes the target data.
 
     Each algebra direction d uses the double bracket [[e_{d+2}, e_d], e_{d+2}]
@@ -345,20 +332,18 @@ def generator_for_boundary_data(target, side=0, pieces=8, depth=None, A=None,
     """
     ch = target.chart
     _check_construction_chart(ch)
+    _check_side(side)
     if not ch.is_type_a:
         raise NotTypeA("the collar extension needs a unit-speed normal coordinate")
     A = _conn(ch, A)
     if not A.is_flat:
         raise BadGeometry("the generator is built at the flat base point")
     xn = ch.coords[-1]
-    lo, hi = xn[0], xn[-1]
-    if depth is None:
-        depth = 0.4 * (hi - lo)
+    depth = _GENERATOR_DEPTH * (xn[-1] - xn[0])
+    if 2 * ch.h[-1] >= 0.5 * depth:
+        raise BadCover("collar too shallow for the extension plateau")
 
-    if _shared is None:
-        wvals, _ = _hopf_potential(ch, A, solve_tol)
-    else:
-        wvals = _shared
+    wvals = _hopf_potential(ch, A, solve_tol) if _shared is None else _shared
     fc = ch.faces[side]
     dW = st.one_sided_deriv_at_face(wvals, ch.n - 1, ch.h[-1], side)
     bprime = fc.inward_sign * dW
@@ -366,14 +351,10 @@ def generator_for_boundary_data(target, side=0, pieces=8, depth=None, A=None,
     if hopf_min <= 0.0:
         raise HopfViolation("Hopf derivative is not strictly positive on the face")
 
-    lam = make_partition_of_unity(ch, side, pieces=pieces, depth=depth)
-    H = mean_curvature(ch).values[side]
-    s = (xn - lo) if side == 0 else (hi - xn)
-    t = s / depth
-    plateau = 1.0 - BumpKit.smoothstep((t - 0.5) / 0.4)
-    if 2 * ch.h[-1] >= 0.5 * depth:
-        raise BadCover("collar too shallow for the extension plateau")
-    ext = np.exp(-2.0 * (ch.n - 1) * H[:, None] * s[None, :])
+    t, plateau, ext = _collar_extension(ch, side, depth)
+    # the collar cutoff: 1 on the first node layers, so the source's normal
+    # derivative vanishes at the face
+    chi = 1.0 - BumpKit.smoothstep((t - 0.6) / 0.3)
     c2 = STRUCTURE_C**2
 
     fvals = target.values[side]
@@ -385,7 +366,7 @@ def generator_for_boundary_data(target, side=0, pieces=8, depth=None, A=None,
             continue
         face_coef = fd / (3.0 * bprime * c2)
         profile = face_coef[:, None] * plateau[None, :] * ext
-        src_scalar = profile * sum(lk.data for lk in lam)
+        src_scalar = profile * chi[None, :]
         e = _unit((d + 2) % 3)
         br = coeff_bracket(e, _unit(d))
         g_d = green_A(Section(ch, src_scalar[..., None] * br), A, tol=solve_tol)
@@ -411,18 +392,17 @@ def generator_for_boundary_data(target, side=0, pieces=8, depth=None, A=None,
 
 @dataclass
 class KernelDecomposition:
-    pieces: list
     reconstruction: Section
     residual: float
     gate_ratio: float
 
 
-def kernel_decompose(v, pieces=8, depth=None, gate=1e-8, A=None, solve_tol=1e-10):
-    """Split a section in the obstruction kernel into localized sources.
+def kernel_decompose(v, gate=1e-8, A=None, solve_tol=1e-10):
+    """Solve a section in the obstruction kernel back from its Laplacian.
 
-    Gates on the relative obstruction trace of v, then masks the pointwise
-    Laplacian over collar partitions at both faces plus the interior
-    remainder; the certificate solves the summed sources back.
+    Gates on the relative obstruction trace of v, then solves the pointwise
+    Laplacian of v through the Dirichlet Green operator; the certificate is
+    the relative distance of that reconstruction from v.
     """
     ch = v.chart
     _check_construction_chart(ch)
@@ -435,22 +415,10 @@ def kernel_decompose(v, pieces=8, depth=None, gate=1e-8, A=None, solve_tol=1e-10
             f"obstruction trace ratio {ratio:.3e} exceeds the gate {gate:.1e}"
         )
     q = laplacian_A(v, A, form="pointwise")
-    xn = ch.coords[-1]
-    if depth is None:
-        depth = 0.4 * (xn[-1] - xn[0])
-    masks = []
-    for side in (0, 1):
-        masks.extend(make_partition_of_unity(ch, side, pieces=pieces, depth=depth))
-    interior = np.ones(ch.shape)
-    for m in masks:
-        interior = interior - m.data
-    masks.append(ScalarField(ch, interior))
-    piece_sections = [Section(ch, m.data[..., None] * q.data) for m in masks]
     reconstruction = green_A(q, A, tol=solve_tol)
     vn = l2_norm(v)
     residual = l2_norm(reconstruction - v) / max(vn, _TINY)
     return KernelDecomposition(
-        pieces=list(zip(masks, piece_sections)),
         reconstruction=reconstruction,
         residual=residual,
         gate_ratio=ratio,
@@ -466,21 +434,20 @@ class DecompositionCertificate:
     u_commutator: Section
     u_kernel: Section
     n_pairs: int
-    n_kernel_pieces: int
 
 
-def full_decompose(u, pieces=8, depth=None, kernel_gate=0.25, A=None,
-                   solve_tol=1e-10):
-    """Decompose a Dirichlet section into generator pairs plus kernel pieces.
+def full_decompose(u, kernel_gate=0.25, A=None, solve_tol=1e-10):
+    """Decompose a Dirichlet section into generator pairs plus a kernel part.
 
     Stage one realizes the obstruction trace of u through commutator pairs
-    at both faces; stage two localizes the remainder, which passes the
-    (loosened) kernel gate because stage one already matched the trace.
+    at both faces; stage two solves the remainder back from its Laplacian,
+    which passes the (loosened) kernel gate because stage one already
+    matched the trace.
     """
     ch = u.chart
     A = _conn(ch, A)
     trace = boundary_operator_T(u, A)
-    wvals, _ = _hopf_potential(ch, A, solve_tol)
+    wvals = _hopf_potential(ch, A, solve_tol)
     u_comm = Section.zeros(ch)
     gen_res = 0.0
     n_pairs = 0
@@ -488,8 +455,7 @@ def full_decompose(u, pieces=8, depth=None, kernel_gate=0.25, A=None,
         if float(np.max(np.abs(trace.values[side]))) == 0.0:
             continue
         gen = generator_for_boundary_data(
-            trace, side=side, pieces=pieces, depth=depth, A=A,
-            solve_tol=solve_tol, _shared=wvals,
+            trace, side=side, A=A, solve_tol=solve_tol, _shared=wvals
         )
         u_comm = u_comm + gen.u
         # each call targets one face; the other face's trace is left to the
@@ -499,9 +465,7 @@ def full_decompose(u, pieces=8, depth=None, kernel_gate=0.25, A=None,
         gen_res = max(gen_res, miss / max(float(np.max(np.abs(face))), _TINY))
         n_pairs += len(gen.pairs)
     v = u - u_comm
-    kd = kernel_decompose(
-        v, pieces=pieces, depth=depth, gate=kernel_gate, A=A, solve_tol=solve_tol
-    )
+    kd = kernel_decompose(v, gate=kernel_gate, A=A, solve_tol=solve_tol)
     recombined = u_comm + kd.reconstruction
     residual = l2_norm(recombined - u) / max(l2_norm(u), _TINY)
     return DecompositionCertificate(
@@ -512,7 +476,6 @@ def full_decompose(u, pieces=8, depth=None, kernel_gate=0.25, A=None,
         u_commutator=u_comm,
         u_kernel=kd.reconstruction,
         n_pairs=n_pairs,
-        n_kernel_pieces=len(kd.pieces),
     )
 
 
@@ -549,7 +512,7 @@ def bracket_identity_check(g1, g2, A=None):
     return IdentityReport(residual, scale)
 
 
-def kernel_class_potential(chart, seed, depth=None, solve_tol=1e-10):
+def kernel_class_potential(chart, seed, solve_tol=1e-10):
     """Dirichlet potential whose Laplacian obeys the flux-kernel trace
     relation on both faces; returns the potential and that Laplacian.
 
@@ -566,11 +529,9 @@ def kernel_class_potential(chart, seed, depth=None, solve_tol=1e-10):
     rng = np.random.default_rng(seed)
     xn = chart.coords[-1]
     lo, hi = xn[0], xn[-1]
-    if depth is None:
-        depth = 0.35 * (hi - lo)
+    depth = _KERNEL_CLASS_DEPTH * (hi - lo)
     theta = chart.coords[0]
     span = chart.shape[0] * chart.h[0]
-    Hb = mean_curvature(chart)
 
     def rand_profile():
         prof = np.zeros_like(theta)
@@ -582,11 +543,7 @@ def kernel_class_potential(chart, seed, depth=None, solve_tol=1e-10):
 
     data = np.zeros(chart.shape + (ALGEBRA_DIM,))
     for side in (0, 1):
-        H = Hb.values[side]
-        s = (xn - lo) if side == 0 else (hi - xn)
-        t = s / depth
-        plateau = 1.0 - BumpKit.smoothstep((t - 0.5) / 0.4)
-        ext = np.exp(-2.0 * (chart.n - 1) * H[:, None] * s[None, :])
+        _, plateau, ext = _collar_extension(chart, side, depth)
         for d in range(ALGEBRA_DIM):
             data[..., d] += rand_profile()[:, None] * plateau[None, :] * ext
     mid = BumpKit.bump01(((xn - lo) / (hi - lo) - 0.3) / 0.4)

@@ -68,7 +68,7 @@ class HopfViolation(GaugekitError):
 
 
 class BadCover(GaugekitError):
-    """Partition-of-unity request cannot cover the boundary as asked."""
+    """Collar is too shallow for a construction on this grid."""
 
 
 class ConfigError(GaugekitError):

@@ -296,6 +296,11 @@ def _metric_shell(mesh):
     return g
 
 
+#: chart kinds `build_chart` constructs, and the short names it accepts
+CHART_KINDS = ("annulus", "annulus_log", "periodic_slab", "cylindrical_shell", "custom")
+CHART_ALIASES = {"slab": "periodic_slab", "shell": "cylindrical_shell"}
+
+
 def build_chart(kind, shape, **params):
     """Construct a built-in or custom chart.
 
@@ -304,7 +309,7 @@ def build_chart(kind, shape, **params):
     geometry as the annulus with normal coordinate s, r = r0*exp(s)).
     "custom" takes metric=callable(mesh)->(..., n, n), extents, periodic.
     """
-    kind = {"slab": "periodic_slab", "shell": "cylindrical_shell"}.get(kind, kind)
+    kind = CHART_ALIASES.get(kind, kind)
     shape = tuple(shape)
     n = len(shape)
     if kind == "annulus":

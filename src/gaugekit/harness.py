@@ -35,7 +35,7 @@ from .coulomb import (
     obstruction_report,
     small_loop_holonomy,
 )
-from .errors import ConfigError, NoConvergence
+from .errors import ConfigError, GaugekitError, NoConvergence
 from .fields import (
     OneForm,
     Section,
@@ -45,7 +45,14 @@ from .fields import (
     l2_norm,
     random_smooth_field,
 )
-from .geometry import BoundaryField, build_chart, mean_curvature, mean_curvature_typeB
+from .geometry import (
+    CHART_ALIASES,
+    CHART_KINDS,
+    BoundaryField,
+    build_chart,
+    mean_curvature,
+    mean_curvature_typeB,
+)
 from .operators import (
     Connection,
     SolveInfo,
@@ -114,7 +121,10 @@ def _is_shape(v):
 #: RunConfig field -> (check of its value, what the value must be); JSON
 #: lists and the tuples the CLI passes are both accepted as sequences
 _CONFIG_CHECKS = {
-    "domain": (lambda v: isinstance(v, str), "a domain name"),
+    "domain": (
+        lambda v: isinstance(v, str) and (v in CHART_KINDS or v in CHART_ALIASES),
+        f"one of {', '.join(CHART_KINDS + tuple(CHART_ALIASES))}",
+    ),
     "domain_params": (lambda v: isinstance(v, dict), "an object of chart parameters"),
     "grid": (_is_shape, "2 or 3 sizes >= 4"),
     "ladder": (
@@ -874,8 +884,12 @@ def _resolve_suite(name):
 
 
 def run_suite(name, cfg):
-    """Run one suite; a Green solve that hits its iteration cap becomes a
-    failed `solve` check instead of aborting the run."""
+    """Run one suite without letting its failure abort the run.
+
+    A Green solve that hits its iteration cap becomes a failed `solve` check;
+    any other package error raised inside the suite becomes a failed `error`
+    check naming it. A malformed configuration still propagates.
+    """
     name = _resolve_suite(name)
     try:
         res = SUITES[name](cfg)
@@ -884,6 +898,14 @@ def run_suite(name, cfg):
             name,
             [Check("solve", exc.residual, cfg.solve_tol)],
             {"iterations": exc.iterations, "residual": exc.residual},
+        )
+    except ConfigError:
+        raise
+    except GaugekitError as exc:
+        res = SuiteResult(
+            name,
+            [Check("error", 1.0, 0.0)],
+            {"error": type(exc).__name__, "message": str(exc)},
         )
     for c in res.checks:
         override = cfg.thresholds.get(f"{res.suite}.{c.name}")

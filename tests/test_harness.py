@@ -129,6 +129,7 @@ def test_config_rejects_unknown_keys(tmp_path):
         [64, 64],
         {"ladder": [64, 32]},
         {"ladder": [64, 64]},
+        {"domain": "moebius"},
     ],
 )
 def test_config_rejects_malformed_values(tmp_path, raw):
@@ -283,6 +284,21 @@ def test_cli_verify_small_grid_passes(capsys):
     assert rc == 0
     assert "[PASS] mean-curvature" in out
     assert out.strip().endswith("ALL PASS")
+
+
+def test_cli_suite_error_keeps_the_report(capsys):
+    # the generator's 8^2 rung has too shallow a collar; the run goes on
+    rc = cli.main(
+        ["verify", "--grid", "32x32", "--format", "json", "generator", "mean-curvature"]
+    )
+    assert rc == 1
+    data = json.loads(capsys.readouterr().out)
+    gen, mc = data["suites"]
+    assert mc["suite"] == "mean-curvature" and mc["passed"]
+    assert gen["suite"] == "generator" and not gen["passed"]
+    assert [c["name"] for c in gen["checks"]] == ["error"]
+    assert gen["metrics"]["error"] == "BadCover"
+    assert "too shallow" in gen["metrics"]["message"]
 
 
 def test_cli_exit_one_on_failed_check(tmp_path, capsys):

@@ -1,0 +1,36 @@
+"""Every import in the package's modules is used by that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import gaugekit
+
+_PACKAGE = Path(gaugekit.__file__).parent
+# the package's __init__ imports only to re-export
+_MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source):
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_the_check_sees_an_unused_import():
+    src = "import os\nfrom math import pi, tau as t\nimport a.b\nprint(pi, a)\n"
+    assert _unused_imports(src) == [(1, "os"), (2, "t")]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert _unused_imports(path.read_text()) == []
