@@ -132,7 +132,11 @@ def gauge_act(A, g):
 # ---------------------------------------------------------------------------
 
 def horizontality_ratio(omega, A=None):
-    """Scale-free size of the codifferential relative to the form itself."""
+    """Scale-free size of the codifferential relative to the form itself.
+
+    The codifferential is the adjoint one, with interior rows only (its face
+    layers are zero), so the ratio measures Dirichlet horizontality.
+    """
     A = _conn(omega.chart, A)
     ch = omega.chart
     span = float(ch.coords[-1][-1] - ch.coords[-1][0])

@@ -19,7 +19,7 @@ import numpy as np
 from . import _stencils as st
 from .algebra import ALGEBRA_DIM
 from .errors import BadGeometry, ChartMismatch, DbcViolation, RankMismatch
-from .geometry import build_chart, require_same_chart
+from .geometry import BoundaryField, build_chart, require_same_chart
 
 _PAIR_TABLE = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 
@@ -180,8 +180,6 @@ def exterior_d(omega):
 
 def trace_boundary(f):
     """Restrict a Section (or ScalarField) to the boundary node set."""
-    from .geometry import BoundaryField
-
     if not isinstance(f, (Section, ScalarField)):
         raise RankMismatch("trace_boundary expects a Section or ScalarField")
     ch = f.chart
@@ -190,8 +188,6 @@ def trace_boundary(f):
 
 def normal_component(omega):
     """Pair a one-form with the inward unit normal on each face."""
-    from .geometry import BoundaryField
-
     if not isinstance(omega, OneForm):
         raise RankMismatch("normal_component expects a OneForm")
     ch = omega.chart

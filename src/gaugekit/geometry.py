@@ -355,8 +355,14 @@ def build_chart(kind, shape, **params):
         return Chart(kind, shape, coords, [True, True, False], _metric_shell,
                      {"r0": r0, "r1": r1, "length": length})
     if kind == "custom":
-        metric = params["metric"]
-        extents = params["extents"]
+        metric = params.get("metric")
+        extents = params.get("extents")
+        if not callable(metric):
+            raise BadGeometry("a custom chart needs metric=callable(mesh)")
+        if not isinstance(extents, (list, tuple)) or len(extents) != n or any(
+            np.size(e) != 2 for e in extents
+        ):
+            raise BadGeometry(f"a custom chart needs one (lo, hi) extent per axis ({n})")
         periodic = list(params.get("periodic", [True] * (n - 1) + [False]))
         coords = []
         for ax in range(n):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .algebra import ALGEBRA_DIM
+from .algebra import ALGEBRA_DIM, coeff_bracket
 from .constructions import (
     band_profile,
     boundary_chart_inverse,
@@ -56,6 +56,7 @@ from .geometry import (
 from .operators import (
     Connection,
     SolveInfo,
+    bracket_dot,
     codiff_A,
     d_A,
     d_A_cell,
@@ -118,12 +119,16 @@ def _is_shape(v):
     )
 
 
+#: chart kinds a configuration can name: a "custom" chart needs a metric
+#: callable, which no JSON value holds
+_DOMAINS = tuple(k for k in CHART_KINDS if k != "custom") + tuple(CHART_ALIASES)
+
 #: RunConfig field -> (check of its value, what the value must be); JSON
 #: lists and the tuples the CLI passes are both accepted as sequences
 _CONFIG_CHECKS = {
     "domain": (
-        lambda v: isinstance(v, str) and (v in CHART_KINDS or v in CHART_ALIASES),
-        f"one of {', '.join(CHART_KINDS + tuple(CHART_ALIASES))}",
+        lambda v: isinstance(v, str) and v in _DOMAINS,
+        f"one of {', '.join(_DOMAINS)}",
     ),
     "domain_params": (lambda v: isinstance(v, dict), "an object of chart parameters"),
     "grid": (_is_shape, "2 or 3 sizes >= 4"),
@@ -779,9 +784,6 @@ def suite_elliptic_core(cfg):
 
 def _expansion_rhs(f, A):
     """Flat Laplacian plus the three connection correction terms."""
-    from .algebra import coeff_bracket
-    from .operators import bracket_dot
-
     ch = f.chart
     h = A.perturbation()
     base = laplacian_A(f, None, form="adjoint")
@@ -871,13 +873,7 @@ SUITES = {
 }
 
 
-#: legacy names kept as aliases (the Ritz stability check grew into the
-#: elliptic-core suite)
-SUITE_ALIASES = {"poincare": "elliptic-core"}
-
-
 def _resolve_suite(name):
-    name = SUITE_ALIASES.get(name, name)
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; pick from {sorted(SUITES)}")
     return name
@@ -964,6 +960,8 @@ def emit_report(report, fmt="text"):
                 lines.append(
                     f"    {cm:4s} {c.name}: {_fmt(c.value)} {rel} {_fmt(c.threshold)}"
                 )
+                if c.name == "error" and not c.passed:
+                    lines.append(f"         {s.metrics['error']}: {s.metrics['message']}")
         lines.append("ALL PASS" if report.passed else "FAILURES PRESENT")
         return "\n".join(lines) + "\n"
     raise ConfigError(f"unknown report format {fmt!r}")

@@ -6,7 +6,10 @@ symmetric positive definite on sections vanishing at the boundary, which is
 what the conjugate-gradient Green solve and the Ritz bounds rely on. The
 "pointwise" form composes collocated node stencils exactly as the continuum
 formula reads; it is the form used for boundary evaluations. Both are second
-order in the interior and agree to O(h^2) on smooth data.
+order in the interior and agree to O(h^2) on smooth data. The adjoint
+codifferential, and the adjoint Laplacian composed from it and d_A_cell, are
+the Dirichlet operators: they are defined on the interior rows, and their
+face layers are zero.
 
 The adjoint form, the staggered gradient d_A_cell and the energy matrix are
 built from one per-axis pair: the covariant gradient at an axis's midpoints
@@ -17,7 +20,7 @@ connection holds only its perturbation and its midpoint average.
 The pair works on component-first arrays, shape (3, *chart.shape), so that
 each su(2) component is contiguous and the bracket multiplies whole
 components. Fields keep their node-major layout (*chart.shape, 3);
-d_A_cell, the adjoint codiff_A and laplacian_A convert at their edges. The
+d_A_cell and the adjoint codiff_A convert at their edges. The
 pair writes into buffers its caller passes in: three midpoint arrays shared
 by all axes and one single-component array for the bracket (`_scratch`).
 
@@ -61,10 +64,11 @@ from .fields import (
     ThreeForm,
     TwoForm,
     check_dbc,
+    exterior_d,
     flat_d,
     l2_inner,
 )
-from .geometry import mean_curvature, require_same_chart
+from .geometry import BoundaryField, mean_curvature, require_same_chart
 
 
 class Connection:
@@ -248,8 +252,6 @@ def wedge_bracket(alpha, beta):
 
 def exterior_d_A(omega, A=None):
     """Covariant exterior derivative of a one-form."""
-    from .fields import exterior_d
-
     A = _conn(omega.chart, A)
     out = exterior_d(omega)
     if not A.is_flat:
@@ -260,18 +262,6 @@ def exterior_d_A(omega, A=None):
 # ---------------------------------------------------------------------------
 # codifferential and Laplacian
 # ---------------------------------------------------------------------------
-
-def _codiff_pointwise_data(omega, A):
-    ch = omega.chart
-    flux = np.einsum("...ij,...ja->...ia", ch.ginv, omega.data) * ch.vol[..., None, None]
-    acc = np.zeros(ch.shape + (ALGEBRA_DIM,))
-    for ax in range(ch.n):
-        acc += st.deriv_node(flux[..., ax, :], ax, ch.h[ax], ch.periodic[ax])
-    out = -acc / ch.vol[..., None]
-    if not A.is_flat:
-        out = out - bracket_dot(A.eta, omega).data
-    return out
-
 
 def _div_mid(A, mid):
     """Node-major sum over the axes of _add_div_mid applied to a MidOneForm.
@@ -298,78 +288,56 @@ def _energy_apply(A, x, out=None, scratch=None):
     return out
 
 
-def _mid_to_node(omega):
-    """Node one-form from midpoint samples by adjacent averaging (the face
-    nodes copy the single neighboring midpoint)."""
-    ch = omega.chart
-    data = np.zeros(ch.shape + (ch.n, ALGEBRA_DIM))
-    for ax in range(ch.n):
-        arr = omega.axis_data(ax)
-        if ch.periodic[ax]:
-            data[..., ax, :] = 0.5 * (arr + np.roll(arr, 1, axis=ax))
-        else:
-            sl = [slice(None)] * ch.n
-            lo, hi, core = sl.copy(), sl.copy(), sl.copy()
-            lo[ax], hi[ax], core[ax] = 0, -1, slice(1, -1)
-            up, dn = sl.copy(), sl.copy()
-            up[ax], dn[ax] = slice(1, None), slice(None, -1)
-            data[(*core, ax)] = 0.5 * (arr[tuple(up)] + arr[tuple(dn)])
-            data[(*lo, ax)] = arr[tuple(lo)]
-            data[(*hi, ax)] = arr[tuple(hi)]
-    return OneForm(ch, data)
-
-
 def codiff_A(omega, A=None, form="adjoint"):
     """Covariant codifferential of a one-form.
 
     form="adjoint": exact adjoint of the staggered covariant gradient under
-    the cell quadrature (interior rows; the two boundary layers are filled
-    from the pointwise form, which any Dirichlet pairing never sees).
-    Accepts midpoint-sampled one-forms natively. form="pointwise":
-    -(1/a) d_i(a g^ij w_j) - [A . w] with node stencils.
+    the cell quadrature, on the interior rows; the two face layers are zero.
+    Under Dirichlet conditions a one-form is horizontal when it is orthogonal
+    to d_A f for every f vanishing on the boundary, so only the interior rows
+    carry the codifferential. Accepts midpoint-sampled one-forms natively.
+    form="pointwise": -(1/a) d_i(a g^ij w_j) - [A . w] with node stencils on
+    every node, of a node OneForm.
     """
     if not isinstance(omega, (OneForm, MidOneForm)):
         raise RankMismatch("codiff_A expects a one-form")
     A = _conn(omega.chart, A)
     ch = omega.chart
     if form == "pointwise":
-        if isinstance(omega, MidOneForm):
-            omega = _mid_to_node(omega)
-        return Section(ch, _codiff_pointwise_data(omega, A))
+        if not isinstance(omega, OneForm):
+            raise RankMismatch("the pointwise codiff_A expects a node OneForm")
+        flux = np.einsum("...ij,...ja->...ia", ch.ginv, omega.data) * ch.vol[..., None, None]
+        acc = np.zeros(ch.shape + (ALGEBRA_DIM,))
+        for ax in range(ch.n):
+            acc += st.deriv_node(flux[..., ax, :], ax, ch.h[ax], ch.periodic[ax])
+        out = -acc / ch.vol[..., None]
+        if not A.is_flat:
+            out = out - bracket_dot(A.eta, omega).data
+        return Section(ch, out)
     if form != "adjoint":
         raise ValueError("form must be 'adjoint' or 'pointwise'")
     out = _div_mid(A, MidOneForm.of(omega))
     out /= (ch.quad_w * ch.vol)[..., None]
-    node_omega = _mid_to_node(omega) if isinstance(omega, MidOneForm) else omega
-    pt = _codiff_pointwise_data(node_omega, A)
     for fc in ch.faces:
-        sl = ch.face_slice(fc)
-        out[sl] = pt[sl]
+        out[ch.face_slice(fc)] = 0.0
     return Section(ch, out)
 
 
 def laplacian_A(f, A=None, form="adjoint"):
     """Covariant Laplacian of a section (positive convention, d* d).
 
-    The adjoint form reproduces the SPD energy matrix on the interior and
-    fills the boundary layers from the pointwise composition; the pointwise
-    form is the plain composition codiff(d f) everywhere.
+    The adjoint form is the adjoint codifferential of the staggered gradient:
+    the SPD energy matrix divided by the node weights on the interior rows,
+    zero on the face layers. The pointwise form is the pointwise
+    codifferential of the node gradient on every node.
     """
     if not isinstance(f, Section):
         raise RankMismatch("laplacian_A expects a Section")
-    A = _conn(f.chart, A)
-    ch = f.chart
     if form == "pointwise":
-        return Section(ch, _codiff_pointwise_data(d_A(f, A), A))
+        return codiff_A(d_A(f, A), A, form="pointwise")
     if form != "adjoint":
         raise ValueError("form must be 'adjoint' or 'pointwise'")
-    out = _nodes(_energy_apply(A, _comps(f.data)))
-    out /= (ch.quad_w * ch.vol)[..., None]
-    pt = _codiff_pointwise_data(d_A(f, A), A)
-    for fc in ch.faces:
-        sl = ch.face_slice(fc)
-        out[sl] = pt[sl]
-    return Section(ch, out)
+    return codiff_A(d_A_cell(f, A), A)
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +598,6 @@ def codiff_2form(omega, A=None):
 
 def boundary_operator_T0(f):
     """Flat boundary operator: df(nu) + 2(n-1) H f on each face."""
-    from .geometry import BoundaryField
-
     if not isinstance(f, (Section, ScalarField)):
         raise RankMismatch("boundary_operator_T0 expects a Section or ScalarField")
     ch = f.chart
@@ -658,8 +624,6 @@ def boundary_operator_T(f, A=None, split=False):
     order; tangential derivatives are the periodic centered stencils.
     With split=True the derivative and curvature terms come back separately.
     """
-    from .geometry import BoundaryField
-
     if not isinstance(f, Section):
         raise RankMismatch("boundary_operator_T expects a Section")
     A = _conn(f.chart, A)

@@ -118,6 +118,11 @@ def test_bad_geometry_rejected():
         build_chart("nonagon", (16, 16))
     with pytest.raises(BadGeometry):
         build_chart("cylindrical_shell", (16, 16))
+    # a custom chart needs a metric callable and one (lo, hi) pair per axis
+    with pytest.raises(BadGeometry):
+        build_chart("custom", (8, 8), extents=[(0, 1), (0, 1)])
+    with pytest.raises(BadGeometry):
+        build_chart("custom", (8, 8), metric=lambda mesh: None, extents=[(0, 1)])
 
 
 def test_face_slices_cover_normal_ends(ann32):

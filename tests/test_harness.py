@@ -130,6 +130,7 @@ def test_config_rejects_unknown_keys(tmp_path):
         {"ladder": [64, 32]},
         {"ladder": [64, 64]},
         {"domain": "moebius"},
+        {"domain": "custom"},
     ],
 )
 def test_config_rejects_malformed_values(tmp_path, raw):
@@ -176,12 +177,6 @@ def test_empty_suite_list_is_empty_report():
 def test_unknown_suite_name_raises():
     with pytest.raises(ConfigError):
         run_all(RunConfig(grid=(32, 32)), ["no-such-suite"])
-
-
-def test_alias_resolves_to_canonical_suite():
-    cfg = RunConfig(grid=(24, 24), solve_tol=1e-8)
-    res = run_suite("poincare", cfg)
-    assert res.suite == "elliptic-core"
 
 
 def test_runs_are_deterministic():
@@ -299,6 +294,12 @@ def test_cli_suite_error_keeps_the_report(capsys):
     assert [c["name"] for c in gen["checks"]] == ["error"]
     assert gen["metrics"]["error"] == "BadCover"
     assert "too shallow" in gen["metrics"]["message"]
+    # the text report says why under the failed check
+    rc = cli.main(["verify", "--grid", "32x32", "generator"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    at = lines.index("    FAIL error: 1 <= 0")
+    assert lines[at + 1].strip() == f"BadCover: {gen['metrics']['message']}"
 
 
 def test_cli_exit_one_on_failed_check(tmp_path, capsys):
@@ -352,10 +353,3 @@ def test_cli_dump_writes_field_files(tmp_path, capsys):
 
     for path in listed:
         assert os.path.exists(path)
-
-
-def test_cli_poincare_alias(capsys):
-    rc = cli.main(["verify", "--grid", "24x24", "poincare"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "elliptic-core" in out

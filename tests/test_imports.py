@@ -1,4 +1,5 @@
-"""Every import in the package's modules is used by that module."""
+"""Every import in the package's modules is used by that module and sits at
+module level."""
 
 import ast
 from pathlib import Path
@@ -26,11 +27,35 @@ def _unused_imports(source):
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def _function_imports(source):
+    """Lines of the import statements inside a function or lambda."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    return sorted({
+        node.lineno
+        for fn in ast.walk(ast.parse(source)) if isinstance(fn, funcs)
+        for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
 def test_the_check_sees_an_unused_import():
     src = "import os\nfrom math import pi, tau as t\nimport a.b\nprint(pi, a)\n"
     assert _unused_imports(src) == [(1, "os"), (2, "t")]
 
 
+def test_the_check_sees_a_function_level_import():
+    src = (
+        "import os\n"
+        "def f():\n    from math import pi\n    return pi\n"
+        "class C:\n    def g(self):\n        import sys\n"
+    )
+    assert _function_imports(src) == [3, 7]
+
+
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_at_module_level(path):
+    assert _function_imports(path.read_text()) == []

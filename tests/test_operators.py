@@ -9,6 +9,7 @@ from gaugekit import (
     Connection,
     NoConvergence,
     OneForm,
+    RankMismatch,
     Section,
     boundary_operator_T,
     boundary_operator_T0,
@@ -25,7 +26,7 @@ from gaugekit import (
     ritz_smallest,
 )
 from gaugekit.algebra import coeff_bracket, coeff_to_matrix, matrix_to_coeff
-from gaugekit.fields import flat_d
+from gaugekit.fields import MidOneForm, flat_d
 from gaugekit.operators import (
     SolveInfo,
     _anchor_face_rows,
@@ -155,6 +156,32 @@ def test_energy_positive_and_symmetric(kind, shape):
             for ax, c in enumerate(ch.cell_c)
         )
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+    # on the interior rows the adjoint Laplacian is the energy matrix over
+    # the node weights, also where f does not vanish on the faces
+    f = random_smooth_field(ch, "section", 500, dbc=False)
+    ii = ch.interior_slice()
+    energy = np.moveaxis(_energy_apply(A, np.moveaxis(f.data, -1, 0)), 0, -1)
+    energy /= (ch.quad_w * ch.vol)[..., None]
+    assert np.array_equal(laplacian_A(f, A).data[ii], energy[ii])
+
+
+@CHART_KINDS
+def test_adjoint_operators_vanish_on_the_faces(kind, shape):
+    # the Dirichlet codifferential has interior rows only
+    ch = build_chart(kind, shape)
+    A = _rand_conn(ch, 7)
+    f = random_smooth_field(ch, "section", 8, dbc=False)
+    w = random_smooth_field(ch, "oneform", 9, dbc=False)
+    for out in (codiff_A(w, A), codiff_A(MidOneForm.of(w), A), laplacian_A(f, A)):
+        for fc in ch.faces:
+            assert np.all(out.data[ch.face_slice(fc)] == 0.0)
+        assert np.any(out.data[ch.interior_slice()] != 0.0)
+
+
+def test_pointwise_codifferential_takes_node_one_forms(ann32):
+    w = random_smooth_field(ann32, "oneform", 3)
+    with pytest.raises(RankMismatch):
+        codiff_A(MidOneForm.of(w), None, form="pointwise")
 
 
 def test_green_solves_manufactured_problem():
