@@ -10,6 +10,12 @@ Group elements are unit quaternions q = (w, u1, u2, u3) standing for the
 matrix U = w*I + i*(u . sigma); composition, inverse, exponential and
 logarithm all have closed forms, and every function here broadcasts over
 leading array axes so whole grids of group values move through one call.
+
+The product, exponential and normalisation are written once, on components:
+qmul, qexp and qnormalize take and return (w, u1, u2, u3) (qexp takes the
+three algebra coefficients) as separate arrays. A component-first
+(4, *shape) array unpacks into them directly; the node-major quat_* wrappers
+on (..., 4) arrays split the last axis and stack the result back.
 """
 
 from __future__ import annotations
@@ -79,6 +85,39 @@ def matrix_to_coeff(m):
 # quaternion SU(2) arithmetic (broadcast over leading axes)
 # ---------------------------------------------------------------------------
 
+def _split(q):
+    """Component views of a node-major (..., k) array."""
+    return np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+
+
+def qmul(p, q):
+    """Components of the product U1 U2 for U = w*I + i(u.sigma)."""
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return (
+        w1 * w2 - ((x1 * x2 + y1 * y2) + z1 * z2),
+        (w1 * x2 + w2 * x1) - (y1 * z2 - z1 * y2),
+        (w1 * y2 + w2 * y1) - (z1 * x2 - x1 * z2),
+        (w1 * z2 + w2 * z1) - (x1 * y2 - y1 * x2),
+    )
+
+
+def qexp(a):
+    """Components of exp of the algebra coefficients (a1, a2, a3)."""
+    a1, a2, a3 = a
+    theta = np.sqrt((a1 * a1 + a2 * a2) + a3 * a3) / np.sqrt(2.0)
+    # sin(theta)/theta, stable at zero
+    fac = np.sinc(theta / np.pi) / np.sqrt(2.0)
+    return np.cos(theta), fac * a1, fac * a2, fac * a3
+
+
+def qnormalize(q):
+    """Components of q projected back to the unit sphere."""
+    w, x, y, z = q
+    n = np.sqrt(((w * w + x * x) + y * y) + z * z)
+    return w / n, x / n, y / n, z / n
+
+
 def quat_identity(shape=()):
     q = np.zeros(shape + (4,))
     q[..., 0] = 1.0
@@ -87,11 +126,7 @@ def quat_identity(shape=()):
 
 def quat_mul(q1, q2):
     """Product of U1 U2 for U = w*I + i(u.sigma) quaternion components."""
-    w1, u1 = q1[..., :1], q1[..., 1:]
-    w2, u2 = q2[..., :1], q2[..., 1:]
-    w = w1 * w2 - np.sum(u1 * u2, axis=-1, keepdims=True)
-    u = w1 * u2 + w2 * u1 - np.cross(u1, u2)
-    return np.concatenate([w, u], axis=-1)
+    return np.stack(qmul(_split(q1), _split(q2)), axis=-1)
 
 
 def quat_conj(q):
@@ -101,18 +136,12 @@ def quat_conj(q):
 
 
 def quat_normalize(q):
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    return np.stack(qnormalize(_split(q)), axis=-1)
 
 
 def quat_exp(a):
     """exp of algebra coefficients (..., 3) as quaternions (..., 4)."""
-    a = np.asarray(a, dtype=float)
-    theta = np.linalg.norm(a, axis=-1) / np.sqrt(2.0)
-    # sin(theta)/theta, stable at zero
-    fac = np.sinc(theta / np.pi) / np.sqrt(2.0)
-    w = np.cos(theta)[..., None]
-    u = fac[..., None] * a
-    return np.concatenate([w, u], axis=-1)
+    return np.stack(qexp(_split(a)), axis=-1)
 
 
 def quat_log(q, tol=1e-8):
@@ -142,22 +171,18 @@ def quat_to_matrix(q):
     return m
 
 
-def matrix_to_quat(m):
-    m = np.asarray(m, dtype=complex)
-    w = 0.5 * np.real(m[..., 0, 0] + m[..., 1, 1])
-    u3 = 0.5 * np.imag(m[..., 0, 0] - m[..., 1, 1])
-    u1 = 0.5 * np.imag(m[..., 0, 1] + m[..., 1, 0])
-    u2 = 0.5 * np.real(m[..., 0, 1] - m[..., 1, 0])
-    return np.stack([w, u1, u2, u3], axis=-1)
-
-
 def quat_rotate(q, a):
     """Coefficients of Ad(U) X = U X U^-1 for X with coefficients a."""
-    w = q[..., :1]
-    u = q[..., 1:]
-    uu = np.sum(u * u, axis=-1, keepdims=True)
-    dot = np.sum(u * a, axis=-1, keepdims=True)
-    return (w * w - uu) * a + 2.0 * dot * u - 2.0 * w * np.cross(u, a)
+    w, x, y, z = _split(q)
+    a1, a2, a3 = _split(a)
+    s = w * w - ((x * x + y * y) + z * z)
+    d = 2.0 * ((x * a1 + y * a2) + z * a3)
+    c = 2.0 * w
+    return np.stack([
+        s * a1 + d * x - c * (y * a3 - z * a2),
+        s * a2 + d * y - c * (z * a1 - x * a3),
+        s * a3 + d * z - c * (x * a2 - y * a1),
+    ], axis=-1)
 
 
 def quat_rotate_inv(q, a):
@@ -228,10 +253,6 @@ class GroupElement:
     @classmethod
     def identity(cls):
         return cls(quat_identity())
-
-    @classmethod
-    def from_matrix(cls, m):
-        return cls(quat_normalize(matrix_to_quat(m)))
 
     @property
     def matrix(self):

@@ -4,7 +4,9 @@ A gauge transformation stores its group values as a quaternion grid together
 with its own logarithmic derivative (Maurer-Cartan one-form), computed once
 at construction. Composition multiplies values pointwise and transports the
 stored derivative by the cocycle rule, so acting twice and acting by the
-product agree to rounding rather than to discretization error.
+product agree to rounding rather than to discretization error. The holonomy
+loop transport runs component-first, on (4, *shape) quaternions and
+(3, *shape) connection components, through algebra's qmul/qexp/qnormalize.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from .algebra import (
     quat_normalize,
     quat_rotate,
     quat_rotate_inv,
+    qexp,
+    qmul,
+    qnormalize,
 )
 from .errors import BadGeometry, NotHorizontal, RankMismatch
 from .fields import (
@@ -113,9 +118,6 @@ class GaugeTransformation:
 
     def log_section(self, tol=1e-8):
         return Section(self.chart, quat_log(self.quat, tol=tol))
-
-    def act_on(self, A):
-        return gauge_act(A, self)
 
 
 def gauge_act(A, g):
@@ -328,29 +330,18 @@ class HolonomyProbe:
 
 def _loop_transport(A, k):
     """Quaternion holonomy of the k-cell loop in the (0, normal) coordinate
-    plane at each node."""
+    plane at each node, component-first: (4, *shape)."""
     ch = A.chart
     i, j = 0, ch.n - 1
-    eta = A.eta.data
-    U = quat_identity(ch.shape)
-    path = (
-        [(i, 1)] * k + [(j, 1)] * k + [(i, -1)] * k + [(j, -1)] * k
-    )
-    off = [0, 0]
-
-    def shifted(arr, offs):
-        shift = [0] * ch.n
-        shift[i], shift[j] = -offs[0], -offs[1]
-        return np.roll(arr, shift=tuple(shift), axis=tuple(range(ch.n)))
-
-    for ax, sgn in path:
-        comp = eta[..., ax, :]
-        here = shifted(comp, off)
-        off[0 if ax == i else 1] += sgn
-        there = shifted(comp, off)
+    eta = np.moveaxis(A.eta.data, (-2, -1), (0, 1)).copy()  # (n, 3, *shape)
+    U = np.moveaxis(quat_identity(ch.shape), -1, 0)
+    off = {i: 0, j: 0}
+    for ax, sgn in [(i, 1)] * k + [(j, 1)] * k + [(i, -1)] * k + [(j, -1)] * k:
+        here = np.roll(eta[ax], (-off[i], -off[j]), axis=(i + 1, j + 1))
+        off[ax] += sgn
+        there = np.roll(eta[ax], (-off[i], -off[j]), axis=(i + 1, j + 1))
         mid = 0.5 * (here + there)
-        U = quat_mul(quat_exp(-sgn * ch.h[ax] * mid), U)
-        U = quat_normalize(U)
+        U = np.stack(qnormalize(qmul(qexp(-sgn * ch.h[ax] * mid), U)))
     return U
 
 
@@ -361,57 +352,58 @@ def small_loop_holonomy(A, k=2):
     Returns the sup defects, their ratio (near 4 for a curvature-dominated
     defect), and the alignment of the defect direction with the curvature
     two-form at the loop center. The overall sign is reported, not judged.
+    A tuple of sizes k returns a list of probes, in that order, and
+    transports a loop that two of them share once.
     """
     if A.is_flat:
         raise BadGeometry("holonomy probes need a non-flat connection")
     ch = A.chart
     i, j = 0, ch.n - 1
-    if k < 2 or k % 2:
-        raise BadGeometry("loop size k must be even and at least 2")
-    K = 2 * k
-    if ch.shape[-1] < K + 6:
-        raise BadGeometry("normal axis too short for the requested loop")
-
-    valid = [slice(None)] * ch.n
-    valid[-1] = slice(2, ch.shape[-1] - 1 - K)
-    valid = tuple(valid)
-
-    # defect fields for both loop sizes (log only where the loop is real,
-    # away from rows where the normal-axis roll wrapped around)
-    gam = {}
-    for kk in (k, K):
-        U = _loop_transport(A, kk)
-        gam[kk] = quat_log(U[valid])
+    single = np.isscalar(k)
+    ks = (k,) if single else tuple(k)
+    for kk in ks:
+        if kk < 2 or kk % 2:
+            raise BadGeometry("loop size k must be even and at least 2")
+        if ch.shape[-1] < 2 * kk + 6:
+            raise BadGeometry("normal axis too short for the requested loop")
+    U = {kk: _loop_transport(A, kk) for kk in sorted({*ks, *(2 * kk for kk in ks)})}
 
     # curvature two-form component along the loop plane, at each node
     dd = exterior_d(A.eta)
     p = dd.pairs.index((i, j))
     F = dd.data[..., p, :] + coeff_bracket(A.eta.data[..., i, :], A.eta.data[..., j, :])
 
-    # sample F at the small-loop center
-    shift = [0] * ch.n
-    shift[i], shift[j] = -k // 2, -k // 2
-    Fc = np.roll(F, shift=tuple(shift), axis=tuple(range(ch.n)))
+    probes = []
+    for k in ks:
+        valid = [slice(None)] * ch.n
+        valid[-1] = slice(2, ch.shape[-1] - 1 - 2 * k)
+        valid = tuple(valid)
+        # defect fields for both loop sizes (log only where the loop is real,
+        # away from rows where the normal-axis roll wrapped around)
+        g1, g2 = (quat_log(np.moveaxis(U[kk], 0, -1)[valid]) for kk in (k, 2 * k))
 
-    g1 = gam[k]
-    g2 = gam[K]
-    Fv = Fc[valid]
-    d1 = float(np.max(np.linalg.norm(g1, axis=-1)))
-    d2 = float(np.max(np.linalg.norm(g2, axis=-1)))
-    flat_norms = np.linalg.norm(g1, axis=-1)
-    idx = np.unravel_index(int(np.argmax(flat_norms)), flat_norms.shape)
-    gpt, fpt = g1[idx], Fv[idx]
-    dot = float(np.dot(gpt, fpt))
-    denom = float(np.linalg.norm(gpt) * np.linalg.norm(fpt))
-    cosine = abs(dot) / denom if denom > 0 else 0.0
-    area = (k * ch.h[i]) * (k * ch.h[j])
-    scale_const = dot / (area * float(np.dot(fpt, fpt))) if denom > 0 else 0.0
-    return HolonomyProbe(
-        k=k,
-        defect_small=d1,
-        defect_large=d2,
-        ratio=d2 / d1 if d1 > 0 else float("nan"),
-        cosine=cosine,
-        sign=float(np.sign(dot)),
-        scale_const=scale_const,
-    )
+        # sample F at the small-loop center
+        shift = [0] * ch.n
+        shift[i], shift[j] = -k // 2, -k // 2
+        Fv = np.roll(F, shift=tuple(shift), axis=tuple(range(ch.n)))[valid]
+
+        flat_norms = np.linalg.norm(g1, axis=-1)
+        d1 = float(np.max(flat_norms))
+        d2 = float(np.max(np.linalg.norm(g2, axis=-1)))
+        idx = np.unravel_index(int(np.argmax(flat_norms)), flat_norms.shape)
+        gpt, fpt = g1[idx], Fv[idx]
+        dot = float(np.dot(gpt, fpt))
+        denom = float(np.linalg.norm(gpt) * np.linalg.norm(fpt))
+        cosine = abs(dot) / denom if denom > 0 else 0.0
+        area = (k * ch.h[i]) * (k * ch.h[j])
+        scale_const = dot / (area * float(np.dot(fpt, fpt))) if denom > 0 else 0.0
+        probes.append(HolonomyProbe(
+            k=k,
+            defect_small=d1,
+            defect_large=d2,
+            ratio=d2 / d1 if d1 > 0 else float("nan"),
+            cosine=cosine,
+            sign=float(np.sign(dot)),
+            scale_const=scale_const,
+        ))
+    return probes[0] if single else probes

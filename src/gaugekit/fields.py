@@ -322,12 +322,13 @@ def require_dbc(field, tol=DBC_TOL):
 # ---------------------------------------------------------------------------
 
 def _smooth_scalar(ch, rng, modes, degree, terms=4):
-    mesh = ch.mesh()
+    # every factor is evaluated on 1-D coordinates and broadcast in the sum
+    mesh = ch.mesh(sparse=True)
     out = np.zeros(ch.shape)
     lo, hi = ch.coords[-1][0], ch.coords[-1][-1]
     t = (mesh[-1] - lo) / (hi - lo)
     for _ in range(terms):
-        term = np.ones(ch.shape)
+        term = 1.0
         for ax in range(ch.n - 1):
             k = int(rng.integers(0, modes + 1))
             phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -348,7 +349,7 @@ def random_smooth_field(chart, rank, seed, dbc=True, scale=1.0, modes=2, degree=
     Dirichlet condition holds exactly on the grid.
     """
     rng = np.random.default_rng(seed)
-    mesh = chart.mesh()
+    mesh = chart.mesh(sparse=True)
     lo, hi = chart.coords[-1][0], chart.coords[-1][-1]
     vanish = np.sin(np.pi * (mesh[-1] - lo) / (hi - lo))
     if rank == "scalar":

@@ -93,7 +93,6 @@ class Chart:
             w1 = st.quad_weights_1d(self.shape[ax], self.h[ax], self.periodic[ax])
             w = w * w1.reshape([-1 if a == ax else 1 for a in range(self.n)])
         self.quad_w = w
-        self._mid_cache = {}
         # Thomas pivots of the flat separable Green solve (operators.green_A)
         self._separable = None
 
@@ -116,14 +115,6 @@ class Chart:
             else:
                 out.append(c)
         return out
-
-    def mid_metric(self, axis):
-        """(vol, ginv) sampled at the midpoints of one axis (cached)."""
-        if axis not in self._mid_cache:
-            g = self.metric_at(self.mid_coords(axis))
-            det = np.linalg.det(g)
-            self._mid_cache[axis] = (np.sqrt(det), np.linalg.inv(g))
-        return self._mid_cache[axis]
 
     def cell_weights(self, axis):
         """Quadrature weights on one axis's midpoint grid (cells along that
@@ -153,12 +144,13 @@ class Chart:
             raise BadGeometry("the staggered energy form needs a diagonal metric")
         out = []
         for ax in range(self.n):
-            vol_mid, ginv_mid = self.mid_metric(ax)
-            out.append(self.cell_weights(ax) * vol_mid * ginv_mid[..., ax, ax])
+            g = self.metric_at(self.mid_coords(ax))
+            # diagonal metric: g^aa is the reciprocal of g_aa
+            out.append(self.cell_weights(ax) * np.sqrt(np.linalg.det(g)) * (1.0 / g[..., ax, ax]))
         return out
 
-    def mesh(self):
-        return np.meshgrid(*self.coords, indexing="ij")
+    def mesh(self, sparse=False):
+        return np.meshgrid(*self.coords, indexing="ij", sparse=sparse)
 
     @cached_property
     def is_tangentially_uniform(self):

@@ -840,8 +840,8 @@ def suite_holonomy(cfg):
     A = _rand_connection(ch, cfg.seed + 81, scale=0.4)
     checks = []
     metrics = {}
-    for k in (2, 4):
-        probe = small_loop_holonomy(A, k=k)
+    for probe in small_loop_holonomy(A, k=(2, 4)):
+        k = probe.k
         checks += [
             Check(f"area-law-low-k{k}", probe.ratio, 3.6, "min"),
             Check(f"area-law-high-k{k}", probe.ratio, 4.4),

@@ -234,7 +234,7 @@ def bracket_dot(alpha, beta):
     if not isinstance(alpha, OneForm) or not isinstance(beta, OneForm):
         raise RankMismatch("bracket_dot expects two OneForms")
     ch = alpha.chart
-    raised = np.einsum("...ij,...ja->...ia", ch.ginv, beta.data)
+    raised = np.matmul(ch.ginv, beta.data)
     return Section(ch, coeff_bracket(alpha.data, raised).sum(axis=-2))
 
 
@@ -306,7 +306,7 @@ def codiff_A(omega, A=None, form="adjoint"):
     if form == "pointwise":
         if not isinstance(omega, OneForm):
             raise RankMismatch("the pointwise codiff_A expects a node OneForm")
-        flux = np.einsum("...ij,...ja->...ia", ch.ginv, omega.data) * ch.vol[..., None, None]
+        flux = np.matmul(ch.ginv, omega.data) * ch.vol[..., None, None]
         acc = np.zeros(ch.shape + (ALGEBRA_DIM,))
         for ax in range(ch.n):
             acc += st.deriv_node(flux[..., ax, :], ax, ch.h[ax], ch.periodic[ax])
@@ -548,7 +548,7 @@ def hodge_star(field):
             return TwoForm(ch, (a[..., None] * field.data)[..., None, :])
         return ThreeForm(ch, (a[..., None] * field.data)[..., None, :])
     if isinstance(field, OneForm):
-        up = np.einsum("...ij,...ja->...ia", ch.ginv, field.data)
+        up = np.matmul(ch.ginv, field.data)
         if ch.n == 2:
             out = np.empty_like(field.data)
             out[..., 0, :] = -a[..., None] * up[..., 1, :]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gaugekit import (
     ALGEBRA_DIM,
@@ -21,6 +22,7 @@ from gaugekit import (
 from gaugekit.algebra import coeff_to_matrix, matrix_to_coeff, quat_to_matrix
 from gaugekit.coulomb import (
     GaugeTransformation,
+    _loop_transport,
     freeness_check,
     obstruction_report,
     small_loop_holonomy,
@@ -251,3 +253,29 @@ def test_holonomy_rejects_flat_and_odd_loops(ann32):
     A = _rand_conn(ann32, 23)
     with pytest.raises(BadGeometry):
         small_loop_holonomy(A, k=3)
+
+
+def test_loop_transport_is_the_ordered_product_of_link_matrices():
+    # independent of the quaternion formulas: 2x2 matrix exponentials of the
+    # midpoint connection, multiplied on the left along the loop
+    ch = build_chart("annulus", (16, 16))
+    A = _rand_conn(ch, 5, scale=0.4)
+    k = 2
+    U = _loop_transport(A, k)
+    path = [(0, 1)] * k + [(1, 1)] * k + [(0, -1)] * k + [(1, -1)] * k
+    for node in [(0, 2), (3, 5), (7, 9), (15, 4), (10, 11)]:
+        pos = list(node)
+        M = np.eye(2, dtype=complex)
+        for ax, sgn in path:
+            here = A.eta.data[pos[0] % 16, pos[1], ax]
+            pos[ax] += sgn
+            there = A.eta.data[pos[0] % 16, pos[1], ax]
+            M = scipy.linalg.expm(coeff_to_matrix(-sgn * ch.h[ax] * 0.5 * (here + there))) @ M
+        got = quat_to_matrix(U[(slice(None),) + node])
+        np.testing.assert_allclose(got, M, rtol=0, atol=1e-13)
+
+
+def test_holonomy_probes_for_several_sizes_match_single_calls(ann64):
+    A = _rand_conn(ann64, 3, scale=0.4)
+    probes = small_loop_holonomy(A, k=(2, 4))
+    assert probes == [small_loop_holonomy(A, k=k) for k in (2, 4)]
