@@ -63,7 +63,6 @@ from .fields import (
     OneForm,
     ScalarField,
     Section,
-    ThreeForm,
     TwoForm,
     check_dbc,
     dump_field,
@@ -87,7 +86,6 @@ from .operators import (
     boundary_operator_T0,
     codiff_A,
     d_A,
-    exterior_d_A,
     green_A,
     hodge_star,
     horizontal_project,

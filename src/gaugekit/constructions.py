@@ -31,6 +31,7 @@ from .errors import (
 from .fields import OneForm, ScalarField, Section, TwoForm, l2_norm
 from .geometry import BoundaryField, mean_curvature
 from .operators import (
+    _cancellation_ratio,
     _conn,
     boundary_operator_T,
     bracket_dot,
@@ -407,9 +408,7 @@ def kernel_decompose(v, gate=1e-8, A=None, solve_tol=1e-10):
     ch = v.chart
     _check_construction_chart(ch)
     A = _conn(ch, A)
-    d_part, h_part = boundary_operator_T(v, A, split=True)
-    denom = d_part.sup() + h_part.sup()
-    ratio = (d_part + h_part).sup() / denom if denom > 0 else 0.0
+    ratio, _ = _cancellation_ratio(v, A)
     if ratio > gate:
         raise KernelConditionViolated(
             f"obstruction trace ratio {ratio:.3e} exceeds the gate {gate:.1e}"

@@ -44,8 +44,8 @@ from .fields import (
 from .geometry import mean_curvature, require_same_chart
 from .operators import (
     Connection,
+    _cancellation_ratio,
     _conn,
-    boundary_operator_T,
     bracket_dot,
     codiff_A,
     green_A,
@@ -245,15 +245,6 @@ class ObstructionReport:
     sup_curvature: float
     sup_T_curvature: float
     sup_T_reference: float
-
-
-def _cancellation_ratio(f, A):
-    d_part, h_part = boundary_operator_T(f, A, split=True)
-    total = d_part + h_part
-    denom = d_part.sup() + h_part.sup()
-    if denom == 0.0:
-        return 0.0, 0.0
-    return total.sup() / denom, total.sup()
 
 
 def obstruction_report(alpha, beta, A=None, seed=7, solve_tol=1e-10):

@@ -1,6 +1,8 @@
 """Grid fields: algebra-valued forms, inner products, and flat derivatives.
 
-Sections and one-/two-forms carry su(2) coefficients in their trailing axis;
+Sections, one-forms and two-forms carry su(2) coefficients in their trailing
+axis. There is no top-form type: the two-form operators (Hodge star,
+codifferential) work on 2d charts, where the two-form is the top form.
 ScalarField holds plain real samples for cut-offs and profiles. Derivatives
 are collocated at the nodes: centered second order inside, one-sided 3-point
 second order at the two boundary layers, periodic wrap tangentially.
@@ -42,9 +44,6 @@ class _Field:
     def zeros(cls, chart):
         return cls(chart, np.zeros(chart.shape + cls.value_shape(chart)))
 
-    def copy(self):
-        return type(self)(self.chart, self.data.copy())
-
     def _like(self, data):
         return type(self)(self.chart, data)
 
@@ -55,9 +54,6 @@ class _Field:
     def __sub__(self, other):
         self._check(other)
         return self._like(self.data - other.data)
-
-    def __neg__(self):
-        return self._like(-self.data)
 
     def __mul__(self, other):
         if isinstance(other, ScalarField):
@@ -121,19 +117,7 @@ class TwoForm(_Field):
         return _PAIR_TABLE[self.chart.n]
 
 
-class ThreeForm(_Field):
-    """Algebra-valued top form on 3d charts."""
-
-    rank = "threeform"
-
-    @staticmethod
-    def value_shape(chart):
-        if chart.n != 3:
-            raise RankMismatch("three-forms require a 3d chart")
-        return (1, ALGEBRA_DIM)
-
-
-_RANKS = {cls.rank: cls for cls in (ScalarField, Section, OneForm, TwoForm, ThreeForm)}
+_RANKS = {cls.rank: cls for cls in (ScalarField, Section, OneForm, TwoForm)}
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +139,7 @@ def flat_d(f):
 
 
 def exterior_d(omega):
-    """Exterior derivative of a 1- or 2-form (flat, componentwise)."""
+    """Exterior derivative of a one-form (flat, componentwise)."""
     ch = omega.chart
     if isinstance(omega, OneForm):
         pairs = _PAIR_TABLE[ch.n]
@@ -165,13 +149,7 @@ def exterior_d(omega):
             dj = st.deriv_node(omega.data[..., i, :], j, ch.h[j], ch.periodic[j])
             out[..., p, :] = di - dj
         return TwoForm(ch, out)
-    if isinstance(omega, TwoForm) and ch.n == 3:
-        # (d w)_{123} = d1 w_23 - d2 w_13 + d3 w_12
-        d1 = st.deriv_node(omega.data[..., 2, :], 0, ch.h[0], ch.periodic[0])
-        d2 = st.deriv_node(omega.data[..., 1, :], 1, ch.h[1], ch.periodic[1])
-        d3 = st.deriv_node(omega.data[..., 0, :], 2, ch.h[2], ch.periodic[2])
-        return ThreeForm(ch, (d1 - d2 + d3)[..., None, :])
-    raise RankMismatch("exterior_d expects a OneForm, or a TwoForm on a 3d chart")
+    raise RankMismatch("exterior_d expects a OneForm")
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +206,10 @@ class MidOneForm:
             for ax in range(ch.n)
         ])
 
-    def axis_data(self, ax):
-        return self.arrays[ax]
-
 
 def l2_inner(u, v, quadrature="node"):
-    """L2 inner product of two fields of equal rank on one chart.
+    """L2 inner product of two scalars, sections or one-forms of equal rank
+    on one chart.
 
     quadrature="node" is the trapezoid/periodic node rule contracted with the
     metric. quadrature="cell" (one-forms only, diagonal metrics) integrates
@@ -251,7 +227,7 @@ def l2_inner(u, v, quadrature="node"):
         um, vm = MidOneForm.of(u), MidOneForm.of(v)
         total = 0.0
         for ax in range(ch.n):
-            total += float(np.sum(c[ax][..., None] * um.axis_data(ax) * vm.axis_data(ax)))
+            total += float(np.sum(c[ax][..., None] * um.arrays[ax] * vm.arrays[ax]))
         return total
     if quadrature != "node":
         raise ValueError("quadrature must be 'node' or 'cell'")
@@ -264,17 +240,6 @@ def l2_inner(u, v, quadrature="node"):
     if isinstance(u, OneForm):
         contracted = np.einsum("...ij,...ik,...jk->...", ch.ginv, u.data, v.data)
         return float(np.sum(w * contracted))
-    if isinstance(u, TwoForm):
-        pairs = u.pairs
-        total = np.zeros(ch.shape)
-        for p, (i, j) in enumerate(pairs):
-            for q, (k, l) in enumerate(pairs):
-                coeff = (
-                    ch.ginv[..., i, k] * ch.ginv[..., j, l]
-                    - ch.ginv[..., i, l] * ch.ginv[..., j, k]
-                )
-                total += coeff * np.sum(u.data[..., p, :] * v.data[..., q, :], axis=-1)
-        return float(np.sum(w * total))
     raise RankMismatch(f"unsupported rank for l2_inner: {u.rank}")
 
 

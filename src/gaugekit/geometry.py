@@ -211,15 +211,8 @@ class BoundaryField:
             if v.shape[: chart.n - 1] != chart.tangential_shape:
                 raise BadGeometry("boundary values must match the face grid")
 
-    @classmethod
-    def zeros(cls, chart, depth=()):
-        return cls(chart, {f.side: np.zeros(chart.tangential_shape + depth) for f in chart.faces})
-
     def sup(self):
         return max(float(np.max(np.abs(v))) if v.size else 0.0 for v in self.values.values())
-
-    def map(self, fn):
-        return BoundaryField(self.chart, {s: fn(v) for s, v in self.values.items()})
 
     def _binary(self, other, fn):
         if isinstance(other, BoundaryField):
@@ -234,11 +227,6 @@ class BoundaryField:
 
     def __sub__(self, other):
         return self._binary(other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------

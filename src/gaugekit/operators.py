@@ -61,10 +61,8 @@ from .fields import (
     OneForm,
     ScalarField,
     Section,
-    ThreeForm,
     TwoForm,
     check_dbc,
-    exterior_d,
     flat_d,
     l2_inner,
 )
@@ -238,27 +236,6 @@ def bracket_dot(alpha, beta):
     return Section(ch, coeff_bracket(alpha.data, raised).sum(axis=-2))
 
 
-def wedge_bracket(alpha, beta):
-    """Bracket-valued wedge of two one-forms: [a ^ b]_ij = [a_i, b_j] - [a_j, b_i]."""
-    require_same_chart(alpha.chart, beta.chart)
-    ch = alpha.chart
-    out = TwoForm.zeros(ch)
-    for p, (i, j) in enumerate(out.pairs):
-        out.data[..., p, :] = coeff_bracket(
-            alpha.data[..., i, :], beta.data[..., j, :]
-        ) - coeff_bracket(alpha.data[..., j, :], beta.data[..., i, :])
-    return out
-
-
-def exterior_d_A(omega, A=None):
-    """Covariant exterior derivative of a one-form."""
-    A = _conn(omega.chart, A)
-    out = exterior_d(omega)
-    if not A.is_flat:
-        out = out + wedge_bracket(A.eta, omega)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # codifferential and Laplacian
 # ---------------------------------------------------------------------------
@@ -268,7 +245,7 @@ def _div_mid(A, mid):
     Its scratch is freed on return, before the caller's next temporaries."""
     acc = np.zeros((ALGEBRA_DIM,) + A.chart.shape)
     for ax, (t, _, br, tmp, node) in enumerate(_scratch(A)):
-        t[...] = _comps(mid.axis_data(ax))
+        t[...] = _comps(mid.arrays[ax])
         _add_div_mid(acc, A, t, ax, node, br, tmp)
     return _nodes(acc)
 
@@ -527,69 +504,33 @@ def horizontal_project(eta, A=None, tol=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# Hodge star and the two-form codifferential
+# Hodge star and the two-form codifferential (2d charts)
 # ---------------------------------------------------------------------------
 
-def _two_full(w):
-    ch = w.chart
-    full = np.zeros(ch.shape + (ch.n, ch.n, ALGEBRA_DIM))
-    for p, (i, j) in enumerate(w.pairs):
-        full[..., i, j, :] = w.data[..., p, :]
-        full[..., j, i, :] = -w.data[..., p, :]
-    return full
-
-
 def hodge_star(field):
-    """Metric Hodge star on any degree (2d and 3d charts)."""
+    """Metric Hodge star of a one-form or a two-form on a 2d chart."""
     ch = field.chart
+    if ch.n != 2:
+        raise BadGeometry("hodge_star is implemented on 2d charts")
     a = ch.vol
-    if isinstance(field, Section):
-        if ch.n == 2:
-            return TwoForm(ch, (a[..., None] * field.data)[..., None, :])
-        return ThreeForm(ch, (a[..., None] * field.data)[..., None, :])
     if isinstance(field, OneForm):
         up = np.matmul(ch.ginv, field.data)
-        if ch.n == 2:
-            out = np.empty_like(field.data)
-            out[..., 0, :] = -a[..., None] * up[..., 1, :]
-            out[..., 1, :] = a[..., None] * up[..., 0, :]
-            return OneForm(ch, out)
-        out = np.empty(ch.shape + (3, ALGEBRA_DIM))
-        out[..., 0, :] = a[..., None] * up[..., 2, :]   # pair (0,1)
-        out[..., 1, :] = -a[..., None] * up[..., 1, :]  # pair (0,2)
-        out[..., 2, :] = a[..., None] * up[..., 0, :]   # pair (1,2)
-        return TwoForm(ch, out)
-    if isinstance(field, TwoForm):
-        if ch.n == 2:
-            return Section(ch, field.data[..., 0, :] / a[..., None])
-        full = _two_full(field)
-        up = np.einsum("...ik,...jl,...kla->...ija", ch.ginv, ch.ginv, full)
-        out = np.empty(ch.shape + (3, ALGEBRA_DIM))
-        out[..., 0, :] = a[..., None] * up[..., 1, 2, :]
-        out[..., 1, :] = -a[..., None] * up[..., 0, 2, :]
-        out[..., 2, :] = a[..., None] * up[..., 0, 1, :]
+        out = np.empty_like(field.data)
+        out[..., 0, :] = -a[..., None] * up[..., 1, :]
+        out[..., 1, :] = a[..., None] * up[..., 0, :]
         return OneForm(ch, out)
-    if isinstance(field, ThreeForm):
+    if isinstance(field, TwoForm):
         return Section(ch, field.data[..., 0, :] / a[..., None])
-    raise RankMismatch("hodge_star expects a Section, OneForm, TwoForm, or ThreeForm")
+    raise RankMismatch("hodge_star expects a OneForm or a TwoForm")
 
 
 def codiff_2form(omega, A=None):
-    """Covariant codifferential of a two-form via the star route.
-
-    d*_A = sign * (star d_A star) with sign -1 in 2d and +1 in 3d.
-    """
+    """Covariant codifferential of a two-form on a 2d chart via the star
+    route, d*_A = -(star d_A star)."""
     if not isinstance(omega, TwoForm):
         raise RankMismatch("codiff_2form expects a TwoForm")
     A = _conn(omega.chart, A)
-    ch = omega.chart
-    if ch.n == 2:
-        s = hodge_star(omega)           # section
-        ds = d_A(s, A)                  # one-form
-        return -1.0 * hodge_star(ds)
-    mu = hodge_star(omega)              # one-form
-    dmu = exterior_d_A(mu, A)           # two-form
-    return hodge_star(dmu)
+    return -1.0 * hodge_star(d_A(hodge_star(omega), A))
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +625,18 @@ def boundary_operator_T(f, A=None, split=False):
     if split:
         return d_part, h_part
     return d_part + h_part
+
+
+def _cancellation_ratio(f, A):
+    """(|T_d + T_h| / (|T_d| + |T_h|), |T_d + T_h|) for the derivative and
+    curvature terms of boundary_operator_T, sup norms over the faces; (0, 0)
+    when both terms vanish."""
+    d_part, h_part = boundary_operator_T(f, A, split=True)
+    total = d_part + h_part
+    denom = d_part.sup() + h_part.sup()
+    if denom == 0.0:
+        return 0.0, 0.0
+    return total.sup() / denom, total.sup()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from gaugekit import (
     RankMismatch,
     ScalarField,
     Section,
+    TwoForm,
     build_chart,
     check_dbc,
     dump_field,
@@ -17,7 +18,7 @@ from gaugekit import (
     load_field,
     random_smooth_field,
 )
-from gaugekit.fields import flat_d, normal_component, trace_boundary
+from gaugekit.fields import exterior_d, flat_d, normal_component, trace_boundary
 
 
 def _unit_section(ch, k):
@@ -52,6 +53,16 @@ def test_inner_product_rejects_rank_mixing(ann32):
     w = OneForm(ann32, np.zeros(ann32.shape + (2, ALGEBRA_DIM)))
     with pytest.raises(RankMismatch):
         l2_inner(u, w)
+
+
+def test_two_forms_have_no_derivative_or_inner_product(shell12):
+    # the two-form operators are the 2d star route; nothing takes d or the
+    # L2 product of a two-form
+    w = TwoForm.zeros(shell12)
+    with pytest.raises(RankMismatch):
+        exterior_d(w)
+    with pytest.raises(RankMismatch):
+        l2_inner(w, w)
 
 
 def test_dbc_trivial_cases(ann32):

@@ -1,5 +1,6 @@
 """Every import in the package's modules is used by that module and sits at
-module level."""
+module level, and every private module-level definition is used somewhere in
+the package."""
 
 import ast
 from pathlib import Path
@@ -37,6 +38,26 @@ def _function_imports(source):
     })
 
 
+def _unused_private_definitions(module, sources):
+    """Module-level `_`-prefixed functions and classes of sources[module]
+    that no Name, Attribute or import alias in any of the sources names."""
+    named = set()
+    for src in sources.values():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        node.name
+        for node in ast.parse(sources[module]).body
+        if isinstance(node, defs) and node.name.startswith("_") and node.name not in named
+    )
+
+
 def test_the_check_sees_an_unused_import():
     src = "import os\nfrom math import pi, tau as t\nimport a.b\nprint(pi, a)\n"
     assert _unused_imports(src) == [(1, "os"), (2, "t")]
@@ -51,6 +72,14 @@ def test_the_check_sees_a_function_level_import():
     assert _function_imports(src) == [3, 7]
 
 
+def test_the_check_sees_an_unused_private_definition():
+    sources = {
+        "a": "def _used():\n    pass\ndef _dead():\n    pass\nclass _Kept:\n    pass\n",
+        "b": "from a import _Kept\nimport a\na._used()\n",
+    }
+    assert _unused_private_definitions("a", sources) == ["_dead"]
+
+
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
@@ -59,3 +88,9 @@ def test_module_uses_every_import(path):
 @pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_at_module_level(path):
     assert _function_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_private_definitions_are_used(path):
+    sources = {p.name: p.read_text() for p in _PACKAGE.glob("*.py")}
+    assert _unused_private_definitions(path.name, sources) == []

@@ -118,24 +118,23 @@ def _codiff_ref(w, A):
 
 
 def _hodge_ref(w):
-    ch = w.chart
-    up = ch.vol[..., None, None] * _raise(ch, w.data)
-    if ch.n == 2:
-        return np.stack([-up[..., 1, :], up[..., 0, :]], axis=-2)
-    return np.stack([up[..., 2, :], -up[..., 1, :], up[..., 0, :]], axis=-2)
+    up = w.chart.vol[..., None, None] * _raise(w.chart, w.data)
+    return np.stack([-up[..., 1, :], up[..., 0, :]], axis=-2)
 
 
 def _contractions(ch):
-    """(got, einsum reference) for bracket_dot, the pointwise codiff_A and
-    the one-form hodge_star."""
+    """(got, einsum reference) for bracket_dot, the pointwise codiff_A and,
+    on 2d charts, the one-form hodge_star."""
     a = random_smooth_field(ch, "oneform", 1)
     b = random_smooth_field(ch, "oneform", 2)
     A = Connection(ch, random_smooth_field(ch, "oneform", 3, scale=0.3))
-    return [
+    pairs = [
         (bracket_dot(a, b).data, _bracket_dot_ref(a, b)),
         (codiff_A(a, A, form="pointwise").data, _codiff_ref(a, A)),
-        (hodge_star(a).data, _hodge_ref(a)),
     ]
+    if ch.n == 2:
+        pairs.append((hodge_star(a).data, _hodge_ref(a)))
+    return pairs
 
 
 def test_metric_contractions_match_einsum_exactly(chart):
