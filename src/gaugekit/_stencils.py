@@ -5,7 +5,8 @@ rest, so algebra components ride along untouched. The staggered
 (cell-midpoint) difference and average, together with their exact
 transposes, carry the energy form of the elliptic operators. They write
 into a caller's `out` buffer when given one, and periodic axes wrap by
-slicing, so the Green solve's inner loop allocates nothing.
+slicing, so the Green solve's inner loop allocates nothing. Contiguous
+node-shaped buffers pair as one flat shifted op, not one loop per row.
 
 Node derivatives are centered second order inside; periodic axes wrap. The
 one-sided rules at a bounded face live in one place, `face_layer_deriv`:
@@ -18,6 +19,8 @@ chain of `operators.boundary_operator_T`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -44,24 +47,35 @@ def deriv_node(v, axis, h, periodic):
 
 def _pair(v, axis, periodic, op, out):
     """op(v_{i+1}, v_i) at every cell midpoint; a periodic axis wraps by
-    slicing, so `out` may be a preallocated buffer."""
+    slicing, so `out` may be a preallocated buffer. A node-shaped `out` on a
+    bounded axis gets a pad of unspecified value in its last slot. With v
+    and `out` contiguous the pairs are one op over the flat arrays shifted by
+    the axis stride; the last slots pair across rows, then are the pad or
+    take the wrap."""
     v = np.asarray(v, dtype=float)
     nd = v.ndim
     s = lambda sl: _axslice(nd, axis, sl)
-    if not periodic:
+    if not periodic and (out is None or out.shape != v.shape):  # N-1 midpoints
         return op(v[s(slice(1, None))], v[s(slice(0, -1))], out=out)
     if out is None:
         out = np.empty_like(v)
-    op(v[s(slice(1, None))], v[s(slice(0, -1))], out=out[s(slice(0, -1))])
-    op(v[s(slice(0, 1))], v[s(slice(-1, None))], out=out[s(slice(-1, None))])
+    if v.flags.c_contiguous and out.flags.c_contiguous:
+        k = math.prod(v.shape[axis + 1:])
+        flat = v.reshape(-1)
+        op(flat[k:], flat[:-k], out=out.reshape(-1)[:-k])
+    else:
+        op(v[s(slice(1, None))], v[s(slice(0, -1))], out=out[s(slice(0, -1))])
+    if periodic:
+        op(v[s(slice(0, 1))], v[s(slice(-1, None))], out=out[s(slice(-1, None))])
     return out
 
 
 def deriv_mid(v, axis, h, periodic, out=None):
     """Difference at cell midpoints: (v_{i+1} - v_i)/h.
 
-    Periodic axes return N midpoints (the last wraps); bounded axes N-1.
-    The result goes to `out` when one is given.
+    Periodic axes return N midpoints (the last wraps); bounded axes N-1, or
+    a pad after them in a node-shaped `out`. The result goes to `out` when
+    one is given.
     """
     out = _pair(v, axis, periodic, np.subtract, out)
     out /= h
@@ -78,7 +92,10 @@ def avg_mid(v, axis, periodic, out=None):
 def _pair_t(m, axis, periodic, op, out):
     """op(m_{i-1}, m_i) at every node, from the midpoints on either side of
     node i: a periodic axis wraps, and on a bounded axis each end node pairs
-    its one midpoint with 0."""
+    its one midpoint with 0, which a node-shaped m (given `out`) holds as the
+    pad in its last slot. With m and `out` contiguous the pairs are one op
+    over the flat arrays shifted by the axis stride; the first slots are
+    then paired again with the wrap or with 0."""
     m = np.asarray(m, dtype=float)
     nd = m.ndim
     s = lambda sl: _axslice(nd, axis, sl)
@@ -86,13 +103,16 @@ def _pair_t(m, axis, periodic, op, out):
         shape = list(m.shape)
         shape[axis] += 0 if periodic else 1
         out = np.empty(shape)
-    if periodic:
-        op(m[s(slice(-1, None))], m[s(slice(0, 1))], out=out[s(slice(0, 1))])
-        op(m[s(slice(0, -1))], m[s(slice(1, None))], out=out[s(slice(1, None))])
-    else:
-        op(0.0, m[s(slice(0, 1))], out=out[s(slice(0, 1))])
+    if out.shape != m.shape:  # the N-1 midpoints of a bounded axis
         op(m[s(slice(0, -1))], m[s(slice(1, None))], out=out[s(slice(1, -1))])
         op(m[s(slice(-1, None))], 0.0, out=out[s(slice(-1, None))])
+    elif m.flags.c_contiguous and out.flags.c_contiguous:
+        k = math.prod(m.shape[axis + 1:])
+        flat = m.reshape(-1)
+        op(flat[:-k], flat[k:], out=out.reshape(-1)[k:])
+    else:
+        op(m[s(slice(0, -1))], m[s(slice(1, None))], out=out[s(slice(1, None))])
+    op(m[s(slice(-1, None))] if periodic else 0.0, m[s(slice(0, 1))], out=out[s(slice(0, 1))])
     return out
 
 

@@ -15,6 +15,7 @@ coefficients of the staggered energy form, which the chart owns
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 
@@ -375,32 +376,43 @@ def dump_field(field, path, seed=None):
 
 
 def load_field(path, chart=None):
-    """Reload a dumped field; rebuilds built-in charts from the header."""
+    """Reload a dumped field; rebuilds built-in charts from the header. A
+    malformed dump raises BadGeometry (a missing, unknown or non-numeric
+    entry, a blank header line, or a wrong number of values)."""
     with open(path) as fh:
         text = fh.read().splitlines()
     if not text or not text[0].startswith("gaugekit-field"):
         raise BadGeometry("not a field dump")
-    header = {}
-    params = {}
-    idx = 0
-    for idx, line in enumerate(text):
-        parts = line.split()
-        if parts[0] == "param":
-            params[parts[1]] = float(parts[2])
-        elif parts[0] == "values":
-            break
-        elif parts[0] != "gaugekit-field":
-            header[parts[0]] = parts[1:]
-    kind = header["kind"][0]
-    shape = tuple(int(s) for s in header["shape"])
+    header, params = {}, {}
+    try:
+        for idx, line in enumerate(text):
+            key, *rest = line.split()
+            if key == "param":
+                name, value = rest
+                params[name] = float(value)
+            elif key == "values":
+                (count,) = rest
+                break
+            elif key != "gaugekit-field":
+                header[key] = rest
+        else:
+            raise BadGeometry("field dump has no values line")
+        (kind,), (rank,) = header["kind"], header["rank"]
+        shape = tuple(int(s) for s in header["shape"])
+        cls = _RANKS[rank]
+        flat = np.array([float(x) for x in text[idx + 1 :] if x.strip()])
+        count = int(count)
+    except (KeyError, ValueError) as exc:
+        raise BadGeometry(f"malformed field dump: {exc!r}") from exc
+    if not flat.size == count >= math.prod(shape):  # before building a chart of that shape
+        raise BadGeometry(f"dump holds {flat.size} values, not {count} for shape {shape}")
     if chart is None:
         if kind == "custom":
             raise BadGeometry("custom charts must be supplied to load_field")
         chart = build_chart(kind, shape, **params)
     elif chart.kind != kind or chart.shape != shape:
         raise ChartMismatch("dump header does not match the supplied chart")
-    rank = header["rank"][0]
-    cls = _RANKS[rank]
-    flat = np.array([float(x) for x in text[idx + 1 :] if x.strip()])
-    data = flat.reshape(chart.shape + cls.value_shape(chart))
-    return cls(chart, data)
+    value_shape = chart.shape + cls.value_shape(chart)
+    if count != math.prod(value_shape):
+        raise BadGeometry(f"dump holds {count} values, not {math.prod(value_shape)}")
+    return cls(chart, flat.reshape(value_shape))

@@ -138,15 +138,23 @@ class Chart:
 
         Every operator paired under the cell quadrature (the energy matrix,
         the adjoint codifferential, the cell inner product, the Green
-        preconditioners) reads them from here.
+        preconditioners) reads them from here; the bounded axis's array is a
+        view of `padded_cell_c`.
         """
+        return [c if p else c[..., :-1] for c, p in zip(self.padded_cell_c, self.periodic)]
+
+    @cached_property
+    def padded_cell_c(self):
+        """`cell_c` node-shaped: the bounded axis ends in a zero pad, which
+        clears the pad of a midpoint buffer (`_stencils._pair`) it scales."""
         if not self.is_diagonal:
             raise BadGeometry("the staggered energy form needs a diagonal metric")
         out = []
         for ax in range(self.n):
             g = self.metric_at(self.mid_coords(ax))
             # diagonal metric: g^aa is the reciprocal of g_aa
-            out.append(self.cell_weights(ax) * np.sqrt(np.linalg.det(g)) * (1.0 / g[..., ax, ax]))
+            c = self.cell_weights(ax) * np.sqrt(np.linalg.det(g)) * (1.0 / g[..., ax, ax])
+            out.append(np.pad(c, [(0, 0)] * (self.n - 1) + [(0, 1 - self.periodic[ax])]))
         return out
 
     def mesh(self, sparse=False):

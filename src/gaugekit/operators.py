@@ -20,9 +20,10 @@ connection holds only its perturbation and its midpoint average.
 The pair works on component-first arrays, shape (3, *chart.shape), so that
 each su(2) component is contiguous and the bracket multiplies whole
 components. Fields keep their node-major layout (*chart.shape, 3);
-d_A_cell and the adjoint codiff_A convert at their edges. The
-pair writes into buffers its caller passes in: three midpoint arrays shared
-by all axes and one single-component array for the bracket (`_scratch`).
+d_A_cell and the adjoint codiff_A convert at their edges. The pair writes
+into node-shaped buffers its caller passes in (`_scratch`), so that every
+stencil is one flat shifted op; the 1/2 of its averages is folded into the
+bracket, which rounds identically.
 
 The Green solve is preconditioned conjugate gradient with one stopping rule,
 ||S u - M g|| <= tol ||M g||. With a flat connection on a chart whose metric
@@ -32,12 +33,12 @@ preconditioner is its direct solve: an FFT along the periodic axes and one
 cached tridiagonal sweep per mode along the normal axis, so CG stops after
 one iteration. Solves under a connection, and flat solves on other charts,
 use the Jacobi diagonal. Each solve allocates its work buffers once and
-reuses them in every iteration: the search direction is the interior of a
-zero-padded array, S p the interior of the energy output, and the CG
-updates go through `out=`; temporaries made afresh every iteration would
-come from fresh, zeroed pages (about 430 minor page faults per iteration at
-128^2). The buffers belong to the call, not to the chart or the module,
-because `RunConfig.jobs` runs suites on threads.
+reuses them in every iteration. The CG state is whole component-first node
+arrays whose Dirichlet face rows stay zero, so its updates are contiguous
+loops; the inner products multiply the interior rows into a node-major
+buffer and sum there, in the order of a node-major field. The buffers
+belong to the call, not to the chart or the module, because
+`RunConfig.jobs` runs suites on threads.
 """
 
 from __future__ import annotations
@@ -99,18 +100,15 @@ class Connection:
 
     def _mid_A(self, ax):
         """Connection component along ax averaged to that axis's midpoints,
-        component first: shape (3, *midpoint shape)."""
+        component first and node-shaped, with a zero pad (see `_scratch`)."""
         if self.is_flat:
             return None
+        ch = self.chart
         if self._mid is None:
-            ch = self.chart
-            self._mid = [
-                st.avg_mid(
-                    _comps(self.eta.data[..., a, :]), a + 1, ch.periodic[a],
-                    out=np.empty((ALGEBRA_DIM,) + _mid_shape(ch, a)),
-                )
-                for a in range(ch.n)
-            ]
+            self._mid = [np.zeros((ALGEBRA_DIM,) + ch.shape) for _ in range(ch.n)]
+            for a, m in enumerate(self._mid):
+                st.avg_mid(_comps(self.eta.data[..., a, :]), a + 1, ch.periodic[a],
+                           out=_mids(ch, a, m))
         return self._mid[ax]
 
 
@@ -146,72 +144,66 @@ def _nodes(data):
     return np.moveaxis(data, 0, -1).copy()
 
 
-def _mid_shape(ch, ax):
-    """Node shape with axis ax moved to its midpoints (N-1 when bounded)."""
-    return tuple(
-        n - (a == ax and not ch.periodic[a]) for a, n in enumerate(ch.shape)
-    )
+def _mids(ch, ax, a):
+    """The midpoints along ax of a node-shaped array: all but a bounded pad."""
+    return a if ch.periodic[ax] else a[..., :-1]
 
 
 def _scratch(A):
-    """Work buffers of one energy-form evaluation under the connection A, as
-    per-axis views (gradient, average, bracket, one component, node).
+    """Work buffers of one energy-form evaluation under the connection A:
+    (gradient, sum, bracket, one component), shared by all axes.
 
-    Three midpoint arrays and one single-component array are shared by all
-    axes; a bounded axis views the leading N-1 slices of each. The node view
-    is the whole average buffer, free again once the gradient is formed. A
-    flat connection has no bracket: its bracket and component views are None.
+    They are node-shaped and contiguous: on the bounded axis the N-1
+    midpoints lead and the last slot is a pad, which the zero pad of
+    `Chart.padded_cell_c` clears (they start as zeros: a NaN pad would not
+    clear). The sum buffer is also the transposes' node output.
     """
     ch = A.chart
-    lead = [(ALGEBRA_DIM,)] * 2 + ([] if A.is_flat else [(ALGEBRA_DIM,), ()])
-    bufs = [np.empty(int(np.prod(d + ch.shape))) for d in lead]
-    node = bufs[1].reshape((ALGEBRA_DIM,) + ch.shape)
-    views = []
-    for ax in range(ch.n):
-        shape = _mid_shape(ch, ax)
-        v = [b[: int(np.prod(d + shape))].reshape(d + shape) for b, d in zip(bufs, lead)]
-        views.append(tuple(v + [None] * (4 - len(v))) + (node,))
-    return views
+    shape = (ALGEBRA_DIM,) + ch.shape
+    if A.is_flat:
+        return np.zeros(shape), np.zeros(shape), None, None
+    return np.zeros(shape), np.zeros(shape), np.zeros(shape), np.zeros(ch.shape)
 
 
-def _bracket(u, v, out, tmp):
-    """Bracket [u, v] of component-first arrays, written into `out` and
-    rounded as `algebra.coeff_bracket` rounds; `tmp` is one component of
-    scratch."""
+def _half_bracket(u, v, out, tmp):
+    """[u, v] / 2 of component-first arrays, written into `out`; `tmp` is one
+    component of scratch. Halving is exact, so [u, 2 w] / 2 rounds as
+    `algebra.coeff_bracket(u, w)` bit for bit (barring subnormals)."""
     for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(u[i], v[j], out=out[k])
         np.subtract(out[k], np.multiply(u[j], v[i], out=tmp), out=out[k])
-    out *= STRUCTURE_C
+    out *= 0.5 * STRUCTURE_C
     return out
 
 
 def _grad_mid(A, x, ax, out, avg, br, tmp):
     """Staggered covariant gradient of the component-first node values x
-    along ax, written into `out` at that axis's midpoints; `avg`, `br` (the
-    shape of `out`) and `tmp` (one component) are scratch."""
+    along ax, written into the node-shaped `out` (see `_scratch`); `avg`,
+    `br` (the shape of `out`) and `tmp` (one component) are scratch. The
+    bracket takes avg_mid without its 1/2, which `_half_bracket` supplies."""
     ch = A.chart
     st.deriv_mid(x, ax + 1, ch.h[ax], ch.periodic[ax], out=out)
     Am = A._mid_A(ax)
     if Am is not None:
-        st.avg_mid(x, ax + 1, ch.periodic[ax], out=avg)
-        out += _bracket(Am, avg, br, tmp)
+        st._pair(x, ax + 1, ch.periodic[ax], np.add, avg)
+        out += _half_bracket(Am, avg, br, tmp)
     return out
 
 
 def _add_div_mid(out, A, mid, ax, node, br, tmp):
     """Add to the component-first node array `out` the transpose of
-    _grad_mid along ax applied to the midpoint values `mid` weighted by
-    `Chart.cell_c`. `mid` is overwritten; `node` (the shape of `out`), `br`
-    (the shape of `mid`) and `tmp` (one component) are scratch."""
+    _grad_mid along ax applied to the node-shaped midpoint values `mid`
+    weighted by `Chart.cell_c`. `mid` is overwritten; `node`, `br` (the shape
+    of `out`) and `tmp` (one component) are scratch."""
     ch = A.chart
     per = ch.periodic[ax]
-    mid *= ch.cell_c[ax]
+    mid *= ch.padded_cell_c[ax]
     Am = A._mid_A(ax)
     if Am is not None:
-        _bracket(Am, mid, br, tmp)
+        _half_bracket(Am, mid, br, tmp)
     out += st.deriv_mid_t(mid, ax + 1, ch.h[ax], per, out=node)
     if Am is not None:
-        out -= st.avg_mid_t(br, ax + 1, per, out=node)
+        out -= st._pair_t(br, ax + 1, per, np.add, node)
     return out
 
 
@@ -220,9 +212,11 @@ def d_A_cell(f, A=None):
     if not isinstance(f, Section):
         raise RankMismatch("d_A_cell expects a Section")
     A = _conn(f.chart, A)
+    ch = f.chart
     x = _comps(f.data)
-    return MidOneForm(f.chart, [
-        _nodes(_grad_mid(A, x, ax, *bufs[:4])) for ax, bufs in enumerate(_scratch(A))
+    bufs = _scratch(A)
+    return MidOneForm(ch, [
+        _nodes(_mids(ch, ax, _grad_mid(A, x, ax, *bufs))) for ax in range(ch.n)
     ])
 
 
@@ -243,9 +237,11 @@ def bracket_dot(alpha, beta):
 def _div_mid(A, mid):
     """Node-major sum over the axes of _add_div_mid applied to a MidOneForm.
     Its scratch is freed on return, before the caller's next temporaries."""
-    acc = np.zeros((ALGEBRA_DIM,) + A.chart.shape)
-    for ax, (t, _, br, tmp, node) in enumerate(_scratch(A)):
-        t[...] = _comps(mid.arrays[ax])
+    ch = A.chart
+    acc = np.zeros((ALGEBRA_DIM,) + ch.shape)
+    t, node, br, tmp = _scratch(A)
+    for ax in range(ch.n):
+        _mids(ch, ax, t)[...] = _comps(mid.arrays[ax])
         _add_div_mid(acc, A, t, ax, node, br, tmp)
     return _nodes(acc)
 
@@ -256,12 +252,11 @@ def _energy_apply(A, x, out=None, scratch=None):
     is a `_scratch` set; both are allocated when not given."""
     if out is None:
         out = np.empty(x.shape)
-    if scratch is None:
-        scratch = _scratch(A)
+    t, avg, br, tmp = _scratch(A) if scratch is None else scratch
     out.fill(0.0)
-    for ax, (t, avg, br, tmp, node) in enumerate(scratch):
+    for ax in range(A.chart.n):
         _grad_mid(A, x, ax, t, avg, br, tmp)
-        _add_div_mid(out, A, t, ax, node, br, tmp)
+        _add_div_mid(out, A, t, ax, avg, br, tmp)
     return out
 
 
@@ -394,15 +389,19 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
     ch = g.chart
     ii = ch.interior_slice()
     ic = (slice(None),) + ii  # the interior rows, component first
-    m = (ch.quad_w * ch.vol)[ii]
-    # the right-hand side M g, which CG turns into its residual in place
-    r = np.multiply(m, _comps(g.data)[ic], out=np.empty((ALGEBRA_DIM,) + m.shape))
-    # products are summed in node-major order, so every inner product, and
-    # with it the whole iteration, rounds exactly as on node-major fields
-    prod = np.empty(m.shape + (ALGEBRA_DIM,))
+    shape = (ALGEBRA_DIM,) + ch.shape
+    # The CG state is whole node arrays with zero face rows (see the module
+    # docstring); r starts as the right-hand side M g.
+    r = np.zeros(shape)
+    np.multiply((ch.quad_w * ch.vol)[ii], _comps(g.data)[ic], out=r[ic])
+    scratch = _scratch(A)
+    # Interior products summed in node-major order round as on node-major
+    # fields; they live in the sum buffer, which only the energy apply uses.
+    prod = scratch[1].reshape(-1)[: r[ic].size].reshape(r[ic].shape[1:] + (ALGEBRA_DIM,))
+    cprod = _comps(prod)
 
     def dot(u, v):
-        np.multiply(u, v, out=_comps(prod))
+        np.multiply(u[ic], v[ic], out=cprod)
         return float(prod.sum())
 
     bnorm = float(np.sqrt(dot(r, r)))
@@ -414,38 +413,32 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
     if maxiter is None:
         maxiter = int(200 * np.sqrt(float(np.prod(ch.shape))))
     if A.is_flat and ch.is_tangentially_uniform:
-        pre = _separable_solver(ch)
+        solve = _separable_solver(ch)
+        pre = lambda v, out: solve(v[ic], out[ic])
     else:
         # inverse diagonal of the derivative part of the energy matrix
         dinv = 1.0 / sum(
             st.avg_mid_t(c, ax, ch.periodic[ax]) * 2.0 / ch.h[ax] ** 2
             for ax, c in enumerate(ch.cell_c)
-        )[ii]
+        )
         pre = lambda v, out: np.multiply(dinv, v, out=out)
-    # One set of work buffers per solve, reused by every iteration. The
-    # search direction p is the interior of a zero-padded array (the
-    # Dirichlet rows stay zero) and S p the interior of the energy output.
-    pad = np.zeros((ALGEBRA_DIM,) + ch.shape)
-    spad = np.empty_like(pad)
-    p, ap = pad[ic], spad[ic]
-    scratch = _scratch(A)
-    x = np.zeros_like(r)
-    z = np.empty_like(r)
-    tmp = np.empty_like(r)
+    x, z, p, ap = np.zeros(shape), np.zeros(shape), np.zeros(shape), np.empty(shape)
     pre(r, z)
     p[...] = z
     rz = dot(r, z)
     res = bnorm
     for k in range(1, maxiter + 1):
-        _energy_apply(A, pad, spad, scratch)
+        _energy_apply(A, p, ap, scratch)
+        ap[..., 0] = ap[..., -1] = 0.0  # the Dirichlet face rows
         alpha = rz / dot(p, ap)
-        x += np.multiply(p, alpha, out=tmp)
-        r -= np.multiply(ap, alpha, out=tmp)
+        # z, free until the next preconditioning, and ap are the temporaries
+        x += np.multiply(p, alpha, out=z)
+        r -= np.multiply(ap, alpha, out=ap)
         res = float(np.sqrt(dot(r, r)))
         if res <= tol * bnorm:
             info.iterations, info.residual, info.converged = k, res / bnorm, True
             sol = Section.zeros(ch)
-            sol.data[ii] = np.moveaxis(x, 0, -1)
+            sol.data[ii] = np.moveaxis(x[ic], 0, -1)
             return sol
         pre(r, z)
         rz_new = dot(r, z)

@@ -31,6 +31,7 @@ from gaugekit.operators import (
     SolveInfo,
     _anchor_face_rows,
     _energy_apply,
+    _scratch,
     bracket_dot,
     codiff_2form,
     d_A_cell,
@@ -263,12 +264,14 @@ def test_flat_green_falls_back_to_jacobi_on_a_nonuniform_chart():
     )
     assert not ch.is_tangentially_uniform
     rhs_field = random_smooth_field(ch, "section", 13)
-    x = _dense_green(ch, Connection.flat(ch), rhs_field)
-    info = SolveInfo()
-    sol = green_A(rhs_field, None, tol=1e-12, info=info)
-    assert info.iterations > 1
-    assert ch._separable is None  # the Jacobi path builds no separable factor
-    assert float(np.max(np.abs(sol.data - x))) < 1e-8 * float(np.max(np.abs(x)))
+    # flat, then under a connection: both take the Jacobi path here
+    for A in (Connection.flat(ch), _rand_conn(ch, 14, scale=0.3)):
+        x = _dense_green(ch, A, rhs_field)
+        info = SolveInfo()
+        sol = green_A(rhs_field, A, tol=1e-12, info=info)
+        assert info.iterations > 1
+        assert ch._separable is None  # the Jacobi path builds no separable factor
+        assert float(np.max(np.abs(sol.data - x))) < 1e-8 * float(np.max(np.abs(x)))
 
 
 def test_cg_reports_converged_residual(ann32):
@@ -313,6 +316,31 @@ def test_connected_green_peak_memory(kind, shape, bound):
     assert peak / g.data.nbytes <= bound
 
 
+@pytest.mark.parametrize(
+    "kind, shape",
+    [("annulus", (128, 128)), ("cylindrical_shell", (16, 16, 20))],
+    ids=["annulus128", "shell16x16x20"],
+)
+def test_warm_energy_apply_allocates_less_than_a_field(kind, shape):
+    # given its output and scratch, one application of the energy matrix
+    # (the Green solve's inner loop) allocates no field-sized temporary;
+    # what tracemalloc sees is numpy's own iteration buffers (24-44 KiB)
+    import tracemalloc
+
+    ch = build_chart(kind, shape)
+    A = _rand_conn(ch, 3)
+    x = np.ascontiguousarray(np.moveaxis(random_smooth_field(ch, "section", 4).data, -1, 0))
+    out, scratch = np.empty_like(x), _scratch(A)
+    _energy_apply(A, x, out, scratch)  # builds the coefficients and averages
+    tracemalloc.start()
+    try:
+        _energy_apply(A, x, out, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes
+
+
 def test_energy_form_rejects_a_non_diagonal_metric():
     def metric(mesh):
         theta, r = mesh
@@ -343,6 +371,9 @@ def test_connections_share_the_chart_energy_coefficients(ann32):
         green_A(g, A, tol=1e-8)
         assert ann32.cell_c is c
         assert set(vars(A)) == {"chart", "eta", "_mid"}  # no chart-only cache
+    # the midpoint coefficients are views of the padded ones, not copies
+    for mid, padded in zip(c, ann32.padded_cell_c):
+        assert np.shares_memory(mid, padded)
 
 
 def test_projector_outputs_horizontal_fields():

@@ -1,17 +1,33 @@
 """The fast pointwise layers reproduce their reference formulas bit for bit.
 
 Random fields are evaluated on 1-D coordinates, the metric contractions use
-matmul, and the energy coefficients read g^aa as 1/g_aa. Each is compared
-here with the whole-grid formula it replaced.
+matmul, and the energy coefficients read g^aa as 1/g_aa. The energy form
+pairs padded node-shaped buffers as flat shifts, folds the 1/2 of its
+averages into the bracket, and the Green solve keeps its CG state on whole
+node arrays. Each is compared here with the formula or loop it replaced.
 """
 
 import numpy as np
 import pytest
 
-from gaugekit import Connection, OneForm, build_chart, codiff_A, random_smooth_field
+from gaugekit import (
+    Connection,
+    OneForm,
+    build_chart,
+    codiff_A,
+    green_A,
+    random_smooth_field,
+)
 from gaugekit import _stencils as st
 from gaugekit.algebra import ALGEBRA_DIM, coeff_bracket
-from gaugekit.operators import bracket_dot, hodge_star
+from gaugekit.operators import (
+    SolveInfo,
+    _energy_apply,
+    _separable_solver,
+    bracket_dot,
+    d_A_cell,
+    hodge_star,
+)
 
 CHARTS = {
     "annulus16": ("annulus", (16, 16)),
@@ -157,3 +173,142 @@ def test_cell_coefficients_match_the_metric_inverse(chart):
         g = chart.metric_at(chart.mid_coords(ax))
         ref = chart.cell_weights(ax) * np.sqrt(np.linalg.det(g)) * np.linalg.inv(g)[..., ax, ax]
         assert np.array_equal(c, ref)
+
+
+# ---------------------------------------------------------------------------
+# energy form and Green solve
+# ---------------------------------------------------------------------------
+
+def _ref_pair(v, ax, periodic, op):
+    """op(v_{i+1}, v_i) at the midpoints, sliced: N-1 on a bounded axis."""
+    if periodic:
+        return op(np.roll(v, -1, ax), v)
+    n = v.shape[ax]
+    return op(np.take(v, range(1, n), ax), np.take(v, range(n - 1), ax))
+
+
+def _ref_pair_t(m, ax, periodic, op):
+    """op(m_{i-1}, m_i) at the nodes; a bounded axis pairs its ends with 0."""
+    if periodic:
+        return op(np.roll(m, 1, ax), m)
+    shape = list(m.shape)
+    shape[ax] = 1
+    zero = np.zeros(shape)
+    return op(np.concatenate([zero, m], ax), np.concatenate([m, zero], ax))
+
+
+def _ref_bracket(u, v):
+    return np.moveaxis(coeff_bracket(np.moveaxis(u, 0, -1), np.moveaxis(v, 0, -1)), -1, 0)
+
+
+def _ref_avg(v, ax, periodic):
+    return _ref_pair(v, ax, periodic, np.add) * 0.5
+
+
+def _ref_conn_mid(A, ax):
+    return _ref_avg(np.moveaxis(A.eta.data[..., ax, :], -1, 0), ax + 1, A.chart.periodic[ax])
+
+
+def _ref_grad(A, x, ax):
+    """Staggered covariant gradient on the midpoint grid, as the sliced
+    N-1 energy form computed it."""
+    ch = A.chart
+    per = ch.periodic[ax]
+    out = _ref_pair(x, ax + 1, per, np.subtract) / ch.h[ax]
+    if not A.is_flat:
+        out = out + _ref_bracket(_ref_conn_mid(A, ax), _ref_avg(x, ax + 1, per))
+    return out
+
+
+def _ref_div(A, mids):
+    """Sum over the axes of the transpose of _ref_grad applied to the
+    cell-weighted midpoint values, accumulated in the order of the loop."""
+    ch = A.chart
+    acc = np.zeros((ALGEBRA_DIM,) + ch.shape)
+    for ax, mid in enumerate(mids):
+        per, h = ch.periodic[ax], ch.h[ax]
+        mid = mid * ch.cell_c[ax]
+        if per:  # deriv_mid_t divides after the difference when periodic
+            acc += _ref_pair_t(mid, ax + 1, per, np.subtract) / h
+        else:
+            acc += _ref_pair_t(mid / h, ax + 1, per, np.subtract)
+        if not A.is_flat:
+            br = _ref_bracket(_ref_conn_mid(A, ax), mid)
+            acc -= _ref_pair_t(br, ax + 1, per, np.add) * 0.5
+    return acc
+
+
+def _ref_energy(A, x):
+    return _ref_div(A, [_ref_grad(A, x, ax) for ax in range(A.chart.n)])
+
+
+def _ref_green(g, A, tol=1e-10):
+    """The Jacobi- or separable-preconditioned CG loop on interior arrays,
+    with the search direction the interior of a zero-padded node array."""
+    ch = g.chart
+    ii = ch.interior_slice()
+    ic = (slice(None),) + ii
+    r = (ch.quad_w * ch.vol)[ii] * np.moveaxis(g.data, -1, 0)[ic]
+    prod = np.empty(r.shape[1:] + (ALGEBRA_DIM,))
+
+    def dot(u, v):
+        np.multiply(u, v, out=np.moveaxis(prod, -1, 0))
+        return float(prod.sum())
+
+    if A.is_flat and ch.is_tangentially_uniform:
+        pre = _separable_solver(ch)
+    else:
+        diag = sum(
+            _ref_pair_t(c, ax, ch.periodic[ax], np.add) * 0.5 * 2.0 / ch.h[ax] ** 2
+            for ax, c in enumerate(ch.cell_c)
+        )
+        dinv = 1.0 / diag[ii]
+        pre = lambda v, out: np.multiply(dinv, v, out=out)
+    bnorm = float(np.sqrt(dot(r, r)))
+    pad = np.zeros((ALGEBRA_DIM,) + ch.shape)
+    p = pad[ic]
+    x, z = np.zeros_like(r), np.empty_like(r)
+    pre(r, z)
+    p[...] = z
+    rz = dot(r, z)
+    for k in range(1, 10_000):
+        ap = _ref_energy(A, pad)[ic]
+        alpha = rz / dot(p, ap)
+        x = x + p * alpha
+        r = r - ap * alpha
+        if float(np.sqrt(dot(r, r))) <= tol * bnorm:
+            return np.moveaxis(x, 0, -1), k
+        pre(r, z)
+        rz_new = dot(r, z)
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
+    raise AssertionError("the reference loop did not converge")
+
+
+@pytest.mark.parametrize("connected", [True, False], ids=["connected", "flat"])
+def test_energy_form_and_green_solve_match_the_sliced_loop(chart, connected):
+    ch = chart
+    eta = random_smooth_field(ch, "oneform", 3, scale=0.3) if connected else None
+    A = Connection(ch, eta)
+    f = random_smooth_field(ch, "section", 4, dbc=False)
+    x = np.moveaxis(f.data, -1, 0)
+    ii = (slice(None),) + ch.interior_slice()
+    for arg in (x, np.ascontiguousarray(x)):  # sliced and flat-shifted
+        assert np.array_equal(_energy_apply(A, arg)[ii], _ref_energy(A, x)[ii])
+    got = d_A_cell(f, A).arrays
+    ref = [np.moveaxis(_ref_grad(A, x, ax), 0, -1) for ax in range(ch.n)]
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    w = random_smooth_field(ch, "oneform", 5, dbc=False)
+    div = _ref_div(A, [
+        _ref_avg(np.moveaxis(w.data[..., ax, :], -1, 0), ax + 1, ch.periodic[ax])
+        for ax in range(ch.n)
+    ])
+    div = np.moveaxis(div, 0, -1) / (ch.quad_w * ch.vol)[..., None]
+    assert np.array_equal(codiff_A(w, A).data[ch.interior_slice()], div[ch.interior_slice()])
+    g = random_smooth_field(ch, "section", 6)
+    info = SolveInfo()
+    sol = green_A(g, A, info=info)
+    ref_sol, ref_iters = _ref_green(g, A)
+    assert info.iterations == ref_iters
+    assert np.array_equal(sol.data[ch.interior_slice()], ref_sol)
