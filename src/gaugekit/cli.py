@@ -60,7 +60,9 @@ def build_parser():
                    help=f"subset of {', '.join(sorted(SUITES))}")
     c = sub.add_parser("construct", help="run the constructive suites")
     _common(c)
-    s = sub.add_parser("study", help="convergence tables over the grid ladder")
+    s = sub.add_parser(
+        "study", help="ladder tables: every series per rung, then the order checks"
+    )
     _common(s)
     s.add_argument("suites", nargs="*", metavar="suite")
     d = sub.add_parser("dump", help="write representative fields as text dumps")

@@ -1,9 +1,10 @@
 """Configured verification suites with convergence studies and reports.
 
 Every suite draws its randomness from the run seed, so a configuration
-determines its report byte-for-byte. Ladder suites refine the grid and
-measure observed convergence orders; single-grid suites check identities
-and bounds at the configured resolution.
+determines its report byte-for-byte. Single-grid suites check identities
+and bounds at the configured resolution. Ladder suites refine the grid and
+state their checks as rules over named series; `_ladder_checks` turns them
+into checks and a "ladders" metrics block, which `emit_study` prints.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import defaultdict, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -144,10 +146,16 @@ _CONFIG_CHECKS = {
     "solve_tol": (lambda v: _is_number(v) and 0 < v < math.inf, "a positive number"),
     "jobs": (lambda v: _is_int(v, 1), "an integer >= 1"),
     "thresholds": (
-        lambda v: isinstance(v, dict) and all(_is_number(t) for t in v.values()),
-        "an object of numeric thresholds",
+        lambda v: isinstance(v, dict)
+        and all(_is_threshold_key(k) and _is_number(t) for k, t in v.items()),
+        "an object of '<suite>.<check>' keys and numeric thresholds",
     ),
 }
+
+
+def _is_threshold_key(key):
+    suite, _, check = str(key).partition(".")
+    return suite in SUITES and check != ""
 
 
 def _check_keys(values):
@@ -264,6 +272,11 @@ class Check:
     threshold: float
     kind: str = "max"  # max: v <= t, min: v >= t, gt: v > t, lt: v < t
 
+    def __post_init__(self):
+        # numpy scalars would make `passed` a numpy bool, which JSON cannot hold
+        self.value = float(self.value)
+        self.threshold = float(self.threshold)
+
     @property
     def passed(self):
         v, t = self.value, self.threshold
@@ -338,21 +351,69 @@ def _monotone_ratio(values):
     return worst
 
 
+#: the grid the absolute discretization bounds were calibrated on (annulus 128²)
+_CALIBRATED = (128, 128)
+
+
+class _Rule(namedtuple("_Rule", "name series stat reduce threshold kind calibrated",
+                       defaults=("max", None))):
+    """One ladder check: `stat` ("final", "order" or "monotone") of each
+    member of `series`, reduced over the members by `reduce` (max, min or
+    np.median), against `threshold` of `kind`. `calibrated`: the grid a
+    discretization bound was calibrated on; None binds at every grid."""
+
+
+def _ladder_checks(series, hs, grids, rules):
+    """The checks of a ladder and its metrics block, from `_ladder`'s output.
+
+    The statistics are each member's finest-rung value, finest-pair
+    `convergence_order` or `_monotone_ratio`. A calibrated bound binds when
+    the finest rung has the calibration grid's dimension and at least its
+    node count on every axis; otherwise it is left out and listed under
+    "not-binding". The block keeps every series (rungs x members) and each
+    order check's per-member orders.
+    """
+    series = {
+        k: np.asarray(v, dtype=float).reshape(len(hs), -1).tolist()
+        for k, v in series.items()
+    }
+    block = {"grids": grids, "h": hs, "series": series, "orders": {},
+             "not-binding": {}}
+    checks = []
+    for r in rules:
+        cal, finest = r.calibrated, grids[-1]
+        if cal and (len(finest) != len(cal) or any(g < c for g, c in zip(finest, cal))):
+            block["not-binding"][r.name] = cal
+            continue
+        rows = series[r.series]
+        if r.stat == "final":
+            values = rows[-1]
+        elif r.stat == "order":
+            values = [convergence_order(hs, m) for m in zip(*rows)]
+            block["orders"][r.name] = values
+        else:
+            values = [_monotone_ratio(m) for m in zip(*rows)]
+        checks.append(Check(r.name, r.reduce(values), r.threshold, r.kind))
+    return checks, block
+
+
 def _ladder(shapes, rung):
     """Measure every rung of a grid ladder.
 
-    `rung(shape)` builds its chart, measures on it and returns
-    `(chart, value)`; the largest step of that chart is the rung's h.
-    Returns the values, the steps and the shapes in ladder order.
+    `rung(shape)` builds its chart, measures on it and returns `(chart,
+    {name: value or member values})`; the largest step of that chart is the
+    rung's h. Returns the named series, the steps and the shapes in ladder
+    order.
     """
-    values, hs, grids = [], [], []
+    series, hs, grids = {}, [], []
     for shape in shapes:
-        ch, value = rung(shape)
-        values.append(value)
+        ch, values = rung(shape)
+        for name, value in values.items():
+            series.setdefault(name, []).append(value)
         hs.append(max(ch.h))
         grids.append(shape)
         del ch  # otherwise this chart stays alive through the next rung
-    return values, hs, grids
+    return series, hs, grids
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +428,8 @@ _GENTLE = {"modes": 1, "degree": 2}
 N_IDENTITY_PAIRS = 5
 
 
-def _identity_ladder(cfg, general):
-    """Residual ratios per rung and pair for the trace identity."""
+def _identity_suite(cfg, general):
+    """Residual ratios of the trace identity per rung, one member per pair."""
 
     def rung(shape):
         ch = _chart(cfg, shape)
@@ -381,34 +442,15 @@ def _identity_ladder(cfg, general):
                 e1 = horizontal_project(e1, A, tol=cfg.solve_tol)
                 e2 = horizontal_project(e2, A, tol=cfg.solve_tol)
             rats.append(boundary_identity_residual(e1, e2, A, general=general).ratio)
-        return ch, rats
+        return ch, {"ratio": rats}
 
-    rows, hs, grids = _ladder(cfg.ladder_shapes(), rung)
-    return np.array(rows), hs, grids
-
-
-def _identity_suite(cfg, general):
+    checks, block = _ladder_checks(*_ladder(cfg.ladder_shapes(), rung), [
+        _Rule("median-order", "ratio", "order", np.median, 1.5, "min"),
+        _Rule("monotone", "ratio", "monotone", max, 1.0, "lt"),
+        _Rule("final-ratio", "ratio", "final", max, 1e-3, calibrated=_CALIBRATED),
+    ])
     name = "general-identity" if general else "boundary-identity"
-    rows, hs, grids = _identity_ladder(cfg, general)
-    orders = [convergence_order(hs, list(rows[:, p])) for p in range(rows.shape[1])]
-    mono = max(_monotone_ratio(list(rows[:, p])) for p in range(rows.shape[1]))
-    checks = [
-        Check("median-order", float(np.median(orders)), 1.5, "min"),
-        Check("monotone", mono, 1.0, "lt"),
-    ]
-    if len(grids[-1]) == 2:
-        # the absolute threshold is tied to the named finest 2d grid; 3d
-        # ladders stop at a coarser h where only the structural checks bind
-        checks.append(Check("final-ratio", float(rows[-1].max()), 1e-3))
-    metrics = {
-        "grids": grids,
-        "h": hs,
-        "ratios": [list(r) for r in rows],
-        "orders": orders,
-        "worst": [float(r.max()) for r in rows],
-        "worst-final": float(rows[-1].max()),
-    }
-    return SuiteResult(name, checks, metrics)
+    return SuiteResult(name, checks, {"ladders": [block]})
 
 
 def suite_boundary_identity(cfg):
@@ -469,73 +511,44 @@ def _inverse_shapes(cfg):
     ])
 
 
-def _inverse_ladder(cfg, which):
-    """Per-profile series over the rungs for one window-inverse family."""
-    keys = ("product", "route", "horiz", "dbc")
+def suite_chart_inverse(cfg):
+    """Window inverses: exact product, dual-route convergence, horizontality."""
+    families = ("boundary", "interior")
 
     def rung(shape):
         ch = _chart(cfg, shape)
         lo, hi = ch.coords[-1][0], ch.coords[-1][-1]
-        row = {k: [] for k in keys}
-        for window, pair in _psi_variants(ch):
-            if which == "boundary":
-                psi = band_profile(ch, side=0, **window)
-                res = boundary_chart_inverse(psi, side=0, pair=pair)
-            else:
-                iv = (lo + 0.2 * (hi - lo), lo + 0.9 * (hi - lo))
-                psi = band_profile(ch, interval=iv, **window)
-                res = interior_inverse(psi, iv, pair=pair)
-            row["product"].append(res.product_residual)
-            row["route"].append(res.route_difference)
-            row["horiz"].append(
-                max(res.horizontality_alpha, res.horizontality_beta)
-            )
-            _, d1 = check_dbc(res.alpha)
-            _, d2 = check_dbc(res.beta)
-            row["dbc"].append(max(d1, d2))
+        iv = (lo + 0.2 * (hi - lo), lo + 0.9 * (hi - lo))
+        row = defaultdict(list)
+        for w in families:
+            for window, pair in _psi_variants(ch):
+                if w == "boundary":
+                    psi = band_profile(ch, side=0, **window)
+                    res = boundary_chart_inverse(psi, side=0, pair=pair)
+                else:
+                    psi = band_profile(ch, interval=iv, **window)
+                    res = interior_inverse(psi, iv, pair=pair)
+                _, d1 = check_dbc(res.alpha)
+                _, d2 = check_dbc(res.beta)
+                row[f"{w}-product"].append(res.product_residual)
+                row[f"{w}-route"].append(res.route_difference)
+                row[f"{w}-codiff"].append(
+                    max(res.horizontality_alpha, res.horizontality_beta)
+                )
+                row[f"{w}-dbc"].append(max(d1, d2))
         return ch, row
 
-    rows, hs, grids = _ladder(_inverse_shapes(cfg), rung)
-    return {k: np.array([r[k] for r in rows]) for k in keys}, hs, grids
-
-
-def suite_chart_inverse(cfg):
-    """Window inverses: exact product, dual-route convergence, horizontality."""
-    checks = []
-    metrics = {}
-    for which in ("boundary", "interior"):
-        series, hs, grids = _inverse_ladder(cfg, which)
-        nprof = series["route"].shape[1]
-        route_orders = [
-            convergence_order(hs, list(series["route"][:, p])) for p in range(nprof)
-        ]
-        horiz_orders = [
-            convergence_order(hs, list(series["horiz"][:, p])) for p in range(nprof)
-        ]
-        route_mono = max(
-            _monotone_ratio(list(series["route"][:, p])) for p in range(nprof)
+    checks, block = _ladder_checks(*_ladder(_inverse_shapes(cfg), rung), [
+        rule for w in families for rule in (
+            _Rule(f"{w}-product", f"{w}-product", "final", max, 1e-3),
+            _Rule(f"{w}-product-order", f"{w}-product", "order", min, 1.5, "min"),
+            _Rule(f"{w}-dbc", f"{w}-dbc", "final", max, 1e-12),
+            _Rule(f"{w}-route-order", f"{w}-route", "order", min, 1.5, "min"),
+            _Rule(f"{w}-route-monotone", f"{w}-route", "monotone", max, 1.0, "lt"),
+            _Rule(f"{w}-codiff-order", f"{w}-codiff", "order", min, 1.5, "min"),
         )
-        prod_orders = [
-            convergence_order(hs, list(series["product"][:, p])) for p in range(nprof)
-        ]
-        checks += [
-            Check(f"{which}-product", float(series["product"][-1].max()), 1e-3),
-            Check(f"{which}-product-order", min(prod_orders), 1.5, "min"),
-            Check(f"{which}-dbc", float(series["dbc"][-1].max()), 1e-12),
-            Check(f"{which}-route-order", min(route_orders), 1.5, "min"),
-            Check(f"{which}-route-monotone", route_mono, 1.0, "lt"),
-            Check(f"{which}-codiff-order", min(horiz_orders), 1.5, "min"),
-        ]
-        metrics["grids"] = grids
-        metrics["h"] = hs
-        metrics[f"{which}-route"] = [float(r.max()) for r in series["route"]]
-        metrics[f"{which}-codiff"] = [float(r.max()) for r in series["horiz"]]
-        metrics[which] = {
-            "route-orders": route_orders,
-            "codiff-orders": horiz_orders,
-            **{k: [list(r) for r in v] for k, v in series.items()},
-        }
-    return SuiteResult("chart-inverse", checks, metrics)
+    ])
+    return SuiteResult("chart-inverse", checks, {"ladders": [block]})
 
 
 def make_boundary_target(ch, side, seed, scale=1.0):
@@ -567,18 +580,14 @@ def suite_generator(cfg):
         ch = _chart(cfg, shape)
         target = make_boundary_target(ch, 0, cfg.seed + 55)
         gen = generator_for_boundary_data(target, side=0, solve_tol=cfg.solve_tol)
-        return ch, (gen.residual, gen.hopf_min)
+        return ch, {"residual": gen.residual, "hopf-min": gen.hopf_min}
 
-    rows, hs, grids = _ladder(cfg.ladder_shapes(), rung)
-    residuals = [r for r, _ in rows]
-    hopf = rows[-1][1]
-    checks = [
-        Check("residual", residuals[-1], 5e-2),
-        Check("monotone", _monotone_ratio(residuals), 1.0, "lt"),
-        Check("hopf-min", hopf, 0.0, "gt"),
-    ]
-    metrics = {"grids": grids, "h": hs, "residuals": residuals, "hopf_min": hopf}
-    return SuiteResult("generator", checks, metrics)
+    checks, block = _ladder_checks(*_ladder(cfg.ladder_shapes(), rung), [
+        _Rule("residual", "residual", "final", max, 5e-2, calibrated=_CALIBRATED),
+        _Rule("monotone", "residual", "monotone", max, 1.0, "lt"),
+        _Rule("hopf-min", "hopf-min", "final", max, 0.0, "gt"),
+    ])
+    return SuiteResult("generator", checks, {"ladders": [block]})
 
 
 def suite_full_decompose(cfg):
@@ -593,17 +602,14 @@ def suite_full_decompose(cfg):
             # the kernel stage; the certificate itself is the pass criterion
             cert = full_decompose(u, kernel_gate=0.9, solve_tol=cfg.solve_tol)
             residuals.append(cert.residual)
-        return ch, residuals
+        # the monotone check reads the worst target per rung, not each target
+        return ch, {"residual": residuals, "worst": max(residuals)}
 
-    rows, hs, grids = _ladder(cfg.ladder_shapes(), rung)
-    worsts = [max(0.0, *r) for r in rows]
-    per_target = {f"target-{t}": [r[t] for r in rows] for t in range(3)}
-    checks = [
-        Check("residual", worsts[-1], 5e-2),
-        Check("monotone", _monotone_ratio(worsts), 1.0, "lt"),
-    ]
-    metrics = {"grids": grids, "h": hs, "worst": worsts, **per_target}
-    return SuiteResult("full-decompose", checks, metrics)
+    checks, block = _ladder_checks(*_ladder(cfg.ladder_shapes(), rung), [
+        _Rule("residual", "worst", "final", max, 5e-2, calibrated=_CALIBRATED),
+        _Rule("monotone", "worst", "monotone", max, 1.0, "lt"),
+    ])
+    return SuiteResult("full-decompose", checks, {"ladders": [block]})
 
 
 def suite_bracket_identity(cfg):
@@ -616,22 +622,16 @@ def suite_bracket_identity(cfg):
         ratio = bracket_identity_check(g1, g2).ratio
         k1, f1 = kernel_class_potential(ch, cfg.seed + 63, solve_tol=cfg.solve_tol)
         k2, f2 = kernel_class_potential(ch, cfg.seed + 64, solve_tol=cfg.solve_tol)
-        return ch, (ratio, bracket_boundary_identity_check(k1, f1, k2, f2).ratio)
+        boundary = bracket_boundary_identity_check(k1, f1, k2, f2).ratio
+        return ch, {"interior": ratio, "boundary": boundary}
 
-    rows, hs, grids = _ladder(cfg.ladder_shapes(), rung)
-    ratios = [r for r, _ in rows]
-    bratios = [b for _, b in rows]
-    checks = [
-        Check("interior-ratio", ratios[-1], 5e-3),
-        Check("interior-order", convergence_order(hs, ratios), 1.5, "min"),
-        Check("boundary-ratio", bratios[-1], 5e-3),
-        Check("boundary-order", convergence_order(hs, bratios), 1.5, "min"),
-    ]
-    return SuiteResult(
-        "bracket-identity",
-        checks,
-        {"grids": grids, "h": hs, "interior": ratios, "boundary": bratios},
-    )
+    checks, block = _ladder_checks(*_ladder(cfg.ladder_shapes(), rung), [
+        rule for part in ("interior", "boundary") for rule in (
+            _Rule(f"{part}-ratio", part, "final", max, 5e-3, calibrated=_CALIBRATED),
+            _Rule(f"{part}-order", part, "order", min, 1.5, "min"),
+        )
+    ])
+    return SuiteResult("bracket-identity", checks, {"ladders": [block]})
 
 
 def _planar_ladder(cfg):
@@ -645,9 +645,6 @@ def _planar_ladder(cfg):
 
 def suite_mean_curvature(cfg):
     """Face curvature against closed forms; unit-speed vs general route."""
-    checks = []
-    metrics = {}
-
     # 128 radial nodes: the named grid for the closed-form comparison
     ch = build_chart("annulus", (64, 128))
     H = mean_curvature(ch)
@@ -656,12 +653,10 @@ def suite_mean_curvature(cfg):
         float(np.max(np.abs(H.values[0] - 1.0 / r0))),
         float(np.max(np.abs(H.values[1] + 1.0 / r1))),
     )
-    checks.append(Check("annulus-analytic", err_a, 1e-3))
 
     slab = build_chart("periodic_slab", (32, 32))
     Hz = mean_curvature(slab)
     err_z = max(float(np.max(np.abs(v))) for v in Hz.values.values())
-    checks.append(Check("slab-zero", err_z, 1e-14))
 
     sh = build_chart("cylindrical_shell", (12, 12, 16))
     Hs = mean_curvature(sh)
@@ -670,7 +665,6 @@ def suite_mean_curvature(cfg):
         float(np.max(np.abs(Hs.values[0] - 0.5 / s0))),
         float(np.max(np.abs(Hs.values[1] + 0.5 / s1))),
     )
-    checks.append(Check("shell-analytic", err_s, 1e-12))
 
     # type agreement: the volume-ratio route on the unit-speed chart is
     # exact there, so its face values serve as the type A reference for the
@@ -680,26 +674,22 @@ def suite_mean_curvature(cfg):
         chb = build_chart("annulus_log", shape)
         Ha = mean_curvature(build_chart("annulus", shape))
         Hb = mean_curvature_typeB(chb)
-        return chb, max(
+        return chb, {"agreement": max(
             float(np.max(np.abs(Hb.values[0] - Ha.values[0]))),
             float(np.max(np.abs(Hb.values[1] - Ha.values[1]))),
-        )
+        )}
 
-    errs, hs, grids = _ladder(_planar_ladder(cfg), rung)
-    if grids and grids[-1][-1] >= 128:
-        # the absolute agreement bound is tied to the named 128-node grid
-        checks.append(Check("type-agreement", errs[-1], 1e-3))
-    checks.append(Check("type-agreement-order", convergence_order(hs, errs), 1.5, "min"))
-    metrics.update(
-        {
-            "annulus": err_a,
-            "slab": err_z,
-            "shell": err_s,
-            "grids": grids,
-            "h": hs,
-            "agreement": errs,
-        }
-    )
+    ladder_checks, block = _ladder_checks(*_ladder(_planar_ladder(cfg), rung), [
+        _Rule("type-agreement", "agreement", "final", max, 1e-3, calibrated=_CALIBRATED),
+        _Rule("type-agreement-order", "agreement", "order", min, 1.5, "min"),
+    ])
+    checks = [
+        Check("annulus-analytic", err_a, 1e-3),
+        Check("slab-zero", err_z, 1e-14),
+        Check("shell-analytic", err_s, 1e-12),
+        *ladder_checks,
+    ]
+    metrics = {"annulus": err_a, "slab": err_z, "shell": err_s, "ladders": [block]}
     return SuiteResult("mean-curvature", checks, metrics)
 
 
@@ -739,24 +729,19 @@ def suite_elliptic_core(cfg):
         chm, usec, fsec = _mms_annulus(shape)
         info = SolveInfo()
         sol = green_A(fsec, tol=cfg.solve_tol, info=info)
-        return chm, (l2_norm(sol - usec) / l2_norm(usec), info.residual)
+        err = l2_norm(sol - usec) / l2_norm(usec)
+        return chm, {"mms": err, "cg-residual": info.residual}
 
-    mms, hs, _ = _ladder(_planar_ladder(cfg), mms_rung)
-    errs = [e for e, _ in mms]
-    cg_rel = mms[-1][1]
+    mms_checks, mms_block = _ladder_checks(*_ladder(_planar_ladder(cfg), mms_rung), [
+        _Rule("mms-order", "mms", "order", min, 1.5, "min"),
+        _Rule("cg-residual", "cg-residual", "final", max, cfg.solve_tol),
+    ])
 
-    def ritz_rung(shape):
-        ch = _chart(cfg, shape)
+    def domain_rung(shape):
+        chx = _chart(cfg, shape)
         # the drift budget is 5e-2, so 1e-6 on the eigenvalue and 1e-8 on
         # the inner solves leave the measurement discretization-dominated
-        lam, _ = ritz_smallest(Connection.flat(ch), tol=1e-6, solve_tol=1e-8)
-        return ch, lam
-
-    lams, _, _ = _ladder(cfg.ladder_shapes(), ritz_rung)
-    drift = max(abs(l - lams[-1]) / abs(lams[-1]) for l in lams)
-
-    def expansion_rung(shape):
-        chx = _chart(cfg, shape)
+        lam, _ = ritz_smallest(Connection.flat(chx), tol=1e-6, solve_tol=1e-8)
         Ax = _rand_connection(chx, cfg.seed + 51)
         fx = random_smooth_field(chx, "section", cfg.seed + 71)
         lhs = laplacian_A(fx, Ax, form="adjoint")
@@ -764,25 +749,25 @@ def suite_elliptic_core(cfg):
         ii = chx.interior_slice()
         num = float(np.max(np.abs(lhs.data[ii] - rhs.data[ii])))
         den = max(float(np.max(np.abs(lhs.data[ii]))), 1e-30)
-        return chx, num / den
+        return chx, {"lambda-min": lam, "expansion": num / den}
 
-    exp_ratios, ehs, _ = _ladder(cfg.ladder_shapes(), expansion_rung)
-
+    series, hs, grids = _ladder(cfg.ladder_shapes(), domain_rung)
+    lams = series["lambda-min"]
+    drift = max(abs(l - lams[-1]) / abs(lams[-1]) for l in lams)
+    rule = _Rule("expansion-order", "expansion", "order", min, 1.5, "min")
+    exp_checks, block = _ladder_checks(series, hs, grids, [rule])
     checks = [
         Check("adjointness", worst_adj, 1e-12),
         Check("positivity", min_ray, 0.0, "gt"),
-        Check("mms-order", convergence_order(hs, errs), 1.5, "min"),
-        Check("cg-residual", cg_rel, cfg.solve_tol),
+        *mms_checks,
         Check("eigenvalue-drift", drift, 5e-2),
-        Check("expansion-order", convergence_order(ehs, exp_ratios), 1.5, "min"),
+        *exp_checks,
     ]
     metrics = {
         "adjointness": worst_adj,
         "rayleigh_min": min_ray,
-        "mms_errors": errs,
-        "lambda_min": lams,
         "drift": drift,
-        "expansion": exp_ratios,
+        "ladders": [mms_block, block],
     }
     return SuiteResult("elliptic-core", checks, metrics)
 
@@ -929,6 +914,10 @@ def run_all(cfg, names=None):
 # emission
 # ---------------------------------------------------------------------------
 
+def _shape(grid):
+    return "x".join(str(g) for g in grid)
+
+
 def _fmt(x):
     if isinstance(x, float):
         return "%.17g" % x
@@ -953,7 +942,7 @@ def emit_report(report, fmt="text"):
         lines = []
         cfgd = report.config
         lines.append(
-            f"domain={cfgd['domain']} grid={'x'.join(str(g) for g in cfgd['grid'])} "
+            f"domain={cfgd['domain']} grid={_shape(cfgd['grid'])} "
             f"seed={cfgd['seed']}"
         )
         for s in report.suites:
@@ -973,28 +962,28 @@ def emit_report(report, fmt="text"):
 
 
 def emit_study(report):
-    """Convergence tables for the ladder suites in a report."""
+    """Convergence tables: every series of each ladder in a report, one row
+    per rung and one column per member, then the values of the ladder's order
+    checks and the calibrated bounds that do not bind on it."""
     lines = []
     for s in report.suites:
-        m = s.metrics
-        if "grids" not in m or "h" not in m:
-            continue
-        series = [k for k, v in m.items()
-                  if isinstance(v, list) and k not in ("grids", "h")
-                  and len(v) == len(m["h"]) and all(isinstance(x, float) for x in v)]
-        if not series:
-            continue
-        lines.append(f"# {s.suite}")
-        header = "grid       h            " + "  ".join(f"{k:>24s}" for k in series)
-        lines.append(header)
-        for i, shape in enumerate(m["grids"]):
-            row = f"{'x'.join(str(g) for g in shape):10s} {_fmt(m['h'][i]):12.12s} "
-            row += "  ".join(f"{_fmt(m[k][i]):>24.24s}" for k in series)
-            lines.append(row)
-        for k in series:
-            order = convergence_order(m["h"], m[k])
-            lines.append(f"order[{k}] = {_fmt(order)}")
-        lines.append("")
+        value = {c.name: c.value for c in s.checks}
+        for ladder in s.metrics.get("ladders", ()):
+            lines.append(f"# {s.suite}")
+            for name, rows in ladder["series"].items():
+                cols = "  ".join(f"{name}[{i}]".rjust(24) for i in range(len(rows[0])))
+                lines.append("grid       h            " + cols)
+                lines += [
+                    f"{_shape(g):10s} {_fmt(h):12.12s} "
+                    + "  ".join(f"{_fmt(v):>24.24s}" for v in row)
+                    for g, h, row in zip(ladder["grids"], ladder["h"], rows)
+                ]
+            lines += [f"order[{n}] = {_fmt(value[n])}" for n in ladder["orders"]]
+            lines += [
+                f"{n}: not binding (calibrated at {_shape(g)})"
+                for n, g in ladder["not-binding"].items()
+            ]
+            lines.append("")
     return "\n".join(lines) + "\n"
 
 

@@ -43,8 +43,11 @@ _SHELL = dict(domain="cylindrical_shell", grid=(32, 32, 32), ladder=[16, 24, 32]
 
 
 def _identity_detail(res):
-    m = res.metrics
-    return f"order {np.median(m['orders']):.2f}, final {m['worst-final']:.2e}"
+    ladder = res.metrics["ladders"][0]
+    return (
+        f"order {np.median(ladder['orders']['median-order']):.2f}, "
+        f"final {max(ladder['series']['ratio'][-1]):.2e}"
+    )
 
 
 def test_criterion_01_boundary_identity(criteria):

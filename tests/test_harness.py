@@ -43,12 +43,71 @@ def test_convergence_order_edge_cases():
 
 def test_check_kinds_and_nan_policy():
     assert Check("a", 1e-4, 1e-3, "max").passed
+    # a numpy value still gives a JSON number and a JSON boolean
+    c = Check("a", np.float64(1e-4), np.float64(1e-3))
+    assert type(c.value) is float and c.passed is True
     assert not Check("a", 2e-3, 1e-3, "max").passed
     assert Check("b", 1.8, 1.5, "min").passed
     assert not Check("b", 1.2, 1.5, "min").passed
     assert Check("c", 0.1, 0.0, "gt").passed
     assert Check("d", 0.5, 1.0, "lt").passed
     assert not Check("e", float("nan"), 1e-3, "max").passed
+
+
+_GRIDS = [(32, 32), (64, 64), (128, 128)]
+
+
+def _one_check(values, rule, grids=_GRIDS):
+    """The check that `rule` makes of the series `values` on `grids`, or None,
+    and the ladder's metrics block; each rung's h halves."""
+    hs = [0.04 / 2**i for i in range(len(grids))]
+    checks, block = harness._ladder_checks({"e": values}, hs, grids, [rule])
+    return (checks[0] if checks else None), block
+
+
+def test_ladder_checks_fail_an_increasing_series():
+    rule = harness._Rule("monotone", "e", "monotone", max, 1.0, "lt")
+    assert _one_check([4e-3, 2e-3, 1e-3], rule)[0].passed
+    assert not _one_check([1e-3, 2e-3, 4e-3], rule)[0].passed
+    # every member counts: one increasing member fails the max over members
+    assert not _one_check([[4e-3, 1e-3], [2e-3, 2e-3], [1e-3, 4e-3]], rule)[0].passed
+
+
+def test_ladder_checks_fail_a_first_order_series():
+    rule = harness._Rule("order", "e", "order", min, 1.5, "min")
+    second, block = _one_check([[16e-4, 16e-4], [4e-4, 4e-4], [1e-4, 1e-4]], rule)
+    assert second.passed and abs(second.value - 2.0) < 1e-12
+    assert block["orders"]["order"] == [second.value, second.value]
+    first, _ = _one_check([[16e-4, 4e-3], [4e-4, 2e-3], [1e-4, 1e-3]], rule)
+    assert not first.passed and abs(first.value - 1.0) < 1e-12
+
+
+def test_calibrated_bound_binds_only_at_its_grid_or_finer():
+    rule = harness._Rule("final-ratio", "e", "final", max, 1e-3, calibrated=(128, 128))
+    values = [8e-3, 2e-3, 5e-4]
+    ladders = {
+        "coarser 2d": [(16, 16), (32, 32), (64, 64)],
+        "one axis coarser": [(32, 32), (64, 64), (128, 64)],
+        "3d": [(16, 16, 16), (24, 24, 24), (128, 128, 128)],
+        "calibration grid": _GRIDS,
+        "finer": [(64, 64), (128, 128), (256, 256)],
+    }
+    for label, grids in ladders.items():
+        check, block = _one_check(values, rule, grids=grids)
+        binds = label in ("calibration grid", "finer")
+        assert (check is not None) == binds, label
+        assert block["not-binding"] == ({} if binds else {"final-ratio": (128, 128)})
+        if binds:
+            assert check.value == 5e-4 and check.passed
+
+
+def test_exactness_bound_binds_at_every_grid():
+    rule = harness._Rule("x-product", "e", "final", max, 1e-12)
+    for grids in ([(8, 8), (16, 16)], [(16, 16, 16), (24, 24, 24)], _GRIDS):
+        check, block = _one_check([[1e-16, 3e-16]] * len(grids), rule, grids=grids)
+        assert check.passed and check.value == 3e-16 and block["not-binding"] == {}
+        check, _ = _one_check([[1e-16, 3e-9]] * len(grids), rule, grids=grids)
+        assert not check.passed
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +201,17 @@ def test_config_rejects_malformed_values(tmp_path, raw):
 
 @pytest.mark.parametrize(
     "kw",
-    [{"ladder_shapes": 3}, {"jobs": "2"}, {"grid": (2, 2)}, {"ladder": [64, 32]}],
-    ids=["method-name", "string-jobs", "small-grid", "decreasing-ladder"],
+    [
+        {"ladder_shapes": 3},
+        {"jobs": "2"},
+        {"grid": (2, 2)},
+        {"ladder": [64, 32]},
+        {"thresholds": {"no-such-suite.x": 1.0}},
+        {"thresholds": {"gauge": 2.0}},
+        {"thresholds": {"gauge.": 2.0}},
+    ],
+    ids=["method-name", "string-jobs", "small-grid", "decreasing-ladder",
+         "threshold-unknown-suite", "threshold-no-check", "threshold-empty-check"],
 )
 def test_overrides_reject_malformed_values(kw):
     with pytest.raises(ConfigError):
@@ -204,7 +272,9 @@ def test_elliptic_core_on_a_3d_run_measures_the_annulus_ladder():
     # rungs and measures it on the named 32, 64, 128 ladder
     res = run_suite("elliptic-core", RunConfig(domain="cylindrical_shell", grid=(24, 24, 24)))
     checks = {c.name: c for c in res.checks}
-    assert len(res.metrics["mms_errors"]) == 3
+    mms = res.metrics["ladders"][0]
+    assert mms["grids"] == [(32, 32), (64, 64), (128, 128)]
+    assert len(mms["series"]["mms"]) == 3
     assert np.isfinite(checks["mms-order"].value) and checks["mms-order"].passed
     # the residual of a solve that ran, not the 0 of an empty ladder
     assert 0.0 < checks["cg-residual"].value and checks["cg-residual"].passed
@@ -240,15 +310,52 @@ def test_unknown_format_raises(small_report):
         emit_report(small_report, "yaml")
 
 
-def test_study_emits_ladder_tables():
-    cfg = RunConfig(grid=(48, 48))
-    report = run_all(cfg, ["boundary-identity"])
-    text = emit_study(report)
-    assert "# boundary-identity" in text
-    assert "order[" in text
-    # one table row per ladder rung
-    rung_rows = [ln for ln in text.splitlines() if ln.startswith(("12x", "24x", "48x"))]
-    assert len(rung_rows) == len(report.suites[0].metrics["grids"])
+_LADDER_SUITES = [
+    "boundary-identity",
+    "general-identity",
+    "chart-inverse",
+    "generator",
+    "full-decompose",
+    "bracket-identity",
+    "mean-curvature",
+    "elliptic-core",
+]
+
+
+@pytest.fixture(scope="module")
+def ladder_report():
+    return run_all(RunConfig(grid=(64, 64)), _LADDER_SUITES)
+
+
+def test_ladder_reports_are_plain_json(ladder_report):
+    data = json.loads(json.dumps(ladder_report.to_dict()))
+    passed = [c["passed"] for s in data["suites"] for c in s["checks"]]
+    assert len(passed) > len(_LADDER_SUITES)
+    assert all(type(p) is bool for p in passed)
+    assert all(s["metrics"]["ladders"] for s in data["suites"])
+
+
+def test_study_emits_ladder_tables(ladder_report):
+    text = emit_study(ladder_report)
+    lines = text.splitlines()
+    ladders = [(s.suite, lad) for s in ladder_report.suites for lad in s.metrics["ladders"]]
+    assert [ln[2:] for ln in lines if ln.startswith("# ")] == [s for s, _ in ladders]
+    # one table row per rung of every series
+    rows = sum(len(lad["grids"]) * len(lad["series"]) for _, lad in ladders)
+    assert len([ln for ln in lines if ln[:1].isdigit()]) == rows
+    # every printed order is its check's own value
+    values = {(s.suite, c.name): c.value for s in ladder_report.suites for c in s.checks}
+    printed = 0
+    for ln in lines:
+        if ln.startswith("# "):
+            suite = ln[2:]
+        elif ln.startswith("order["):
+            name, value = ln[len("order["):].split("] = ")
+            assert float(value) == values[suite, name], ln
+            printed += 1
+    assert printed == sum(len(lad["orders"]) for _, lad in ladders) > 0
+    # 64x64 is coarser than the grid the absolute bounds were calibrated on
+    assert "final-ratio: not binding (calibrated at 128x128)" in lines
 
 
 def test_parallel_jobs_give_identical_results():
@@ -339,7 +446,7 @@ def test_cli_refinement_sizes_set_ladder(capsys):
     assert rc == 0
     data = json.loads(out)
     assert tuple(data["config"]["grid"]) == (32, 32)
-    grids = data["suites"][0]["metrics"]["grids"]
+    grids = data["suites"][0]["metrics"]["ladders"][0]["grids"]
     assert [tuple(g) for g in grids] == [(16, 16), (32, 32)]
 
 

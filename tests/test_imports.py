@@ -1,6 +1,7 @@
 """Every import in the package's modules is used by that module and sits at
-module level, and every private module-level definition is used somewhere in
-the package."""
+module level, every private module-level definition is used somewhere in
+the package, and only the harness's ladder-check helper names the ladder
+statistics."""
 
 import ast
 from pathlib import Path
@@ -56,6 +57,56 @@ def _unused_private_definitions(module, sources):
         for node in ast.parse(sources[module]).body
         if isinstance(node, defs) and node.name.startswith("_") and node.name not in named
     )
+
+
+#: the statistics ladder checks are made of, and the one function that may use them
+_LADDER_STATISTICS = {"convergence_order", "_monotone_ratio"}
+_LADDER_HELPER = ("harness.py", "_ladder_checks")
+
+
+def _ladder_statistic_uses(source, helper=None):
+    """(line, name) of each use of a ladder statistic in `source` outside the
+    module-level function `helper`, and the uses inside it."""
+    tree = ast.parse(source)
+
+    def uses(root):
+        found = set()
+        for node in ast.walk(root):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in _LADDER_STATISTICS:
+                found.add((node.lineno, node.col_offset, name))
+        return found
+
+    inside = set().union(*(
+        uses(fn) for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == helper
+    ))
+    return sorted(uses(tree) - inside), sorted(inside)
+
+
+def test_the_check_sees_a_hand_built_ladder_check():
+    src = (
+        "def _ladder_checks(hs, e):\n    return convergence_order(hs, e)\n"
+        "def suite(hs, e):\n"
+        "    def rung():\n        return h._monotone_ratio(e)\n"
+        "    return convergence_order(hs, e)\n"
+        "order = convergence_order\n"
+    )
+    outside, inside = _ladder_statistic_uses(src, "_ladder_checks")
+    assert [(line, name) for line, _, name in outside] == [
+        (5, "_monotone_ratio"), (6, "convergence_order"), (7, "convergence_order"),
+    ]
+    assert [(line, name) for line, _, name in inside] == [(2, "convergence_order")]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_only_the_ladder_helper_uses_the_ladder_statistics(path):
+    helper = _LADDER_HELPER[1] if path.name == _LADDER_HELPER[0] else None
+    outside, inside = _ladder_statistic_uses(path.read_text(), helper)
+    assert outside == []
+    if helper:
+        # one call site each, in the helper
+        assert sorted(name for _, _, name in inside) == sorted(_LADDER_STATISTICS)
 
 
 def test_the_check_sees_an_unused_import():
