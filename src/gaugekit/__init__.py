@@ -54,7 +54,6 @@ from .errors import (
     NoConvergence,
     NotHorizontal,
     NotTypeA,
-    NotTypeB,
     RankMismatch,
     SupportTouchesBoundary,
     WindowTooSmall,

@@ -151,7 +151,7 @@ def quat_log(q, tol=1e-8):
     if np.any(2.0 * w <= -2.0 + tol):
         raise NearCutLocus("group logarithm within tolerance of trace = -2")
     u = q[..., 1:]
-    s = np.linalg.norm(u, axis=-1)
+    s = np.sqrt(np.sum(u * u, axis=-1))
     theta = np.arctan2(s, w)
     # theta/sin(theta), stable at zero
     small = s < 1e-12
@@ -224,7 +224,7 @@ class AlgebraElement:
         return AlgebraElement(-self.coeffs)
 
     def norm(self):
-        return float(np.linalg.norm(self.coeffs))
+        return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
 
 
 def basis_element(k):

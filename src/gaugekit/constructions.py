@@ -89,8 +89,6 @@ class BumpKit:
 def _check_construction_chart(ch):
     if ch.n != 2:
         raise BadGeometry("window constructions are implemented on 2d charts")
-    if not ch.is_diagonal:
-        raise BadGeometry("window constructions need a diagonal metric")
     if not ch.is_tangentially_uniform:
         raise BadGeometry(
             "window constructions need a metric constant along the tangential axis"
@@ -209,8 +207,8 @@ def _window_inverse(psi, side, interval, depth, pair):
     if float(np.max(np.abs(psi.data[:, outside]))) > 0.0:
         raise WindowTooSmall("profile must be supported inside the ladder band")
 
-    g11 = ch.g[..., 0, 0]
-    g22 = ch.g[..., 1, 1]
+    g11 = ch.g[..., 0]
+    g22 = ch.g[..., 1]
     b = ch.vol
 
     # eta: unit discrete integral inside its band, so the running integral of
@@ -567,7 +565,7 @@ def bracket_boundary_identity_check(g1, f1, g2, f2):
     scale = _TINY
     for fc in ch.faces:
         sl = ch.face_slice(fc)
-        root = np.sqrt(ch.g[sl][..., -1, -1])[..., None]
+        root = np.sqrt(ch.g[sl][..., -1])[..., None]
         dg1 = fc.inward_sign * st.one_sided_deriv_at_face(
             g1.data, ch.n - 1, ch.h[-1], fc.side, order=4) / root
         dg2 = fc.inward_sign * st.one_sided_deriv_at_face(

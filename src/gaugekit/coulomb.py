@@ -110,8 +110,8 @@ class GaugeTransformation:
         e = quat_identity(())
         worst = 0.0
         for fc in ch.faces:
-            q = self.quat[ch.face_slice(fc)]
-            d = np.sqrt(2.0) * np.linalg.norm(q - e, axis=-1)
+            q = self.quat[ch.face_slice(fc)] - e
+            d = np.sqrt(2.0) * np.sqrt(np.sum(q * q, axis=-1))
             if d.size:
                 worst = max(worst, float(np.max(d)))
         return worst
@@ -207,7 +207,7 @@ def boundary_identity_residual(alpha, beta, A=None, general=False):
         bnu = normal_component(beta)
     for fc in ch.faces:
         sl = ch.face_slice(fc)
-        gnn = ch.g[sl][..., -1, -1]
+        gnn = ch.g[sl][..., -1]
         dn = st.one_sided_deriv_at_face(s.data, ch.n - 1, ch.h[-1], fc.side, order=4)
         dterm = fc.inward_sign * dn / np.sqrt(gnn)[..., None]
         if not A.is_flat:
@@ -378,13 +378,13 @@ def small_loop_holonomy(A, k=2):
         shift[i], shift[j] = -k // 2, -k // 2
         Fv = np.roll(F, shift=tuple(shift), axis=tuple(range(ch.n)))[valid]
 
-        flat_norms = np.linalg.norm(g1, axis=-1)
+        flat_norms = np.sqrt(np.sum(g1 * g1, axis=-1))
         d1 = float(np.max(flat_norms))
-        d2 = float(np.max(np.linalg.norm(g2, axis=-1)))
+        d2 = float(np.max(np.sqrt(np.sum(g2 * g2, axis=-1))))
         idx = np.unravel_index(int(np.argmax(flat_norms)), flat_norms.shape)
         gpt, fpt = g1[idx], Fv[idx]
         dot = float(np.dot(gpt, fpt))
-        denom = float(np.linalg.norm(gpt) * np.linalg.norm(fpt))
+        denom = float(np.sqrt(np.dot(gpt, gpt)) * np.sqrt(np.dot(fpt, fpt)))
         cosine = abs(dot) / denom if denom > 0 else 0.0
         area = (k * ch.h[i]) * (k * ch.h[j])
         scale_const = dot / (area * float(np.dot(fpt, fpt))) if denom > 0 else 0.0

@@ -18,10 +18,6 @@ class NotTypeA(GaugekitError):
     """Chart lacks a unit-speed normal coordinate (g_nn != 1 somewhere)."""
 
 
-class NotTypeB(GaugekitError):
-    """Chart normal direction is not orthogonal to the tangential axes."""
-
-
 class RankMismatch(GaugekitError):
     """Operation applied to a field of the wrong form degree."""
 

@@ -172,7 +172,7 @@ def normal_component(omega):
     ch = omega.chart
     values = {}
     for fc in ch.faces:
-        gnn = ch.g[ch.face_slice(fc)][..., -1, -1]
+        gnn = ch.g[ch.face_slice(fc)][..., -1]
         comp = omega.data[ch.face_slice(fc)][..., -1, :]
         values[fc.side] = fc.inward_sign * comp / np.sqrt(gnn)[..., None]
     return BoundaryField(ch, values)
@@ -213,7 +213,7 @@ def l2_inner(u, v, quadrature="node"):
     on one chart.
 
     quadrature="node" is the trapezoid/periodic node rule contracted with the
-    metric. quadrature="cell" (one-forms only, diagonal metrics) integrates
+    (diagonal) inverse metric. quadrature="cell" (one-forms only) integrates
     per-axis components at cell midpoints against `Chart.cell_c`; it is the
     pairing against which the adjoint codifferential is exactly adjoint.
     """
@@ -239,7 +239,7 @@ def l2_inner(u, v, quadrature="node"):
             prod = prod.sum(axis=-1)
         return float(np.sum(w * prod))
     if isinstance(u, OneForm):
-        contracted = np.einsum("...ij,...ik,...jk->...", ch.ginv, u.data, v.data)
+        contracted = np.einsum("...i,...ik,...ik->...", ch.ginv, u.data, v.data)
         return float(np.sum(w * contracted))
     raise RankMismatch(f"unsupported rank for l2_inner: {u.rank}")
 

@@ -9,13 +9,15 @@ analytic generator where available so cell-midpoint values are exact.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import _stencils as st
-from .errors import BadGeometry, ChartMismatch, NotTypeA, NotTypeB
+from .errors import BadGeometry, ChartMismatch, NotTypeA
 
 _TYPE_TOL = 1e-12
 _custom_counter = itertools.count()
@@ -33,16 +35,18 @@ class Face:
 
 
 class Chart:
-    """Grid, coordinates, and metric samples for one domain chart."""
+    """Grid, coordinates, and metric samples for one domain chart.
+
+    The metric is diagonal (orthogonal coordinates), and the chart stores
+    only its diagonal: `g` holds g_ii at the nodes, shape `shape + (n,)`,
+    and `ginv` holds g^ii = 1/g_ii. Metric contractions are broadcasts
+    against them; `vol` is sqrt(det g).
+    """
 
     def __init__(self, kind, shape, coords, periodic, metric_fn, params=None):
         self.kind = kind
-        self.shape = tuple(int(s) for s in shape)
+        self.shape = _grid_shape(shape)
         self.n = len(self.shape)
-        if self.n not in (2, 3):
-            raise BadGeometry("charts support dimension 2 or 3")
-        if any(s < 4 for s in self.shape):
-            raise BadGeometry("need at least 4 nodes per axis for the stencils")
         self.coords = [np.asarray(c, dtype=float) for c in coords]
         self.periodic = list(periodic)
         if self.periodic[-1] or not all(self.periodic[:-1]):
@@ -51,6 +55,8 @@ class Chart:
             if c.shape != (self.shape[ax],):
                 raise BadGeometry("coordinate array lengths must match the grid shape")
         self.h = [float(c[1] - c[0]) for c in self.coords]
+        if not all(math.isfinite(h) and h > 0 for h in self.h):
+            raise BadGeometry(f"grid steps must be finite and positive, not {self.h}")
         for ax, c in enumerate(self.coords):
             if not np.allclose(np.diff(c), self.h[ax], rtol=0, atol=1e-12):
                 raise BadGeometry("grids must be uniform per axis")
@@ -63,29 +69,25 @@ class Chart:
         if kind == "custom":
             self.key = self.key + (next(_custom_counter),)
 
-        self.g = self.metric_at(self.coords)
-        if self.g.shape != self.shape + (self.n, self.n):
+        full = self.metric_at(self.coords)
+        if full.shape != self.shape + (self.n, self.n):
             raise BadGeometry("metric generator returned the wrong shape")
-        if not np.allclose(self.g, np.swapaxes(self.g, -1, -2), atol=1e-12):
-            raise BadGeometry("metric must be symmetric")
-        det = np.linalg.det(self.g)
-        if np.any(det <= 0):
-            raise BadGeometry("metric must be positive definite")
-        self.ginv = np.linalg.inv(self.g)
-        self.vol = np.sqrt(det)
-
-        offdiag = np.array(self.g, copy=True)
-        for i in range(self.n):
-            offdiag[..., i, i] = 0.0
-        self.is_diagonal = bool(np.max(np.abs(offdiag)) <= _TYPE_TOL)
-        normal_off = np.abs(self.g[..., :-1, -1])
-        self.is_type_b = bool(np.max(normal_off) <= _TYPE_TOL)
-        gnn_dev = np.max(np.abs(self.g[..., -1, -1] - 1.0))
-        bdry_off = max(
-            float(np.max(np.abs(self.g[self.face_slice(f)][..., :-1, -1])))
-            for f in self.faces
-        )
-        self.is_type_a = bool(gnn_dev <= _TYPE_TOL and bdry_off <= _TYPE_TOL)
+        if not np.all(np.isfinite(full)):
+            raise BadGeometry("metric entries must be finite")
+        off = max(float(np.max(np.abs(full[..., i, j])))
+                  for i in range(self.n) for j in range(self.n) if i != j)
+        if off > _TYPE_TOL:
+            raise BadGeometry(f"metric must be diagonal: off-diagonal entry {off:.3e}")
+        self.g = np.diagonal(full, axis1=-2, axis2=-1).copy()
+        if np.any(self.g <= 0):
+            raise BadGeometry("metric diagonal entries must be positive")
+        self.ginv = 1.0 / self.g
+        # vol stays sqrt(det) of the full matrix, not the diagonal product:
+        # LAPACK's LU determinant differs from the product by an ulp on a few
+        # percent of the nodes, and the Jacobi-CG trajectories of connected
+        # solves amplify field changes that small into reported figures
+        self.vol = np.sqrt(np.linalg.det(full))
+        self.is_type_a = bool(np.max(np.abs(self.g[..., -1] - 1.0)) <= _TYPE_TOL)
 
         # node quadrature weights (product trapezoid/periodic rule)
         w = np.ones(self.shape)
@@ -147,12 +149,10 @@ class Chart:
     def padded_cell_c(self):
         """`cell_c` node-shaped: the bounded axis ends in a zero pad, which
         clears the pad of a midpoint buffer (`_stencils._pair`) it scales."""
-        if not self.is_diagonal:
-            raise BadGeometry("the staggered energy form needs a diagonal metric")
         out = []
         for ax in range(self.n):
             g = self.metric_at(self.mid_coords(ax))
-            # diagonal metric: g^aa is the reciprocal of g_aa
+            # g^aa is the reciprocal of g_aa; det as in Chart.__init__
             c = self.cell_weights(ax) * np.sqrt(np.linalg.det(g)) * (1.0 / g[..., ax, ax])
             out.append(np.pad(c, [(0, 0)] * (self.n - 1) + [(0, 1 - self.periodic[ax])]))
         return out
@@ -241,52 +241,59 @@ class BoundaryField:
 # built-in domains
 # ---------------------------------------------------------------------------
 
-def _metric_annulus(mesh):
-    theta, r = mesh
-    shape = np.broadcast(theta, r).shape
-    g = np.zeros(shape + (2, 2))
-    g[..., 0, 0] = r**2
-    g[..., 1, 1] = 1.0
+def _diagonal_metric(mesh, *diag):
+    """The (..., n, n) metric on a mesh with the given diagonal entries."""
+    g = np.zeros(np.broadcast(*mesh).shape + (len(diag),) * 2)
+    for i, d in enumerate(diag):
+        g[..., i, i] = d
     return g
+
+
+def _metric_annulus(mesh):
+    return _diagonal_metric(mesh, mesh[1] ** 2, 1.0)
 
 
 def _metric_annulus_log(r0):
-    def fn(mesh):
-        theta, s = mesh
-        r = r0 * np.exp(s)
-        shape = np.broadcast(theta, s).shape
-        g = np.zeros(shape + (2, 2))
-        g[..., 0, 0] = r**2
-        g[..., 1, 1] = r**2
-        return g
-
-    return fn
+    return lambda mesh: _diagonal_metric(mesh, *[(r0 * np.exp(mesh[1])) ** 2] * 2)
 
 
 def _metric_identity(n):
-    def fn(mesh):
-        shape = np.broadcast(*mesh).shape if n > 1 else mesh[0].shape
-        g = np.zeros(shape + (n, n))
-        for i in range(n):
-            g[..., i, i] = 1.0
-        return g
-
-    return fn
+    return lambda mesh: _diagonal_metric(mesh, *[1.0] * n)
 
 
 def _metric_shell(mesh):
-    theta, z, r = mesh
-    shape = np.broadcast(theta, z, r).shape
-    g = np.zeros(shape + (3, 3))
-    g[..., 0, 0] = r**2
-    g[..., 1, 1] = 1.0
-    g[..., 2, 2] = 1.0
-    return g
+    return _diagonal_metric(mesh, mesh[2] ** 2, 1.0, 1.0)
 
 
 #: chart kinds `build_chart` constructs, and the short names it accepts
 CHART_KINDS = ("annulus", "annulus_log", "periodic_slab", "cylindrical_shell", "custom")
 CHART_ALIASES = {"slab": "periodic_slab", "shell": "cylindrical_shell"}
+
+
+def _grid_shape(shape):
+    """A chart's grid shape as a tuple of 2 or 3 integers >= 4."""
+    try:
+        shape = tuple(shape)
+    except TypeError:
+        raise BadGeometry(f"grid shape {shape!r} is not a sequence") from None
+    if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in shape):
+        raise BadGeometry(f"grid shape {shape!r} must hold integers")
+    if len(shape) not in (2, 3):
+        raise BadGeometry("charts support dimension 2 or 3")
+    if any(s < 4 for s in shape):
+        raise BadGeometry("need at least 4 nodes per axis for the stencils")
+    return tuple(int(s) for s in shape)
+
+
+def _number(value, name):
+    """A chart parameter as a finite float."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise BadGeometry(f"chart parameter {name}={value!r} must be a finite number")
+    return x
 
 
 def build_chart(kind, shape, **params):
@@ -295,44 +302,34 @@ def build_chart(kind, shape, **params):
     Built-ins: "annulus" (r0, r1), "periodic_slab" (length, height),
     "cylindrical_shell" (r0, r1, length), "annulus_log" (r0, r1; same
     geometry as the annulus with normal coordinate s, r = r0*exp(s)).
-    "custom" takes metric=callable(mesh)->(..., n, n), extents, periodic.
+    "custom" takes metric=callable(mesh)->(..., n, n), extents (one (lo, hi)
+    pair per axis) and periodic. The custom metric must be diagonal, with
+    finite entries and a positive diagonal: off-diagonal entries above 1e-12
+    are rejected, and the chart keeps only the diagonal. Every numeric
+    parameter must convert to a finite float; malformed input raises
+    BadGeometry.
     """
-    kind = CHART_ALIASES.get(kind, kind)
-    shape = tuple(shape)
+    kind = CHART_ALIASES.get(kind, kind) if isinstance(kind, str) else kind
+    shape = _grid_shape(shape)
     n = len(shape)
-    if kind == "annulus":
-        r0 = float(params.get("r0", 0.5))
-        r1 = float(params.get("r1", 1.0))
+    r0, r1, length, height = (
+        _number(params.get(k, d), k)
+        for k, d in (("r0", 0.5), ("r1", 1.0), ("length", 2.0 * np.pi), ("height", 1.0))
+    )
+    if kind in ("annulus", "annulus_log"):
         if n != 2 or not (0 < r0 < r1):
-            raise BadGeometry("annulus needs a 2d grid and 0 < r0 < r1")
-        coords = [
-            np.arange(shape[0]) * (2.0 * np.pi / shape[0]),
-            np.linspace(r0, r1, shape[1]),
-        ]
-        return Chart(kind, shape, coords, [True, False], _metric_annulus,
-                     {"r0": r0, "r1": r1})
-    if kind == "annulus_log":
-        r0 = float(params.get("r0", 0.5))
-        r1 = float(params.get("r1", 1.0))
-        if n != 2 or not (0 < r0 < r1):
-            raise BadGeometry("annulus_log needs a 2d grid and 0 < r0 < r1")
-        coords = [
-            np.arange(shape[0]) * (2.0 * np.pi / shape[0]),
-            np.linspace(0.0, np.log(r1 / r0), shape[1]),
-        ]
-        return Chart(kind, shape, coords, [True, False], _metric_annulus_log(r0),
-                     {"r0": r0, "r1": r1})
+            raise BadGeometry(f"{kind} needs a 2d grid and 0 < r0 < r1")
+        normal = (np.linspace(r0, r1, shape[1]) if kind == "annulus"
+                  else np.linspace(0.0, np.log(r1 / r0), shape[1]))
+        coords = [np.arange(shape[0]) * (2.0 * np.pi / shape[0]), normal]
+        metric = _metric_annulus if kind == "annulus" else _metric_annulus_log(r0)
+        return Chart(kind, shape, coords, [True, False], metric, {"r0": r0, "r1": r1})
     if kind == "periodic_slab":
-        length = float(params.get("length", 2.0 * np.pi))
-        height = float(params.get("height", 1.0))
         coords = [np.arange(shape[ax]) * (length / shape[ax]) for ax in range(n - 1)]
         coords.append(np.linspace(0.0, height, shape[-1]))
         return Chart(kind, shape, coords, [True] * (n - 1) + [False],
                      _metric_identity(n), {"length": length, "height": height})
     if kind == "cylindrical_shell":
-        r0 = float(params.get("r0", 0.5))
-        r1 = float(params.get("r1", 1.0))
-        length = float(params.get("length", 2.0 * np.pi))
         if n != 3 or not (0 < r0 < r1):
             raise BadGeometry("cylindrical_shell needs a 3d grid and 0 < r0 < r1")
         coords = [
@@ -345,16 +342,18 @@ def build_chart(kind, shape, **params):
     if kind == "custom":
         metric = params.get("metric")
         extents = params.get("extents")
+        periodic = params.get("periodic", [True] * (n - 1) + [False])
         if not callable(metric):
             raise BadGeometry("a custom chart needs metric=callable(mesh)")
         if not isinstance(extents, (list, tuple)) or len(extents) != n or any(
             np.size(e) != 2 for e in extents
         ):
             raise BadGeometry(f"a custom chart needs one (lo, hi) extent per axis ({n})")
-        periodic = list(params.get("periodic", [True] * (n - 1) + [False]))
+        if not isinstance(periodic, (list, tuple)) or len(periodic) != n:
+            raise BadGeometry(f"a custom chart needs one periodic flag per axis ({n})")
         coords = []
         for ax in range(n):
-            lo, hi = extents[ax]
+            lo, hi = (_number(e, f"extents[{ax}]") for e in extents[ax])
             if periodic[ax]:
                 coords.append(lo + np.arange(shape[ax]) * ((hi - lo) / shape[ax]))
             else:
@@ -370,7 +369,7 @@ def build_chart(kind, shape, **params):
 
 def inward_normal(chart, face):
     """Contravariant components of the inward unit normal on a face."""
-    gnn = chart.g[chart.face_slice(face)][..., -1, -1]
+    gnn = chart.g[chart.face_slice(face)][..., -1]
     nu = np.zeros(chart.tangential_shape + (chart.n,))
     nu[..., -1] = face.inward_sign / np.sqrt(gnn)
     return nu
@@ -394,15 +393,14 @@ def mean_curvature_typeA(chart):
 
 
 def mean_curvature_typeB(chart):
-    """Mean curvature per face for charts with orthogonal normal direction.
+    """Mean curvature per face; the normal direction is orthogonal to the
+    faces on every (diagonal) chart.
 
     Uses H = (1/(n-1)) [ sqrt(g_nn) d(1/sqrt(g_nn))(nu) + d(vol)(nu)/vol ],
     which collapses to the normal log-derivative of the tangential volume
     factor; on unit-speed charts it agrees with the type A formula.
     """
-    if not chart.is_type_b:
-        raise NotTypeB("chart normal direction is not orthogonal to the faces")
-    gnn = chart.g[..., -1, -1]
+    gnn = chart.g[..., -1]
     sq = np.sqrt(gnn)
     values = {}
     ax = chart.n - 1

@@ -874,11 +874,19 @@ def run_suite(name, cfg):
 
     A Green solve that hits its iteration cap becomes a failed `solve` check;
     any other package error raised inside the suite becomes a failed `error`
-    check naming it. A malformed configuration still propagates.
+    check naming it. A malformed configuration still propagates, and so does
+    a threshold override of a suite that ran to its checks but names none of
+    them nor a bound its ladders leave not binding (`ConfigError`).
     """
     name = _resolve_suite(name)
     try:
         res = SUITES[name](cfg)
+        known = {f"{name}.{c.name}" for c in res.checks}
+        for ladder in res.metrics.get("ladders", ()):
+            known.update(f"{name}.{b}" for b in ladder["not-binding"])
+        stray = sorted(k for k in cfg.thresholds if k.startswith(f"{name}.") and k not in known)
+        if stray:
+            raise ConfigError(f"threshold overrides {stray} name no check of {name!r}")
     except NoConvergence as exc:
         res = SuiteResult(
             name,

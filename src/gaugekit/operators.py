@@ -53,7 +53,6 @@ from .errors import (
     BadGeometry,
     DbcViolation,
     NoConvergence,
-    NotTypeB,
     RankMismatch,
 )
 from .fields import (
@@ -221,13 +220,15 @@ def d_A_cell(f, A=None):
 
 
 def bracket_dot(alpha, beta):
-    """Metric-contracted bracket of two one-forms: sum_ij g^ij [alpha_i, beta_j]."""
+    """Metric-contracted bracket of two one-forms: sum_i g^ii [alpha_i, beta_i]."""
     require_same_chart(alpha.chart, beta.chart)
     if not isinstance(alpha, OneForm) or not isinstance(beta, OneForm):
         raise RankMismatch("bracket_dot expects two OneForms")
     ch = alpha.chart
-    raised = np.matmul(ch.ginv, beta.data)
-    return Section(ch, coeff_bracket(alpha.data, raised).sum(axis=-2))
+    br = coeff_bracket(alpha.data, ch.ginv[..., None] * beta.data)
+    # the sum over i as whole-array adds in axis order, which round as the
+    # reduce over the strided axis does, at a fifth of its cost
+    return Section(ch, sum((br[..., i, :] for i in range(1, ch.n)), br[..., 0, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +269,7 @@ def codiff_A(omega, A=None, form="adjoint"):
     Under Dirichlet conditions a one-form is horizontal when it is orthogonal
     to d_A f for every f vanishing on the boundary, so only the interior rows
     carry the codifferential. Accepts midpoint-sampled one-forms natively.
-    form="pointwise": -(1/a) d_i(a g^ij w_j) - [A . w] with node stencils on
+    form="pointwise": -(1/a) d_i(a g^ii w_i) - [A . w] with node stencils on
     every node, of a node OneForm.
     """
     if not isinstance(omega, (OneForm, MidOneForm)):
@@ -278,7 +279,7 @@ def codiff_A(omega, A=None, form="adjoint"):
     if form == "pointwise":
         if not isinstance(omega, OneForm):
             raise RankMismatch("the pointwise codiff_A expects a node OneForm")
-        flux = np.matmul(ch.ginv, omega.data) * ch.vol[..., None, None]
+        flux = ch.ginv[..., None] * omega.data * ch.vol[..., None, None]
         acc = np.zeros(ch.shape + (ALGEBRA_DIM,))
         for ax in range(ch.n):
             acc += st.deriv_node(flux[..., ax, :], ax, ch.h[ax], ch.periodic[ax])
@@ -507,7 +508,7 @@ def hodge_star(field):
         raise BadGeometry("hodge_star is implemented on 2d charts")
     a = ch.vol
     if isinstance(field, OneForm):
-        up = np.matmul(ch.ginv, field.data)
+        up = ch.ginv[..., None] * field.data
         out = np.empty_like(field.data)
         out[..., 0, :] = -a[..., None] * up[..., 1, :]
         out[..., 1, :] = a[..., None] * up[..., 0, :]
@@ -541,7 +542,7 @@ def boundary_operator_T0(f):
     for fc in ch.faces:
         sl = ch.face_slice(fc)
         d = st.one_sided_deriv_at_face(f.data, ch.n - 1, ch.h[-1], fc.side)
-        gnn = ch.g[sl][..., -1, -1]
+        gnn = ch.g[sl][..., -1]
         hface = H.values[fc.side]
         if comps:
             gnn = gnn[..., None]
@@ -562,15 +563,13 @@ def boundary_operator_T(f, A=None, split=False):
         raise RankMismatch("boundary_operator_T expects a Section")
     A = _conn(f.chart, A)
     ch = f.chart
-    if not ch.is_type_b:
-        raise NotTypeB("the obstruction operator needs faces orthogonal to the normal axis")
     if ch.shape[-1] < 8:
         raise BadGeometry("the obstruction operator needs at least 8 normal layers")
     n = ch.n
     ax = n - 1
     hn = ch.h[-1]
     H = mean_curvature(ch)
-    cfull = ch.vol[..., None, None] * ch.ginv
+    vg = ch.vol[..., None] * ch.ginv  # vol g^ii
     first = lambda arr, k: arr[(slice(None),) * ax + (slice(0, k),)]
     dvals = {}
     hvals = {}
@@ -581,7 +580,7 @@ def boundary_operator_T(f, A=None, split=False):
         dn = lambda v, depth: sgn * st.face_layer_deriv(v, ax, hn, 0, depth)
         fl = layers(f.data, 7)
         f5 = first(fl, 5)
-        cl = layers(cfull, 5)
+        cl = layers(vg, 5)
         Al = None if A.is_flat else layers(A.eta.data, 5)
         om = []  # covariant derivative on layers 0..4, one array per axis
         for t in range(n - 1):
@@ -593,24 +592,22 @@ def boundary_operator_T(f, A=None, split=False):
         if Al is not None:
             cn = cn + coeff_bracket(Al[..., ax, :], f5)
         om.append(cn)
-        div = dn(cl[..., ax, ax, None] * om[ax], 3)  # layers 0..2
+        div = dn(cl[..., ax, None] * om[ax], 3)  # layers 0..2
         c3 = first(cl, 3)
         om3 = [first(c, 3) for c in om]
         for t in range(n - 1):
-            ft = sum(c3[..., t, tt, None] * om3[tt] for tt in range(n - 1))
-            div += st.deriv_node(ft, t, ch.h[t], True)
+            div += st.deriv_node(c3[..., t, None] * om3[t], t, ch.h[t], True)
         lap = -div / layers(ch.vol, 3)[..., None]
         if Al is not None:
             g3 = layers(ch.ginv, 3)
             a3 = first(Al, 3)
             for i in range(n):
-                raised = sum(g3[..., i, k, None] * om3[k] for k in range(n))
-                lap = lap - coeff_bracket(a3[..., i, :], raised)
+                lap = lap - coeff_bracket(a3[..., i, :], g3[..., i, None] * om3[i])
         lap0 = np.take(lap, 0, axis=ax)
         dlap = np.take(dn(lap, 1), 0, axis=ax)
         if Al is not None:
             dlap = dlap + coeff_bracket(np.take(Al, 0, axis=ax)[..., ax, :], lap0)
-        gnn = ch.g[ch.face_slice(fc)][..., -1, -1]
+        gnn = ch.g[ch.face_slice(fc)][..., -1]
         dvals[fc.side] = fc.inward_sign * dlap / np.sqrt(gnn)[..., None]
         hvals[fc.side] = 2.0 * (n - 1) * H.values[fc.side][..., None] * lap0
     d_part = BoundaryField(ch, dvals)

@@ -9,24 +9,25 @@ from gaugekit.geometry import mean_curvature_typeA, mean_curvature_typeB
 
 def test_annulus_metric_is_polar(ann64):
     th, r = ann64.mesh()
-    np.testing.assert_allclose(ann64.g[..., 0, 0], r**2, atol=1e-13)
-    np.testing.assert_allclose(ann64.g[..., 1, 1], 1.0, atol=1e-13)
-    np.testing.assert_allclose(ann64.g[..., 0, 1], 0.0, atol=1e-13)
+    # the chart keeps the diagonal of the metric and its reciprocal
+    assert ann64.g.shape == ann64.ginv.shape == ann64.shape + (2,)
+    np.testing.assert_allclose(ann64.g[..., 0], r**2, atol=1e-13)
+    np.testing.assert_allclose(ann64.g[..., 1], 1.0, atol=1e-13)
+    assert np.array_equal(ann64.ginv, 1.0 / ann64.g)
     np.testing.assert_allclose(ann64.vol, r, atol=1e-13)
-    assert ann64.is_type_a and ann64.is_type_b and ann64.is_diagonal
+    assert ann64.is_type_a
 
 
 def test_shell_metric_is_cylindrical(shell12):
     th, z, r = shell12.mesh()
-    np.testing.assert_allclose(shell12.g[..., 0, 0], r**2, atol=1e-13)
-    np.testing.assert_allclose(shell12.g[..., 1, 1], 1.0, atol=1e-13)
-    np.testing.assert_allclose(shell12.g[..., 2, 2], 1.0, atol=1e-13)
+    np.testing.assert_allclose(shell12.g[..., 0], r**2, atol=1e-13)
+    np.testing.assert_allclose(shell12.g[..., 1], 1.0, atol=1e-13)
+    np.testing.assert_allclose(shell12.g[..., 2], 1.0, atol=1e-13)
     np.testing.assert_allclose(shell12.vol, r, atol=1e-13)
 
 
 def test_slab_metric_is_identity(slab32):
-    eye = np.broadcast_to(np.eye(2), slab32.shape + (2, 2))
-    np.testing.assert_allclose(slab32.g, eye, atol=1e-15)
+    np.testing.assert_allclose(slab32.g, 1.0, atol=1e-15)
     np.testing.assert_allclose(slab32.vol, 1.0, atol=1e-15)
 
 
@@ -109,6 +110,20 @@ def test_domain_name_aliases():
     assert build_chart("shell", (8, 8, 8)).kind == "cylindrical_shell"
 
 
+_MALFORMED = [
+    (["annulus"], (16, 16), {}, "unknown chart kind"),
+    ("annulus", 16, {}, "not a sequence"),
+    ("annulus", ("a", 16), {}, "integers"),
+    ("annulus", (16.0, 16), {}, "integers"),
+    ("annulus", (16, 16), {"r0": "a"}, "r0='a'"),
+    ("annulus", (16, 16), {"r1": None}, "r1=None"),
+    ("cylindrical_shell", (8, 8, 8), {"length": float("inf")}, "length=inf"),
+    ("periodic_slab", (16, 16), {"height": -1.0}, "steps must be finite and positive"),
+    ("periodic_slab", (16, 16), {"length": 0.0}, "steps must be finite and positive"),
+    ("cylindrical_shell", (8, 8, 8), {"length": -2.0}, "steps must be finite and positive"),
+]
+
+
 def test_bad_geometry_rejected():
     with pytest.raises(BadGeometry):
         build_chart("annulus", (16, 16), r0=1.0, r1=0.5)
@@ -123,6 +138,34 @@ def test_bad_geometry_rejected():
         build_chart("custom", (8, 8), extents=[(0, 1), (0, 1)])
     with pytest.raises(BadGeometry):
         build_chart("custom", (8, 8), metric=lambda mesh: None, extents=[(0, 1)])
+
+    def diagonal(d0, d1):
+        def metric(mesh):
+            g = np.zeros(np.broadcast(*mesh).shape + (2, 2))
+            g[..., 0, 0], g[..., 1, 1] = d0, d1
+            return g
+
+        return metric
+
+    def custom(metric):
+        return build_chart("custom", (16, 16), metric=metric,
+                           extents=[(0.0, 2 * np.pi), (0.5, 1.0)])
+
+    # det(diag(-1, -1)) = 1 > 0, but the metric is not positive definite
+    with pytest.raises(BadGeometry, match="diagonal entries must be positive"):
+        custom(diagonal(-1.0, -1.0))
+    with pytest.raises(BadGeometry, match="metric entries must be finite"):
+        custom(diagonal(np.nan, 1.0))
+    with pytest.raises(BadGeometry, match="periodic flag per axis"):
+        build_chart("custom", (16, 16), metric=diagonal(1.0, 1.0),
+                    extents=[(0.0, 1.0), (0.0, 1.0)], periodic=[True])
+    with pytest.raises(BadGeometry, match=r"extents\[1\]='a'"):
+        build_chart("custom", (16, 16), metric=diagonal(1.0, 1.0),
+                    extents=[(0.0, 1.0), ("a", 1.0)])
+    # every parameter is checked: integer shapes, finite numbers, positive steps
+    for kind, shape, params, match in _MALFORMED:
+        with pytest.raises(BadGeometry, match=match):
+            build_chart(kind, shape, **params)
 
 
 def test_face_slices_cover_normal_ends(ann32):

@@ -267,6 +267,30 @@ def test_threshold_override_flips_a_check():
     assert names == ["slab-zero"]
 
 
+def test_threshold_overrides_must_name_a_check():
+    cfg = RunConfig(grid=(32, 32))
+    with pytest.raises(ConfigError, match="gauge.no-such-check"):
+        run_suite("gauge", cfg.with_overrides(thresholds={"gauge.no-such-check": -1.0}))
+    # a calibrated bound that does not bind at 32^2 is still a name it knows
+    res = run_suite(
+        "mean-curvature",
+        cfg.with_overrides(thresholds={"mean-curvature.type-agreement": -1.0}),
+    )
+    assert "type-agreement" in res.metrics["ladders"][0]["not-binding"]
+    assert res.passed
+    # another suite's key is that suite's to check
+    assert run_suite(
+        "gauge", cfg.with_overrides(thresholds={"mean-curvature.slab-zero": -1.0})
+    ).passed
+
+
+def test_malformed_chart_parameters_fail_the_suite_with_bad_geometry():
+    res = run_suite("gauge", RunConfig(grid=(16, 16), domain_params={"r0": "a"}))
+    assert [(c.name, c.passed) for c in res.checks] == [("error", False)]
+    assert res.metrics["error"] == "BadGeometry"
+    assert "r0='a'" in res.metrics["message"]
+
+
 def test_elliptic_core_on_a_3d_run_measures_the_annulus_ladder():
     # the manufactured solution lives on annulus charts: a 3d run has no 2d
     # rungs and measures it on the named 32, 64, 128 ladder

@@ -1,7 +1,7 @@
 """Every import in the package's modules is used by that module and sits at
 module level, every private module-level definition is used somewhere in
-the package, and only the harness's ladder-check helper names the ladder
-statistics."""
+the package, only the harness's ladder-check helper names the ladder
+statistics, and only the geometry module uses numpy.linalg."""
 
 import ast
 from pathlib import Path
@@ -107,6 +107,45 @@ def test_only_the_ladder_helper_uses_the_ladder_statistics(path):
     if helper:
         # one call site each, in the helper
         assert sorted(name for _, _, name in inside) == sorted(_LADDER_STATISTICS)
+
+
+#: the one module that may use numpy.linalg: the chart keeps LAPACK's
+#: determinant, whose rounding the reports depend on, in one place
+_LINALG_MODULE = "geometry.py"
+
+
+def _linalg_uses(source):
+    """Lines that reach numpy.linalg: a `.linalg` attribute, or an import of
+    numpy.linalg or of its names."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+            a.name.startswith("numpy.linalg") for a in node.names
+        ):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (
+            (node.module or "").startswith("numpy.linalg")
+            or (node.module == "numpy" and any(a.name == "linalg" for a in node.names))
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_a_linalg_use():
+    src = (
+        "import numpy as np\nfrom numpy import linalg, sum\n"
+        "import numpy.linalg as la\nfrom numpy.linalg import det\n"
+        "x = np.sqrt(np.sum(a * a))\ny = np.linalg.norm(a)\n"
+    )
+    assert _linalg_uses(src) == [2, 3, 4, 6]
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_geometry_module_uses_linalg(path):
+    uses = _linalg_uses(path.read_text())
+    assert bool(uses) == (path.name == _LINALG_MODULE), uses
 
 
 def test_the_check_sees_an_unused_import():

@@ -341,29 +341,6 @@ def test_warm_energy_apply_allocates_less_than_a_field(kind, shape):
     assert peak < x.nbytes
 
 
-def test_energy_form_rejects_a_non_diagonal_metric():
-    def metric(mesh):
-        theta, r = mesh
-        g = np.zeros(np.broadcast(theta, r).shape + (2, 2))
-        g[..., 0, 0] = r**2
-        g[..., 0, 1] = g[..., 1, 0] = 0.1 * r
-        g[..., 1, 1] = 1.0
-        return g
-
-    ch = build_chart(
-        "custom", (16, 16), metric=metric, extents=[(0.0, 2 * np.pi), (0.5, 1.0)]
-    )
-    w = random_smooth_field(ch, "oneform", 3)
-    calls = (
-        lambda: green_A(random_smooth_field(ch, "section", 4)),
-        lambda: codiff_A(w, None, form="adjoint"),
-        lambda: l2_inner(w, w, "cell"),
-    )
-    for call in calls:
-        with pytest.raises(BadGeometry, match="staggered energy form needs a diagonal"):
-            call()
-
-
 def test_connections_share_the_chart_energy_coefficients(ann32):
     c = ann32.cell_c
     g = random_smooth_field(ann32, "section", 6)

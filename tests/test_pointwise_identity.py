@@ -1,21 +1,24 @@
 """The fast pointwise layers reproduce their reference formulas bit for bit.
 
-Random fields are evaluated on 1-D coordinates, the metric contractions use
-matmul, and the energy coefficients read g^aa as 1/g_aa. The energy form
-pairs padded node-shaped buffers as flat shifts, folds the 1/2 of its
-averages into the bracket, and the Green solve keeps its CG state on whole
-node arrays. Each is compared here with the formula or loop it replaced.
+Random fields are evaluated on 1-D coordinates, the metric contractions
+broadcast the stored diagonal of the metric, and the energy coefficients
+read g^aa as 1/g_aa. The energy form pairs padded node-shaped buffers as
+flat shifts, folds the 1/2 of its averages into the bracket, and the Green
+solve keeps its CG state on whole node arrays. Each is compared here with
+the formula or loop it replaced.
 """
 
 import numpy as np
 import pytest
 
 from gaugekit import (
+    BadGeometry,
     Connection,
     OneForm,
     build_chart,
     codiff_A,
     green_A,
+    l2_inner,
     random_smooth_field,
 )
 from gaugekit import _stencils as st
@@ -116,8 +119,13 @@ def test_random_fields_match_the_mesh_formula(chart, rank, dbc):
 # metric contractions
 # ---------------------------------------------------------------------------
 
+def _full_ginv(ch):
+    """The chart's inverse metric as full n x n matrices, zero off the diagonal."""
+    return ch.ginv[..., None] * np.eye(ch.n)
+
+
 def _raise(ch, w):
-    return np.einsum("...ij,...ja->...ia", ch.ginv, w)
+    return np.einsum("...ij,...ja->...ia", _full_ginv(ch), w)
 
 
 def _bracket_dot_ref(a, b):
@@ -138,15 +146,23 @@ def _hodge_ref(w):
     return np.stack([-up[..., 1, :], up[..., 0, :]], axis=-2)
 
 
+def _l2_inner_ref(u, v):
+    ch = u.chart
+    contracted = np.einsum("...ij,...ik,...jk->...", _full_ginv(ch), u.data, v.data)
+    return float(np.sum(ch.quad_w * ch.vol * contracted))
+
+
 def _contractions(ch):
-    """(got, einsum reference) for bracket_dot, the pointwise codiff_A and,
-    on 2d charts, the one-form hodge_star."""
+    """(got, einsum reference) for bracket_dot, the pointwise codiff_A, the
+    node l2_inner of one-forms and, on 2d charts, the one-form hodge_star.
+    The references contract with the full n x n inverse metric."""
     a = random_smooth_field(ch, "oneform", 1)
     b = random_smooth_field(ch, "oneform", 2)
     A = Connection(ch, random_smooth_field(ch, "oneform", 3, scale=0.3))
     pairs = [
         (bracket_dot(a, b).data, _bracket_dot_ref(a, b)),
         (codiff_A(a, A, form="pointwise").data, _codiff_ref(a, A)),
+        (l2_inner(a, b), _l2_inner_ref(a, b)),
     ]
     if ch.n == 2:
         pairs.append((hodge_star(a).data, _hodge_ref(a)))
@@ -158,10 +174,9 @@ def test_metric_contractions_match_einsum_exactly(chart):
         assert np.array_equal(got, ref)
 
 
-def test_metric_contractions_on_a_non_diagonal_metric():
-    # matmul and einsum may sum a dense row in different orders
-    for got, ref in _contractions(_non_diagonal_chart()):
-        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+def test_a_non_diagonal_metric_is_rejected():
+    with pytest.raises(BadGeometry, match="metric must be diagonal"):
+        _non_diagonal_chart()
 
 
 # ---------------------------------------------------------------------------
