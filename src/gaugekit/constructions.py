@@ -328,6 +328,12 @@ def generator_for_boundary_data(target, side=0, A=None, solve_tol=1e-10,
     normal derivative, one fixed Hopf potential. The boundary expansion of
     the bracket identity turns the pair's obstruction trace into exactly the
     prescribed face data, up to discretization.
+
+    Direction d's source lies wholly on [e_{d+2}, e_d] = c e_{d+1}, so the
+    active directions fill distinct components. At the flat base point the
+    Laplacian acts on each component separately, so one componentwise Green
+    solve of the summed source gives every potential: g_d is component
+    d+1 of that solution. A direction whose face data vanish gets no pair.
     """
     ch = target.chart
     _check_construction_chart(ch)
@@ -357,19 +363,20 @@ def generator_for_boundary_data(target, side=0, A=None, solve_tol=1e-10,
     c2 = STRUCTURE_C**2
 
     fvals = target.values[side]
+    active = [d for d in range(ALGEBRA_DIM) if float(np.max(np.abs(fvals[..., d]))) != 0.0]
+    src = np.zeros(ch.shape + (ALGEBRA_DIM,))
+    for d in active:
+        face_coef = fvals[..., d] / (3.0 * bprime * c2)
+        profile = face_coef[:, None] * plateau[None, :] * ext
+        src += (profile * chi[None, :])[..., None] * coeff_bracket(_unit((d + 2) % 3), _unit(d))
+    g = green_A(Section(ch, src), A, tol=solve_tol) if active else None
     pairs = []
     u = Section.zeros(ch)
-    for d in range(ALGEBRA_DIM):
-        fd = fvals[..., d]
-        if float(np.max(np.abs(fd))) == 0.0:
-            continue
-        face_coef = fd / (3.0 * bprime * c2)
-        profile = face_coef[:, None] * plateau[None, :] * ext
-        src_scalar = profile * chi[None, :]
-        e = _unit((d + 2) % 3)
-        br = coeff_bracket(e, _unit(d))
-        g_d = green_A(Section(ch, src_scalar[..., None] * br), A, tol=solve_tol)
-        h_d = Section(ch, wvals[..., None] * e)
+    for d in active:
+        k = (d + 1) % 3
+        g_d = Section.zeros(ch)
+        g_d.data[..., k] = g.data[..., k]
+        h_d = Section(ch, wvals[..., None] * _unit((d + 2) % 3))
         u = u + Section(ch, coeff_bracket(g_d.data, h_d.data))
         pairs.append((g_d, h_d))
 

@@ -72,15 +72,7 @@ class Chart:
         full = self.metric_at(self.coords)
         if full.shape != self.shape + (self.n, self.n):
             raise BadGeometry("metric generator returned the wrong shape")
-        if not np.all(np.isfinite(full)):
-            raise BadGeometry("metric entries must be finite")
-        off = max(float(np.max(np.abs(full[..., i, j])))
-                  for i in range(self.n) for j in range(self.n) if i != j)
-        if off > _TYPE_TOL:
-            raise BadGeometry(f"metric must be diagonal: off-diagonal entry {off:.3e}")
-        self.g = np.diagonal(full, axis1=-2, axis2=-1).copy()
-        if np.any(self.g <= 0):
-            raise BadGeometry("metric diagonal entries must be positive")
+        self.g = _diagonal_of(full, self.n).copy()
         self.ginv = 1.0 / self.g
         # vol stays sqrt(det) of the full matrix, not the diagonal product:
         # LAPACK's LU determinant differs from the product by an ulp on a few
@@ -103,6 +95,12 @@ class Chart:
     def metric_at(self, axes_coords):
         mesh = np.meshgrid(*axes_coords, indexing="ij")
         return np.asarray(self.metric_fn(mesh), dtype=float)
+
+    def _mid_metric(self, axis):
+        """The metric at one axis's midpoints, checked as at the nodes."""
+        full = self.metric_at(self.mid_coords(axis))
+        _diagonal_of(full, self.n)
+        return full
 
     def mid_coords(self, axis):
         """Coordinate arrays with one axis moved to cell midpoints."""
@@ -151,7 +149,7 @@ class Chart:
         clears the pad of a midpoint buffer (`_stencils._pair`) it scales."""
         out = []
         for ax in range(self.n):
-            g = self.metric_at(self.mid_coords(ax))
+            g = self._mid_metric(ax)
             # g^aa is the reciprocal of g_aa; det as in Chart.__init__
             c = self.cell_weights(ax) * np.sqrt(np.linalg.det(g)) * (1.0 / g[..., ax, ax])
             out.append(np.pad(c, [(0, 0)] * (self.n - 1) + [(0, 1 - self.periodic[ax])]))
@@ -170,7 +168,7 @@ class Chart:
         """
         t0 = (0,) * (self.n - 1)
         samples = itertools.chain(
-            [self.g], (self.metric_at(self.mid_coords(ax)) for ax in range(self.n))
+            [self.g], (self._mid_metric(ax) for ax in range(self.n))
         )
         return all(float(np.max(np.abs(g - g[t0]))) <= _TYPE_TOL for g in samples)
 
@@ -192,6 +190,22 @@ class Chart:
 
     def __repr__(self):
         return f"Chart({self.kind}, shape={self.shape})"
+
+
+def _diagonal_of(full, n):
+    """The diagonal (a view) of metric samples (..., n, n) that are finite,
+    diagonal within _TYPE_TOL and positive on the diagonal; BadGeometry
+    otherwise."""
+    if not np.all(np.isfinite(full)):
+        raise BadGeometry("metric entries must be finite")
+    off = max(float(np.max(np.abs(full[..., i, j])))
+              for i in range(n) for j in range(n) if i != j)
+    if off > _TYPE_TOL:
+        raise BadGeometry(f"metric must be diagonal: off-diagonal entry {off:.3e}")
+    diag = np.diagonal(full, axis1=-2, axis2=-1)
+    if np.any(diag <= 0):
+        raise BadGeometry("metric diagonal entries must be positive")
+    return diag
 
 
 def same_chart(a, b):
@@ -304,10 +318,11 @@ def build_chart(kind, shape, **params):
     geometry as the annulus with normal coordinate s, r = r0*exp(s)).
     "custom" takes metric=callable(mesh)->(..., n, n), extents (one (lo, hi)
     pair per axis) and periodic. The custom metric must be diagonal, with
-    finite entries and a positive diagonal: off-diagonal entries above 1e-12
-    are rejected, and the chart keeps only the diagonal. Every numeric
-    parameter must convert to a finite float; malformed input raises
-    BadGeometry.
+    finite entries and a positive diagonal, at the nodes and at every axis's
+    midpoints: off-diagonal entries above 1e-12 are rejected (the midpoint
+    samples when the chart first reads them), and the chart keeps only the
+    diagonal. Every numeric parameter must convert to a finite float;
+    malformed input raises BadGeometry.
     """
     kind = CHART_ALIASES.get(kind, kind) if isinstance(kind, str) else kind
     shape = _grid_shape(shape)

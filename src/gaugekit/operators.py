@@ -43,6 +43,7 @@ belong to the call, not to the chart or the module, because
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -382,7 +383,9 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
     the exact separable solve of its energy matrix, so CG stops after one
     iteration; any other solve is preconditioned by the Jacobi diagonal.
     Either way the residual criterion is ||S u - M g||_2 <= tol * ||M g||_2
-    on the interior unknowns; the cap is 200 sqrt(#nodes) iterations.
+    on the interior unknowns; the cap is 200 sqrt(#nodes) iterations. A
+    right-hand side or a residual that is not finite raises NoConvergence at
+    once, with residual NaN.
     """
     if not isinstance(g, Section):
         raise RankMismatch("green_A expects a Section right-hand side")
@@ -411,6 +414,8 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
     if bnorm == 0.0:
         info.iterations, info.residual, info.converged = 0, 0.0, True
         return Section.zeros(ch)
+    if not math.isfinite(bnorm):
+        raise _no_convergence(info, 0, math.nan, "met a non-finite right-hand side")
     if maxiter is None:
         maxiter = int(200 * np.sqrt(float(np.prod(ch.shape))))
     if A.is_flat and ch.is_tangentially_uniform:
@@ -441,17 +446,23 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
             sol = Section.zeros(ch)
             sol.data[ii] = np.moveaxis(x[ic], 0, -1)
             return sol
+        if not math.isfinite(res):
+            raise _no_convergence(info, k, math.nan, "met a non-finite residual")
         pre(r, z)
         rz_new = dot(r, z)
         p *= rz_new / rz
         p += z
         rz = rz_new
-    info.iterations, info.residual, info.converged = maxiter, res / bnorm, False
-    raise NoConvergence(
-        f"conjugate gradient at relative residual {res / bnorm:.3e} "
-        f"after {maxiter} iterations",
-        iterations=maxiter,
-        residual=res / bnorm,
+    raise _no_convergence(info, maxiter, res / bnorm, f"at relative residual {res / bnorm:.3e}")
+
+
+def _no_convergence(info, iterations, residual, why):
+    """Record a failed solve in `info` and return its NoConvergence."""
+    info.iterations, info.residual, info.converged = iterations, residual, False
+    return NoConvergence(
+        f"conjugate gradient {why} after {iterations} iterations",
+        iterations=iterations,
+        residual=residual,
     )
 
 

@@ -5,10 +5,12 @@ import pytest
 
 from gaugekit import (
     ALGEBRA_DIM,
+    STRUCTURE_C,
     OneForm,
     ScalarField,
     Section,
     build_chart,
+    green_A,
     horizontality_ratio,
     random_smooth_field,
 )
@@ -35,6 +37,7 @@ from gaugekit.errors import (
 )
 from gaugekit.fields import check_dbc
 from gaugekit.geometry import BoundaryField
+from gaugekit.harness import RunConfig, run_suite
 from gaugekit.operators import boundary_operator_T, bracket_dot
 
 
@@ -258,6 +261,79 @@ def test_face_side_must_be_zero_or_one(side):
         boundary_chart_inverse(band_profile(ch, side=0), side=side)
     with pytest.raises(BadGeometry):
         generator_for_boundary_data(_face_target(ch, 0, _unit(0)), side=side)
+
+
+def _directions_target(ch, dirs):
+    """Face-0 data that is nonzero exactly in the algebra directions dirs."""
+    th = ch.coords[0]
+    vals = np.zeros(ch.tangential_shape + (ALGEBRA_DIM,))
+    for d in dirs:
+        vals[..., d] = 0.3 + 0.2 * d + 0.1 * np.sin((d + 1) * th)
+    return _face_target(ch, 0, 0.0) + BoundaryField(ch, {0: vals, 1: np.zeros_like(vals)})
+
+
+@pytest.fixture()
+def green_rhs(monkeypatch):
+    """The right-hand side of every Green solve the constructions make."""
+    import gaugekit.constructions as con
+
+    seen = []
+
+    def recording(g, *args, **kw):
+        seen.append(g.data.copy())
+        return green_A(g, *args, **kw)
+
+    monkeypatch.setattr(con, "green_A", recording)
+    return seen
+
+
+@pytest.mark.parametrize("dirs", [(0, 1, 2), (1,), (0, 2)], ids=["three", "one", "two"])
+def test_merged_generator_solve_matches_separate_solves(green_rhs, dirs):
+    ch = build_chart("annulus", (64, 64))
+    gen = generator_for_boundary_data(_directions_target(ch, dirs))
+    assert len(green_rhs) == 2  # the Hopf potential, then every direction at once
+    merged = green_rhs[1]
+    assert len(gen.pairs) == len(dirs)
+    for d, (g_d, _) in zip(dirs, gen.pairs):
+        k = (d + 1) % 3
+        # direction d's own source: its collar scalar on [e_{d+2}, e_d] = c e_{d+1}
+        scalar = merged[..., k] / STRUCTURE_C
+        alone = green_A(Section(ch, scalar[..., None] * coeff_bracket(_unit((d + 2) % 3), _unit(d))))
+        assert (g_d - alone).sup() <= 1e-12 * alone.sup()
+        assert np.all(np.delete(g_d.data, k, axis=-1) == 0.0)
+    for d in set(range(ALGEBRA_DIM)) - set(dirs):
+        assert np.all(merged[..., (d + 1) % 3] == 0.0)  # an inactive direction adds no source
+
+
+# ---------------------------------------------------------------------------
+# Green-solve counts: a deterministic guard on the constructions' cost
+# ---------------------------------------------------------------------------
+
+
+def test_generator_makes_one_solve_besides_the_hopf_potential(green_rhs):
+    ch = build_chart("annulus", (48, 48))
+    target = _directions_target(ch, (0, 1, 2))
+    gen = generator_for_boundary_data(target)
+    assert len(green_rhs) == 2
+    wvals = gen.pairs[0][1].data[..., 2]  # h_0 = w e_2, the Hopf potential
+    generator_for_boundary_data(target, _shared=wvals)
+    assert len(green_rhs) == 3
+
+
+def test_full_decompose_makes_four_solves(green_rhs):
+    ch = build_chart("annulus", (48, 48))
+    cert = full_decompose(random_smooth_field(ch, "section", 5))
+    assert cert.n_pairs == 6  # every direction active on both faces
+    # the Hopf potential, one generator solve per face, the kernel stage
+    assert len(green_rhs) == 4
+
+
+@pytest.mark.parametrize("suite, per_rung", [("generator", 2), ("full-decompose", 12)])
+def test_suite_solves_per_rung(green_rhs, suite, per_rung):
+    cfg = RunConfig(grid=(64, 64))
+    res = run_suite(suite, cfg)
+    assert res.passed
+    assert len(green_rhs) == per_rung * len(cfg.ladder_shapes())
 
 
 # ---------------------------------------------------------------------------

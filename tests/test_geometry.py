@@ -190,3 +190,23 @@ def test_tangential_uniformity_looks_at_the_midpoints():
                      extents=[(0.0, 2 * np.pi), (0.5, 1.0)])
     assert np.max(np.abs(ch.g - ch.g[:1])) <= 1e-12
     assert not ch.is_tangentially_uniform
+
+
+def test_custom_metric_is_checked_at_the_midpoints():
+    def metric(mesh):
+        theta, r = mesh
+        g = np.zeros(np.broadcast(theta, r).shape + (2, 2))
+        g[..., 0, 0] = r**2
+        g[..., 1, 1] = 1.0
+        # vanishes at the 16 theta nodes (to 1.6e-15), reaches 0.3 between them
+        g[..., 0, 1] = g[..., 1, 0] = 0.3 * r * np.sin(8 * theta)
+        return g
+
+    def chart():
+        return build_chart("custom", (16, 12), metric=metric,
+                           extents=[(0.0, 2 * np.pi), (0.5, 1.0)])
+
+    with pytest.raises(BadGeometry, match="off-diagonal entry 3.000e-01"):
+        chart().cell_c
+    with pytest.raises(BadGeometry, match="off-diagonal entry 3.000e-01"):
+        chart().is_tangentially_uniform

@@ -410,6 +410,21 @@ def test_unconverged_solve_is_a_failed_check(monkeypatch):
     assert failed.metrics == {"iterations": 7, "residual": 0.25}
 
 
+def test_non_finite_solve_is_a_failed_check(monkeypatch):
+    real = harness.horizontal_project
+
+    def poisoned(eta, A=None, tol=1e-10):
+        # an interior node: the Green source is NaN
+        eta.data[tuple(n // 2 for n in eta.chart.shape)] = np.nan
+        return real(eta, A, tol)
+
+    monkeypatch.setattr(harness, "horizontal_project", poisoned)
+    failed = run_suite("boundary-identity", RunConfig(grid=(32, 32)))
+    (check,) = failed.checks
+    assert check.name == "solve" and np.isnan(check.value) and not check.passed
+    assert failed.metrics["iterations"] == 0
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------

@@ -292,6 +292,30 @@ def test_green_raises_at_its_iteration_cap(ann32):
     assert (info.iterations, info.residual, info.converged) == (2, exc.value.residual, False)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "connected"])
+def test_green_fails_fast_on_a_non_finite_right_hand_side(ann32, bad, flat):
+    g = random_smooth_field(ann32, "section", 6)
+    g.data[10, 10, 1] = bad
+    info = SolveInfo()
+    with pytest.raises(NoConvergence, match="non-finite right-hand side") as exc:
+        green_A(g, None if flat else _rand_conn(ann32, 5), info=info)
+    assert exc.value.iterations == 0 and np.isnan(exc.value.residual)
+    assert info.iterations == 0 and np.isnan(info.residual) and not info.converged
+
+
+def test_green_fails_fast_on_a_non_finite_residual(ann32):
+    # a NaN inside the connection passes its Dirichlet check and poisons the
+    # first energy apply
+    eta = random_smooth_field(ann32, "oneform", 5, scale=0.3)
+    eta.data[10, 10, 0, 1] = np.nan
+    info = SolveInfo()
+    with pytest.raises(NoConvergence, match="non-finite residual after 1 iterations") as exc:
+        green_A(random_smooth_field(ann32, "section", 6), Connection(ann32, eta), info=info)
+    assert exc.value.iterations == 1 and np.isnan(exc.value.residual)
+    assert info.iterations == 1 and np.isnan(info.residual) and not info.converged
+
+
 @pytest.mark.parametrize(
     "kind, shape, bound",
     [("annulus", (128, 128), 14.9), ("cylindrical_shell", (12, 12, 16), 15.9)],
