@@ -178,6 +178,10 @@ _ONE_SIDED = {
 }
 
 
+#: normal layers read by deriv_node's end row (the second-order rule)
+END_ROW_FOOTPRINT = len(_ONE_SIDED[2][0])
+
+
 def face_layer_deriv(v, axis, h, side, depth=1, order=2):
     """+axis derivative on the first `depth` layers counted inward from a face.
 

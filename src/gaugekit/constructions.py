@@ -451,13 +451,15 @@ def full_decompose(u, kernel_gate=0.25, A=None, solve_tol=1e-10):
     ch = u.chart
     A = _conn(ch, A)
     trace = boundary_operator_T(u, A)
-    wvals = _hopf_potential(ch, A, solve_tol)
+    wvals = None  # solved once, for the first face with a nonzero trace
     u_comm = Section.zeros(ch)
     gen_res = 0.0
     n_pairs = 0
     for side in (0, 1):
         if float(np.max(np.abs(trace.values[side]))) == 0.0:
             continue
+        if wvals is None:
+            wvals = _hopf_potential(ch, A, solve_tol)
         gen = generator_for_boundary_data(
             trace, side=side, A=A, solve_tol=solve_tol, _shared=wvals
         )

@@ -4,9 +4,14 @@ A gauge transformation stores its group values as a quaternion grid together
 with its own logarithmic derivative (Maurer-Cartan one-form), computed once
 at construction. Composition multiplies values pointwise and transports the
 stored derivative by the cocycle rule, so acting twice and acting by the
-product agree to rounding rather than to discretization error. The holonomy
-loop transport runs component-first, on (4, *shape) quaternions and
-(3, *shape) connection components, through algebra's qmul/qexp/qnormalize.
+product agree to rounding rather than to discretization error.
+
+The holonomy loop transport runs component-first, on (4, *shape) quaternions
+and (3, *shape) connection components, through algebra's
+qmul/qexp/qnormalize. It exponentiates each loop axis's links once and
+composes loops from straight runs of links built by doubling. The general
+boundary identity reads the pointwise codifferential on the face layers
+only (`operators._codiff_at_faces`).
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .geometry import mean_curvature, require_same_chart
 from .operators import (
     Connection,
     _cancellation_ratio,
+    _codiff_at_faces,
     _conn,
     bracket_dot,
     codiff_A,
@@ -191,8 +197,9 @@ def boundary_identity_residual(alpha, beta, A=None, general=False):
 
     Horizontal form: d_A[a.b](nu) + 2(n-1) H [a.b] = 0. The general form
     keeps the codifferential source terms -[d*_A a, b(nu)] - [a(nu), d*_A b]
-    on the right-hand side. Returns sup residual together with the sup norm
-    of the bracket product, which serves as the relative scale.
+    on the right-hand side, with the pointwise codifferential evaluated on
+    the normal layers its face rows read. Returns sup residual together with
+    the sup norm of the bracket product, which serves as the relative scale.
     """
     require_same_chart(alpha.chart, beta.chart)
     A = _conn(alpha.chart, A)
@@ -201,8 +208,8 @@ def boundary_identity_residual(alpha, beta, A=None, general=False):
     H = mean_curvature(ch)
     residual = 0.0
     if general:
-        ca = codiff_A(alpha, A, form="pointwise")
-        cb = codiff_A(beta, A, form="pointwise")
+        ca = _codiff_at_faces(alpha, A)
+        cb = _codiff_at_faces(beta, A)
         anu = normal_component(alpha)
         bnu = normal_component(beta)
     for fc in ch.faces:
@@ -221,8 +228,8 @@ def boundary_identity_residual(alpha, beta, A=None, general=False):
         lhs = dterm + hterm
         rhs = 0.0
         if general:
-            r1 = -coeff_bracket(ca.data[sl], bnu.values[fc.side])
-            r2 = -coeff_bracket(anu.values[fc.side], cb.data[sl])
+            r1 = -coeff_bracket(ca.values[fc.side], bnu.values[fc.side])
+            r2 = -coeff_bracket(anu.values[fc.side], cb.values[fc.side])
             rhs = r1 + r2
         res = lhs - rhs
         residual = max(residual, float(np.max(np.abs(res))))
@@ -319,21 +326,51 @@ class HolonomyProbe:
     scale_const: float
 
 
-def _loop_transport(A, k):
+def _loop_transports(A, ks):
     """Quaternion holonomy of the k-cell loop in the (0, normal) coordinate
-    plane at each node, component-first: (4, *shape)."""
+    plane at each node, component-first (4, *shape), for each k in ks.
+
+    Each loop axis gets its forward link once, L(x) = exp(-h A(midpoint)).
+    Straight runs of k links, R_k(x) = L(x + (k-1) e) ... L(x), are built by
+    splitting off the largest power of two m < k: R_k(x) = R_{k-m}(x + m e)
+    R_m(x). The runs are shared by every loop size. A loop is then
+    conj(Up_k(x)) conj(R_k(x + k e_j)) Up_k(x + k e_i) R_k(x), with R the
+    run along the tangential axis i and Up the run along the normal axis j:
+    the inverse of a unit quaternion is its conjugate, an exact sign flip.
+    Each product is normalized. Shifts wrap, so a run read past the normal
+    axis's end is only valid on rows its caller discards.
+    """
     ch = A.chart
     i, j = 0, ch.n - 1
-    eta = np.moveaxis(A.eta.data, (-2, -1), (0, 1)).copy()  # (n, 3, *shape)
-    U = np.moveaxis(quat_identity(ch.shape), -1, 0)
-    off = {i: 0, j: 0}
-    for ax, sgn in [(i, 1)] * k + [(j, 1)] * k + [(i, -1)] * k + [(j, -1)] * k:
-        here = np.roll(eta[ax], (-off[i], -off[j]), axis=(i + 1, j + 1))
-        off[ax] += sgn
-        there = np.roll(eta[ax], (-off[i], -off[j]), axis=(i + 1, j + 1))
-        mid = 0.5 * (here + there)
-        U = np.stack(qnormalize(qmul(qexp(-sgn * ch.h[ax] * mid), U)))
-    return U
+    eta = np.moveaxis(A.eta.data, (-2, -1), (0, 1))  # (n, 3, *shape)
+    runs = {}
+    for ax in (i, j):
+        mid = 0.5 * (eta[ax] + np.roll(eta[ax], -1, axis=ax + 1))
+        runs[ax] = {1: np.stack(qexp(-ch.h[ax] * mid))}
+
+    def conj(q):
+        return q[0], -q[1], -q[2], -q[3]
+
+    loops = {}
+    for k in ks:
+        R, Up = _straight_run(runs[i], k, i + 1), _straight_run(runs[j], k, j + 1)
+        U = qnormalize(qmul(np.roll(Up, -k, axis=i + 1), R))
+        U = qnormalize(qmul(conj(np.roll(R, -k, axis=j + 1)), U))
+        loops[k] = np.stack(qnormalize(qmul(conj(Up), U)))
+    return loops
+
+
+def _straight_run(runs, k, axis):
+    """R_k = R_{k-m}(x + m e) R_m(x) along the array axis `axis`, from the
+    runs already in `runs` (keyed by length, the links at 1), where it also
+    stores every run it builds. It is a module function because a recursive
+    closure would keep the runs in a reference cycle until the cyclic
+    garbage collector ran."""
+    if k not in runs:
+        m = 1 << ((k - 1).bit_length() - 1)
+        later = np.roll(_straight_run(runs, k - m, axis), -m, axis=axis)
+        runs[k] = np.stack(qnormalize(qmul(later, _straight_run(runs, m, axis))))
+    return runs[k]
 
 
 def small_loop_holonomy(A, k=2):
@@ -343,21 +380,30 @@ def small_loop_holonomy(A, k=2):
     Returns the sup defects, their ratio (near 4 for a curvature-dominated
     defect), and the alignment of the defect direction with the curvature
     two-form at the loop center. The overall sign is reported, not judged.
-    A tuple of sizes k returns a list of probes, in that order, and
-    transports a loop that two of them share once.
+    A tuple of sizes k returns a list of probes, in that order. Every loop
+    is transported once, from straight runs of links shared by all sizes
+    (`_loop_transports`): k = (2, 4) takes 2 exponentials and 15 products.
+    Each size must be an even integer of at least 2.
     """
     if A.is_flat:
         raise BadGeometry("holonomy probes need a non-flat connection")
     ch = A.chart
     i, j = 0, ch.n - 1
     single = np.isscalar(k)
-    ks = (k,) if single else tuple(k)
+    try:
+        ks = (k,) if single else tuple(k)
+    except TypeError:
+        ks = (k,)
+    if not ks:
+        raise BadGeometry("at least one loop size is needed")
     for kk in ks:
-        if kk < 2 or kk % 2:
-            raise BadGeometry("loop size k must be even and at least 2")
+        if (isinstance(kk, bool) or not isinstance(kk, (int, np.integer))
+                or kk < 2 or kk % 2):
+            raise BadGeometry(f"loop size must be an even integer of at least 2, not {kk!r}")
         if ch.shape[-1] < 2 * kk + 6:
             raise BadGeometry("normal axis too short for the requested loop")
-    U = {kk: _loop_transport(A, kk) for kk in sorted({*ks, *(2 * kk for kk in ks)})}
+    ks = tuple(int(kk) for kk in ks)
+    U = _loop_transports(A, sorted({*ks, *(2 * kk for kk in ks)}))
 
     # curvature two-form component along the loop plane, at each node
     dd = exterior_d(A.eta)

@@ -225,11 +225,16 @@ def bracket_dot(alpha, beta):
     require_same_chart(alpha.chart, beta.chart)
     if not isinstance(alpha, OneForm) or not isinstance(beta, OneForm):
         raise RankMismatch("bracket_dot expects two OneForms")
-    ch = alpha.chart
-    br = coeff_bracket(alpha.data, ch.ginv[..., None] * beta.data)
+    return Section(alpha.chart, _bracket_contract(alpha.data, beta.data, alpha.chart.ginv))
+
+
+def _bracket_contract(a, b, ginv):
+    """sum_i g^ii [a_i, b_i] of node-major one-form data, with `ginv` the
+    inverse metric diagonal on the same nodes."""
+    br = coeff_bracket(a, ginv[..., None] * b)
     # the sum over i as whole-array adds in axis order, which round as the
     # reduce over the strided axis does, at a fifth of its cost
-    return Section(ch, sum((br[..., i, :] for i in range(1, ch.n)), br[..., 0, :]))
+    return sum((br[..., i, :] for i in range(1, a.shape[-2])), br[..., 0, :])
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +285,7 @@ def codiff_A(omega, A=None, form="adjoint"):
     if form == "pointwise":
         if not isinstance(omega, OneForm):
             raise RankMismatch("the pointwise codiff_A expects a node OneForm")
-        flux = ch.ginv[..., None] * omega.data * ch.vol[..., None, None]
-        acc = np.zeros(ch.shape + (ALGEBRA_DIM,))
-        for ax in range(ch.n):
-            acc += st.deriv_node(flux[..., ax, :], ax, ch.h[ax], ch.periodic[ax])
-        out = -acc / ch.vol[..., None]
-        if not A.is_flat:
-            out = out - bracket_dot(A.eta, omega).data
-        return Section(ch, out)
+        return Section(ch, _pointwise_codiff(omega, A))
     if form != "adjoint":
         raise ValueError("form must be 'adjoint' or 'pointwise'")
     out = _div_mid(A, MidOneForm.of(omega))
@@ -295,6 +293,43 @@ def codiff_A(omega, A=None, form="adjoint"):
     for fc in ch.faces:
         out[ch.face_slice(fc)] = 0.0
     return Section(ch, out)
+
+
+def _pointwise_codiff(omega, A, rows=slice(None)):
+    """-(1/a) d_i(a g^ii w_i) - [A . w] of the node OneForm w = omega on its
+    normal-axis rows `rows` alone, as node-major data on those rows.
+
+    The normal derivative is deriv_node's over those rows. A window of
+    `st.END_ROW_FOOTPRINT` rows at a face is the footprint of its one-sided
+    end row, so the window's face row is the whole grid's face row bit for
+    bit: every other step is pointwise or along a periodic axis.
+    """
+    ch = omega.chart
+    sl = (slice(None),) * (ch.n - 1) + (rows,)
+    w, ginv, vol = omega.data[sl], ch.ginv[sl], ch.vol[sl]
+    flux = ginv[..., None] * w * vol[..., None, None]
+    acc = np.zeros(w.shape[:-2] + (ALGEBRA_DIM,))
+    for ax in range(ch.n):
+        acc += st.deriv_node(flux[..., ax, :], ax, ch.h[ax], ch.periodic[ax])
+    out = -acc / vol[..., None]
+    if not A.is_flat:
+        out = out - _bracket_contract(A.eta.data[sl], w, ginv)
+    return out
+
+
+def _codiff_at_faces(omega, A=None):
+    """The face rows of codiff_A(omega, A, form="pointwise"), bit for bit,
+    evaluated on the `st.END_ROW_FOOTPRINT` normal layers at each face."""
+    if not isinstance(omega, OneForm):
+        raise RankMismatch("the face-row codifferential expects a node OneForm")
+    A = _conn(omega.chart, A)
+    ch = omega.chart
+    depth = st.END_ROW_FOOTPRINT
+    values = {}
+    for fc in ch.faces:
+        rows = slice(0, depth) if fc.side == 0 else slice(-depth, None)
+        values[fc.side] = _pointwise_codiff(omega, A, rows)[ch.face_slice(fc)]
+    return BoundaryField(ch, values)
 
 
 def laplacian_A(f, A=None, form="adjoint"):

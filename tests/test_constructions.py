@@ -328,6 +328,13 @@ def test_full_decompose_makes_four_solves(green_rhs):
     assert len(green_rhs) == 4
 
 
+def test_full_decompose_skips_the_hopf_solve_without_a_trace(green_rhs):
+    ch = build_chart("annulus", (48, 48))
+    cert = full_decompose(Section.zeros(ch))
+    assert cert.n_pairs == 0
+    assert len(green_rhs) == 1  # the kernel stage alone; no face needs a generator
+
+
 @pytest.mark.parametrize("suite, per_rung", [("generator", 2), ("full-decompose", 12)])
 def test_suite_solves_per_rung(green_rhs, suite, per_rung):
     cfg = RunConfig(grid=(64, 64))

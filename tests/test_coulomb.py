@@ -22,7 +22,7 @@ from gaugekit import (
 from gaugekit.algebra import coeff_to_matrix, matrix_to_coeff, quat_to_matrix
 from gaugekit.coulomb import (
     GaugeTransformation,
-    _loop_transport,
+    _loop_transports,
     freeness_check,
     obstruction_report,
     small_loop_holonomy,
@@ -255,24 +255,64 @@ def test_holonomy_rejects_flat_and_odd_loops(ann32):
         small_loop_holonomy(A, k=3)
 
 
+@pytest.mark.parametrize("k", [2.0, 4.0, "2", (), None, (2, 4.0), True],
+                         ids=["float", "float4", "str", "empty", "none", "mixed", "bool"])
+def test_holonomy_rejects_loop_sizes_that_are_not_even_integers(ann32, k):
+    A = _rand_conn(ann32, 23)
+    with pytest.raises(BadGeometry):
+        small_loop_holonomy(A, k=k)
+
+
 def test_loop_transport_is_the_ordered_product_of_link_matrices():
     # independent of the quaternion formulas: 2x2 matrix exponentials of the
-    # midpoint connection, multiplied on the left along the loop
-    ch = build_chart("annulus", (16, 16))
-    A = _rand_conn(ch, 5, scale=0.4)
-    k = 2
-    U = _loop_transport(A, k)
-    path = [(0, 1)] * k + [(1, 1)] * k + [(0, -1)] * k + [(1, -1)] * k
-    for node in [(0, 2), (3, 5), (7, 9), (15, 4), (10, 11)]:
-        pos = list(node)
-        M = np.eye(2, dtype=complex)
-        for ax, sgn in path:
-            here = A.eta.data[pos[0] % 16, pos[1], ax]
-            pos[ax] += sgn
-            there = A.eta.data[pos[0] % 16, pos[1], ax]
-            M = scipy.linalg.expm(coeff_to_matrix(-sgn * ch.h[ax] * 0.5 * (here + there))) @ M
-        got = quat_to_matrix(U[(slice(None),) + node])
-        np.testing.assert_allclose(got, M, rtol=0, atol=1e-13)
+    # midpoint connection, multiplied on the left along the loop, one link
+    # at a time (the transport itself composes runs of links by doubling)
+    cases = [(build_chart("annulus", (16, 16)), k) for k in (2, 4, 6)]
+    cases.append((build_chart("cylindrical_shell", (6, 5, 14)), 6))
+    for ch, k in cases:
+        A = _rand_conn(ch, 5, scale=0.4)
+        i, j = 0, ch.n - 1
+        U = _loop_transports(A, (k,))[k]
+        path = [(i, 1)] * k + [(j, 1)] * k + [(i, -1)] * k + [(j, -1)] * k
+        rng = np.random.default_rng(k)
+        nodes = [(0,) * ch.n, tuple(s - 1 for s in ch.shape[:-1]) + (ch.shape[-1] - 1 - k,)]
+        nodes += [tuple(int(rng.integers(s)) for s in ch.shape[:-1])
+                  + (int(rng.integers(ch.shape[-1] - k)),) for _ in range(4)]
+
+        def eta(pos, ax):
+            # tangential axes wrap; the loop never leaves the normal range
+            tang = tuple(p % s for p, s in zip(pos[:-1], ch.shape[:-1]))
+            return A.eta.data[tang + (pos[-1], ax)]
+
+        for node in nodes:
+            pos = list(node)
+            M = np.eye(2, dtype=complex)
+            for ax, sgn in path:
+                here = eta(pos, ax)
+                pos[ax] += sgn
+                there = eta(pos, ax)
+                M = scipy.linalg.expm(coeff_to_matrix(-sgn * ch.h[ax] * 0.5 * (here + there))) @ M
+            got = quat_to_matrix(U[(slice(None),) + node])
+            np.testing.assert_allclose(got, M, rtol=0, atol=1e-13)
+
+
+def test_holonomy_probe_exponentiates_each_link_once(ann64, monkeypatch):
+    # sizes 2, 4 and their doubles 4, 8 share runs of 1, 2, 4 and 8 links per
+    # axis: 2 exponentials, 6 doublings and 3 products per loop
+    import gaugekit.coulomb as cm
+
+    calls = {"qmul": 0, "qexp": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(cm, "qmul", counting("qmul", cm.qmul))
+    monkeypatch.setattr(cm, "qexp", counting("qexp", cm.qexp))
+    small_loop_holonomy(_rand_conn(ann64, 3, scale=0.4), k=(2, 4))
+    assert calls == {"qmul": 15, "qexp": 2}
 
 
 def test_holonomy_probes_for_several_sizes_match_single_calls(ann64):

@@ -1,0 +1,64 @@
+"""Negative controls: a check must fail when the stage it certifies is broken.
+
+Each test runs a check once as built and once with one stage deliberately
+mutated, and asserts that the mutation is caught. A check that still
+passes on the mutated input certifies nothing.
+"""
+
+import numpy as np
+
+import gaugekit.coulomb as cm
+from gaugekit import boundary_identity_residual, build_chart, random_smooth_field
+from gaugekit.algebra import qmul, quat_exp
+from gaugekit.geometry import BoundaryField
+from gaugekit.harness import RunConfig, run_suite
+
+
+def _area_law(result):
+    return [c for c in result.checks if c.name.startswith("area-law")]
+
+
+def test_loop_left_one_cell_open_fails_the_area_law(monkeypatch):
+    cfg = RunConfig(grid=(64, 64))
+    assert all(c.passed for c in _area_law(run_suite("holonomy", cfg)))
+
+    closed = cm._loop_transports
+
+    def open_loops(A, ks):
+        # undo the first link, along the tangential axis out of the start
+        # node: the loop starts one cell late, at x + e_0, and ends at x
+        ch = A.chart
+        eta = A.eta.data[..., 0, :]
+        mid = 0.5 * (eta + np.roll(eta, -1, axis=0))
+        back = np.moveaxis(quat_exp(ch.h[0] * mid), -1, 0)
+        return {k: np.stack(qmul(U, back)) for k, U in closed(A, ks).items()}
+
+    monkeypatch.setattr(cm, "_loop_transports", open_loops)
+    checks = _area_law(run_suite("holonomy", cfg))
+    assert checks
+    # the missing link adds a defect of order h |A_0| whatever the loop size,
+    # which pulls the doubling ratio below 3.6 (2.0 and 2.8 at seed 0)
+    assert not any(c.passed for c in checks if c.name.startswith("area-law-low"))
+
+
+def _general_over_plain():
+    # the configuration of test_coulomb's general-identity source-term test
+    ch = build_chart("annulus", (64, 64))
+    a = random_smooth_field(ch, "oneform", 20)
+    b = random_smooth_field(ch, "oneform", 21)
+    plain = boundary_identity_residual(a, b, None, general=False)
+    general = boundary_identity_residual(a, b, None, general=True)
+    return general.ratio / plain.ratio
+
+
+def test_flipped_source_terms_fail_the_general_identity(monkeypatch):
+    assert _general_over_plain() < 0.25
+
+    faces = cm._codiff_at_faces
+
+    def flipped(omega, A=None):
+        bf = faces(omega, A)
+        return BoundaryField(bf.chart, {side: -v for side, v in bf.values.items()})
+
+    monkeypatch.setattr(cm, "_codiff_at_faces", flipped)
+    assert _general_over_plain() >= 0.25

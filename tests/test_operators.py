@@ -30,6 +30,7 @@ from gaugekit.fields import MidOneForm, TwoForm, flat_d
 from gaugekit.operators import (
     SolveInfo,
     _anchor_face_rows,
+    _codiff_at_faces,
     _energy_apply,
     _scratch,
     bracket_dot,
@@ -183,6 +184,26 @@ def test_pointwise_codifferential_takes_node_one_forms(ann32):
     w = random_smooth_field(ann32, "oneform", 3)
     with pytest.raises(RankMismatch):
         codiff_A(MidOneForm.of(w), None, form="pointwise")
+    with pytest.raises(RankMismatch):
+        _codiff_at_faces(MidOneForm.of(w), None)
+
+
+@pytest.mark.parametrize("kind, shape", [
+    ("annulus", (24, 20)),
+    ("periodic_slab", (16, 12)),
+    ("cylindrical_shell", (8, 6, 10)),
+])
+@pytest.mark.parametrize("connected", [False, True], ids=["flat", "connected"])
+def test_face_layer_codifferential_is_the_pointwise_face_rows(kind, shape, connected):
+    # evaluated on the three normal layers at each face, the codifferential's
+    # face row is the whole-grid face row to the last bit
+    ch = build_chart(kind, shape)
+    A = _rand_conn(ch, 8) if connected else None
+    w = random_smooth_field(ch, "oneform", 9)
+    whole = codiff_A(w, A, form="pointwise")
+    faces = _codiff_at_faces(w, A)
+    for fc in ch.faces:
+        assert np.array_equal(faces.values[fc.side], whole.data[ch.face_slice(fc)])
 
 
 def test_green_solves_manufactured_problem():
