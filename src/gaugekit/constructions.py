@@ -8,34 +8,45 @@ through commutators of Green potentials whose sources live in a collar at
 the face; the kernel stage solves what is left back from its pointwise
 Laplacian once its obstruction trace passes a gate. All constructions live
 on 2d charts whose diagonal metric does not vary along the tangential axis.
+
+A window-inverse pair has rank one in the algebra: alpha = a (x) e_a and
+beta = b (x) e_b, so [alpha . beta] = (sum_i g^ii a_i b_i) [e_a, e_b]. Its
+verification numbers (product, star route, horizontality) are computed on
+the scalar coefficients (`_window_coefficients`) through the operators'
+component-agnostic cores, with one component; the three-component fields
+are built only for the returned `InverseResult`.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _stencils as st
 from .algebra import ALGEBRA_DIM, STRUCTURE_C, coeff_bracket
-from .coulomb import IdentityReport, horizontality_ratio
+from .coulomb import IdentityReport, _horizontality
 from .errors import (
     BadCover,
     BadGeometry,
     HopfViolation,
     KernelConditionViolated,
     NotTypeA,
+    RankMismatch,
     SupportTouchesBoundary,
     WindowTooSmall,
 )
 from .fields import OneForm, ScalarField, Section, TwoForm, l2_norm
 from .geometry import BoundaryField, mean_curvature
 from .operators import (
+    _bracket_contract,
     _cancellation_ratio,
+    _codiff_2form_data,
     _conn,
     boundary_operator_T,
     bracket_dot,
-    codiff_2form,
     d_A,
     green_A,
     laplacian_A,
@@ -96,8 +107,12 @@ def _check_construction_chart(ch):
 
 
 def _check_side(side):
-    if side not in (0, 1):
+    if isinstance(side, bool) or side not in (0, 1):
         raise BadGeometry(f"side must be 0 or 1, not {side!r}")
+
+
+def _finite_real(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _unit(k):
@@ -142,12 +157,19 @@ def _band_coordinates(chart, side, interval, depth):
         _check_side(side)
         if depth is None:
             depth = 0.8 * (hi - lo)
+        elif not _finite_real(depth):
+            raise BadGeometry(f"depth must be a finite real number, not {depth!r}")
         if not 0 < depth <= hi - lo:
             raise WindowTooSmall("collar depth must fit inside the domain")
         s = (xn - lo) if side == 0 else (hi - xn)
         sgn = 1.0 if side == 0 else -1.0
     else:
-        s0, s1 = interval
+        try:
+            s0, s1 = interval
+        except (TypeError, ValueError):
+            raise BadGeometry(f"interval must be two numbers, not {interval!r}") from None
+        if not (_finite_real(s0) and _finite_real(s1)):
+            raise BadGeometry(f"interval must be two finite real numbers, not {interval!r}")
         hgrid = chart.h[-1]
         if s0 < lo + 2 * hgrid or s1 > hi - 2 * hgrid or s1 <= s0:
             raise SupportTouchesBoundary(
@@ -161,37 +183,100 @@ def _band_coordinates(chart, side, interval, depth):
 
 @dataclass
 class InverseResult:
-    """Window-inverse pair and its verification numbers."""
+    """Window-inverse pair and its verification numbers.
+
+    The pair has rank one in the algebra: alpha = a (x) e_a, beta = b (x) e_b
+    and omega = (vol F) (x) e_a, with alpha = codiff_2form(omega). Every
+    number is computed on the coefficients a, b and F, through the same
+    component-agnostic cores as `bracket_dot`, `codiff_2form` and
+    `horizontality_ratio`, so it equals what those give on the fields here.
+    """
 
     alpha: OneForm
     beta: OneForm
-    alpha_star: OneForm
     omega: TwoForm
-    target: Section
     product_residual: float
     route_difference: float
     horizontality_alpha: float
     horizontality_beta: float
 
 
-def _window_inverse(psi, side, interval, depth, pair):
+def _check_pair(pair):
+    try:
+        ia, ib = pair
+    except (TypeError, ValueError):
+        raise BadGeometry(f"pair must be two basis indices, not {pair!r}") from None
+    ok = all(
+        isinstance(k, numbers.Integral) and not isinstance(k, bool) and 0 <= k < ALGEBRA_DIM
+        for k in (ia, ib)
+    )
+    if not ok or ia == ib:
+        raise BadGeometry(
+            f"pair must name two distinct basis directions in {{0, 1, 2}}, not {pair!r}"
+        )
+    return int(ia), int(ib)
+
+
+def _window_coefficients(psi, t, sgn):
+    """Coefficients (a, b, F) of the window pair for the profile psi on the
+    band coordinate t (see `_band_coordinates`): alpha = a (x) e_a and
+    beta = b (x) e_b, with a and b shaped (*shape, 2), and the potential F
+    of omega = (vol F) (x) e_a."""
     ch = psi.chart
-    _check_construction_chart(ch)
-    ia, ib = pair
-    if ia == ib or not (0 <= ia < ALGEBRA_DIM and 0 <= ib < ALGEBRA_DIM):
-        raise BadGeometry("pair must name two distinct basis directions")
-    t, sgn, depth = _band_coordinates(ch, side, interval, depth)
     f1, f2, f3, f4, f5, f6 = LADDER
     hn = ch.h[-1]
+    g11 = ch.g[..., 0]
+    g22 = ch.g[..., 1]
+    vol = ch.vol
+
+    # eta: unit discrete integral inside its band, so the running integral of
+    # phi returns exactly to zero past the profile band
+    eta = BumpKit.bump01((t - f2) / (f3 - f2))
+    wn = st.quad_weights_1d(ch.shape[-1], hn, False)
+    eta = eta / float(np.sum(wn * eta))
+
+    src = g11 * psi.data
+    I_t = np.sum(wn[None, :] * src, axis=-1)
+    phi = -I_t[:, None] * eta[None, :] + src
+
+    if sgn < 0:
+        F = np.flip(st.cumulative_trapezoid(np.flip(phi, -1), 1, hn), -1)
+    else:
+        F = st.cumulative_trapezoid(phi, 1, hn)
+    F_t = st.deriv_node(F, 0, ch.h[0], True)
+    a = np.stack([(g11 / vol) * sgn * phi, -(g22 / vol) * F_t], axis=-1)
+
+    plateau = BumpKit.smoothstep((t - f3) / (f4 - f3)) * (
+        1.0 - BumpKit.smoothstep((t - f5) / (f6 - f5))
+    )
+    b = np.zeros(ch.shape + (2,))
+    b[..., 0] = sgn * (g22 / vol) * plateau
+    return a, b, F
+
+
+def _along(coeffs, vec):
+    """coeffs[..., None] * vec, one whole-array product per component
+    (a broadcast over a trailing axis of 3 is several times slower)."""
+    out = np.empty(coeffs.shape + vec.shape)
+    for k, v in enumerate(vec):
+        np.multiply(coeffs, v, out=out[..., k])
+    return out
+
+
+def _window_inverse(psi, side, interval, depth, pair):
+    if not isinstance(psi, ScalarField):
+        raise RankMismatch("a window inverse takes its profile as a ScalarField")
+    ch = psi.chart
+    _check_construction_chart(ch)
+    ia, ib = _check_pair(pair)
+    t, sgn, depth = _band_coordinates(ch, side, interval, depth)
+    f1, f2, f3, f4, f5, f6 = LADDER
 
     if float(np.max(np.abs(psi.data))) == 0.0:
-        zero1 = OneForm(ch, np.zeros(ch.shape + (2, ALGEBRA_DIM)))
         return InverseResult(
-            alpha=zero1,
-            beta=OneForm(ch, np.zeros(ch.shape + (2, ALGEBRA_DIM))),
-            alpha_star=zero1,
-            omega=TwoForm(ch, np.zeros(ch.shape + (1, ALGEBRA_DIM))),
-            target=Section(ch, np.zeros(ch.shape + (ALGEBRA_DIM,))),
+            alpha=OneForm.zeros(ch),
+            beta=OneForm.zeros(ch),
+            omega=TwoForm.zeros(ch),
             product_residual=0.0,
             route_difference=0.0,
             horizontality_alpha=0.0,
@@ -207,60 +292,29 @@ def _window_inverse(psi, side, interval, depth, pair):
     if float(np.max(np.abs(psi.data[:, outside]))) > 0.0:
         raise WindowTooSmall("profile must be supported inside the ladder band")
 
-    g11 = ch.g[..., 0]
-    g22 = ch.g[..., 1]
-    b = ch.vol
-
-    # eta: unit discrete integral inside its band, so the running integral of
-    # phi returns exactly to zero past the profile band
-    eta = BumpKit.bump01((t - f2) / (f3 - f2))
-    wn = st.quad_weights_1d(ch.shape[-1], hn, False)
-    eta = eta / float(np.sum(wn * eta))
-
-    src = g11 * psi.data
-    I_t = np.sum(wn[None, :] * src, axis=-1)
-    phi = -I_t[:, None] * eta[None, :] + src
-
-    if side == 1:
-        F = np.flip(st.cumulative_trapezoid(np.flip(phi, -1), 1, hn), -1)
-    else:
-        F = st.cumulative_trapezoid(phi, 1, hn)
-    F_t = st.deriv_node(F, 0, ch.h[0], True)
-
-    vec_a = _unit(ia)
-    vec_b = _unit(ib)
-    a1 = (g11 / b) * sgn * phi
-    a2 = -(g22 / b) * F_t
-    alpha = OneForm(ch, np.stack([a1[..., None] * vec_a, a2[..., None] * vec_a], axis=2))
-
-    plateau = BumpKit.smoothstep((t - f3) / (f4 - f3)) * (
-        1.0 - BumpKit.smoothstep((t - f5) / (f6 - f5))
+    a, b, F = _window_coefficients(psi, t, sgn)
+    flat = _conn(ch, None)
+    vec_a, vec_b = _unit(ia), _unit(ib)
+    # [e_a, e_b] = c e_k with k the third index
+    c = float(coeff_bracket(vec_a, vec_b)[3 - ia - ib])
+    prod = _bracket_contract(a[..., None], b[..., None], ch.ginv, np.multiply)[..., 0] * c
+    target = psi.data * c
+    product_residual = float(np.max(np.abs(prod - target))) / max(
+        float(np.max(np.abs(target))), _TINY
     )
-    b1 = sgn * (g22 / b) * plateau
-    beta_data = np.zeros(ch.shape + (2, ALGEBRA_DIM))
-    beta_data[..., 0, :] = b1[..., None] * vec_b
-    beta = OneForm(ch, beta_data)
-
-    omega = TwoForm(ch, (b * F)[..., None, None] * vec_a[None, None, None, :])
-    alpha_star = codiff_2form(omega)
-
-    target = Section(ch, psi.data[..., None] * coeff_bracket(vec_a, vec_b))
-    prod = bracket_dot(alpha, beta)
-    tscale = max(target.sup(), _TINY)
-    product_residual = float(np.max(np.abs(prod.data - target.data))) / tscale
-    route_difference = float(np.max(np.abs(alpha.data - alpha_star.data))) / max(
-        alpha.sup(), _TINY
+    omega = (ch.vol * F)[..., None, None]
+    a_star = _codiff_2form_data(flat, omega)[..., 0]
+    route_difference = float(np.max(np.abs(a - a_star))) / max(
+        float(np.max(np.abs(a))), _TINY
     )
     return InverseResult(
-        alpha=alpha,
-        beta=beta,
-        alpha_star=alpha_star,
-        omega=omega,
-        target=target,
+        alpha=OneForm(ch, _along(a, vec_a)),
+        beta=OneForm(ch, _along(b, vec_b)),
+        omega=TwoForm(ch, _along(omega[..., 0], vec_a)),
         product_residual=product_residual,
         route_difference=route_difference,
-        horizontality_alpha=horizontality_ratio(alpha),
-        horizontality_beta=horizontality_ratio(beta),
+        horizontality_alpha=_horizontality(flat, a[..., None]),
+        horizontality_beta=_horizontality(flat, b[..., None]),
     )
 
 

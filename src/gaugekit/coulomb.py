@@ -40,6 +40,9 @@ from .errors import BadGeometry, NotHorizontal, RankMismatch
 from .fields import (
     OneForm,
     Section,
+    _mid_samples,
+    _node_inner,
+    _root,
     exterior_d,
     l2_norm,
     normal_component,
@@ -50,10 +53,10 @@ from .geometry import mean_curvature, require_same_chart
 from .operators import (
     Connection,
     _cancellation_ratio,
+    _codiff_adjoint,
     _codiff_at_faces,
     _conn,
     bracket_dot,
-    codiff_A,
     green_A,
     ritz_smallest,
 )
@@ -145,13 +148,21 @@ def horizontality_ratio(omega, A=None):
     The codifferential is the adjoint one, with interior rows only (its face
     layers are zero), so the ratio measures Dirichlet horizontality.
     """
-    A = _conn(omega.chart, A)
-    ch = omega.chart
-    span = float(ch.coords[-1][-1] - ch.coords[-1][0])
-    den = l2_norm(omega)
+    if not isinstance(omega, OneForm):
+        raise RankMismatch("horizontality_ratio expects a OneForm")
+    return _horizontality(_conn(omega.chart, A), omega.data)
+
+
+def _horizontality(A, data):
+    """horizontality_ratio of raw one-form data (*shape, n, K); K = 3 under
+    a connection, any K when A is flat."""
+    ch = A.chart
+    den = _root(_node_inner(ch, data, data))
     if den == 0.0:
         return 0.0
-    return l2_norm(codiff_A(omega, A, form="adjoint")) * span / den
+    span = float(ch.coords[-1][-1] - ch.coords[-1][0])
+    cod = _codiff_adjoint(A, _mid_samples(ch, data))
+    return _root(_node_inner(ch, cod, cod)) * span / den
 
 
 #: largest horizontality_ratio that curvature_form accepts

@@ -129,14 +129,19 @@ def flat_d(f):
     """Componentwise exterior derivative of a 0-form, collocated at nodes."""
     if not isinstance(f, (Section, ScalarField)):
         raise RankMismatch("flat_d expects a Section or ScalarField")
-    ch = f.chart
-    comps = [
-        st.deriv_node(f.data, ax, ch.h[ax], ch.periodic[ax]) for ax in range(ch.n)
-    ]
-    data = np.stack(comps, axis=ch.n)
+    data = _node_d(f.chart, f.data)
     if isinstance(f, ScalarField):
         return data  # raw (..., n) array; scalar forms stay internal
-    return OneForm(ch, data)
+    return OneForm(f.chart, data)
+
+
+def _node_d(ch, data):
+    """Node derivatives of raw 0-form data (*shape, ...) along every axis,
+    stacked behind the chart axes: (*shape, n, ...)."""
+    comps = [
+        st.deriv_node(data, ax, ch.h[ax], ch.periodic[ax]) for ax in range(ch.n)
+    ]
+    return np.stack(comps, axis=ch.n)
 
 
 def exterior_d(omega):
@@ -201,11 +206,13 @@ class MidOneForm:
         its axis's midpoints; a MidOneForm comes back as it is."""
         if isinstance(omega, MidOneForm):
             return omega
-        ch = omega.chart
-        return cls(ch, [
-            st.avg_mid(omega.data[..., ax, :], ax, ch.periodic[ax])
-            for ax in range(ch.n)
-        ])
+        return cls(omega.chart, _mid_samples(omega.chart, omega.data))
+
+
+def _mid_samples(ch, data):
+    """Raw one-form data (*shape, n, K) averaged to each axis's midpoints:
+    one (*mid_shape, K) array per axis."""
+    return [st.avg_mid(data[..., ax, :], ax, ch.periodic[ax]) for ax in range(ch.n)]
 
 
 def l2_inner(u, v, quadrature="node"):
@@ -232,20 +239,32 @@ def l2_inner(u, v, quadrature="node"):
         return total
     if quadrature != "node":
         raise ValueError("quadrature must be 'node' or 'cell'")
-    w = ch.quad_w * ch.vol
-    if isinstance(u, (Section, ScalarField)):
-        prod = u.data * v.data
-        if isinstance(u, Section):
-            prod = prod.sum(axis=-1)
-        return float(np.sum(w * prod))
-    if isinstance(u, OneForm):
-        contracted = np.einsum("...i,...ik,...ik->...", ch.ginv, u.data, v.data)
-        return float(np.sum(w * contracted))
-    raise RankMismatch(f"unsupported rank for l2_inner: {u.rank}")
+    if not isinstance(u, (ScalarField, Section, OneForm)):
+        raise RankMismatch(f"unsupported rank for l2_inner: {u.rank}")
+    return _node_inner(ch, u.data, v.data)
+
+
+def _node_inner(ch, u, v):
+    """Node-quadrature inner product of raw scalar (*shape), section
+    (*shape, K) or one-form (*shape, n, K) data, told apart by their number
+    of axes. Any number K of trailing components: data with one nonzero
+    component gives the value of that component alone, bit for bit."""
+    if u.ndim == ch.n + 2:
+        density = np.einsum("...i,...ik,...ik->...", ch.ginv, u, v)
+    else:
+        density = u * v
+        if u.ndim > ch.n:
+            density = density.sum(axis=-1)
+    return float(np.sum(ch.quad_w * ch.vol * density))
 
 
 def l2_norm(u, quadrature="node"):
-    return float(np.sqrt(max(l2_inner(u, u, quadrature=quadrature), 0.0)))
+    return _root(l2_inner(u, u, quadrature=quadrature))
+
+
+def _root(square):
+    """A norm from its square, which roundoff may leave slightly negative."""
+    return float(np.sqrt(max(square, 0.0)))
 
 
 # ---------------------------------------------------------------------------

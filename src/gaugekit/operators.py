@@ -25,6 +25,15 @@ into node-shaped buffers its caller passes in (`_scratch`), so that every
 stencil is one flat shifted op; the 1/2 of its averages is folded into the
 bracket, which rounds identically.
 
+The adjoint codifferential (`_codiff_adjoint`), the star route of
+codiff_2form (`_codiff_2form_data`) and the node inner product
+(`fields._node_inner`) each have one raw-array core that broadcasts over a
+trailing component axis: any number of components when the connection is
+flat, 3 under a connection. codiff_A, hodge_star, codiff_2form, l2_inner
+and horizontality_ratio call them with the 3 su(2) components; the window
+inverses, whose pairs have rank one, call them with 1. A component of a
+3-component call equals the 1-component call on it bit for bit.
+
 The Green solve is preconditioned conjugate gradient with one stopping rule,
 ||S u - M g|| <= tol ||M g||. With a flat connection on a chart whose metric
 depends on the normal coordinate only (`Chart.is_tangentially_uniform`, true
@@ -63,8 +72,8 @@ from .fields import (
     ScalarField,
     Section,
     TwoForm,
+    _node_d,
     check_dbc,
-    flat_d,
     l2_inner,
 )
 from .geometry import BoundaryField, mean_curvature, require_same_chart
@@ -128,9 +137,15 @@ def d_A(f, A=None):
     if not isinstance(f, Section):
         raise RankMismatch("d_A expects a Section")
     A = _conn(f.chart, A)
-    out = flat_d(f)
+    return OneForm(f.chart, _d_A_data(A, f.data))
+
+
+def _d_A_data(A, data):
+    """d_A of raw node section data (*shape, K); K = 3 under a connection,
+    any K when A is flat."""
+    out = _node_d(A.chart, data)
     if not A.is_flat:
-        out.data = out.data + coeff_bracket(A.eta.data, f.data[..., None, :])
+        out = out + coeff_bracket(A.eta.data, data[..., None, :])
     return out
 
 
@@ -149,9 +164,10 @@ def _mids(ch, ax, a):
     return a if ch.periodic[ax] else a[..., :-1]
 
 
-def _scratch(A):
+def _scratch(A, ncomp=ALGEBRA_DIM):
     """Work buffers of one energy-form evaluation under the connection A:
-    (gradient, sum, bracket, one component), shared by all axes.
+    (gradient, sum, bracket, one component), shared by all axes, for ncomp
+    components (3 under a connection).
 
     They are node-shaped and contiguous: on the bounded axis the N-1
     midpoints lead and the last slot is a pad, which the zero pad of
@@ -159,7 +175,7 @@ def _scratch(A):
     clear). The sum buffer is also the transposes' node output.
     """
     ch = A.chart
-    shape = (ALGEBRA_DIM,) + ch.shape
+    shape = (ncomp,) + ch.shape
     if A.is_flat:
         return np.zeros(shape), np.zeros(shape), None, None
     return np.zeros(shape), np.zeros(shape), np.zeros(shape), np.zeros(ch.shape)
@@ -228,10 +244,14 @@ def bracket_dot(alpha, beta):
     return Section(alpha.chart, _bracket_contract(alpha.data, beta.data, alpha.chart.ginv))
 
 
-def _bracket_contract(a, b, ginv):
+def _bracket_contract(a, b, ginv, product=None):
     """sum_i g^ii [a_i, b_i] of node-major one-form data, with `ginv` the
-    inverse metric diagonal on the same nodes."""
-    br = coeff_bracket(a, ginv[..., None] * b)
+    inverse metric diagonal on the same nodes. With product=np.multiply it
+    is the metric contraction sum_i g^ii a_i b_i of rank-one coefficients,
+    componentwise: [a e_a . b e_b] is that contraction times [e_a, e_b],
+    bit for bit. The bracket is looked up at call time, where layer
+    tracing sees it."""
+    br = (coeff_bracket if product is None else product)(a, ginv[..., None] * b)
     # the sum over i as whole-array adds in axis order, which round as the
     # reduce over the strided axis does, at a fifth of its cost
     return sum((br[..., i, :] for i in range(1, a.shape[-2])), br[..., 0, :])
@@ -241,16 +261,31 @@ def _bracket_contract(a, b, ginv):
 # codifferential and Laplacian
 # ---------------------------------------------------------------------------
 
-def _div_mid(A, mid):
-    """Node-major sum over the axes of _add_div_mid applied to a MidOneForm.
-    Its scratch is freed on return, before the caller's next temporaries."""
+def _div_mid(A, mids):
+    """Node-major sum over the axes of _add_div_mid applied to midpoint
+    samples, one node-major (*mid_shape, K) array per axis (K = 3 under a
+    connection). Its scratch is freed on return, before the caller's next
+    temporaries."""
     ch = A.chart
-    acc = np.zeros((ALGEBRA_DIM,) + ch.shape)
-    t, node, br, tmp = _scratch(A)
+    ncomp = mids[0].shape[-1]
+    acc = np.zeros((ncomp,) + ch.shape)
+    t, node, br, tmp = _scratch(A, ncomp)
     for ax in range(ch.n):
-        _mids(ch, ax, t)[...] = _comps(mid.arrays[ax])
+        _mids(ch, ax, t)[...] = _comps(mids[ax])
         _add_div_mid(acc, A, t, ax, node, br, tmp)
     return _nodes(acc)
+
+
+def _codiff_adjoint(A, mids):
+    """The adjoint codifferential of midpoint samples (see `_div_mid`) as
+    node-major (*shape, K) data: divided by the node weights, face layers
+    zero. Each component is that of a one-component call, bit for bit."""
+    ch = A.chart
+    out = _div_mid(A, mids)
+    out /= (ch.quad_w * ch.vol)[..., None]
+    for fc in ch.faces:
+        out[ch.face_slice(fc)] = 0.0
+    return out
 
 
 def _energy_apply(A, x, out=None, scratch=None):
@@ -288,11 +323,7 @@ def codiff_A(omega, A=None, form="adjoint"):
         return Section(ch, _pointwise_codiff(omega, A))
     if form != "adjoint":
         raise ValueError("form must be 'adjoint' or 'pointwise'")
-    out = _div_mid(A, MidOneForm.of(omega))
-    out /= (ch.quad_w * ch.vol)[..., None]
-    for fc in ch.faces:
-        out[ch.face_slice(fc)] = 0.0
-    return Section(ch, out)
+    return Section(ch, _codiff_adjoint(A, MidOneForm.of(omega).arrays))
 
 
 def _pointwise_codiff(omega, A, rows=slice(None)):
@@ -547,21 +578,36 @@ def horizontal_project(eta, A=None, tol=1e-10):
 # Hodge star and the two-form codifferential (2d charts)
 # ---------------------------------------------------------------------------
 
+def _require_2d(ch, what):
+    if ch.n != 2:
+        raise BadGeometry(f"{what} is implemented on 2d charts")
+
+
 def hodge_star(field):
     """Metric Hodge star of a one-form or a two-form on a 2d chart."""
     ch = field.chart
-    if ch.n != 2:
-        raise BadGeometry("hodge_star is implemented on 2d charts")
-    a = ch.vol
+    _require_2d(ch, "hodge_star")
     if isinstance(field, OneForm):
-        up = ch.ginv[..., None] * field.data
-        out = np.empty_like(field.data)
-        out[..., 0, :] = -a[..., None] * up[..., 1, :]
-        out[..., 1, :] = a[..., None] * up[..., 0, :]
-        return OneForm(ch, out)
+        return OneForm(ch, _star_oneform(ch, field.data))
     if isinstance(field, TwoForm):
-        return Section(ch, field.data[..., 0, :] / a[..., None])
+        return Section(ch, _star_twoform(ch, field.data))
     raise RankMismatch("hodge_star expects a OneForm or a TwoForm")
+
+
+def _star_oneform(ch, data):
+    """Hodge star of raw one-form data (*shape, 2, K) on a 2d chart."""
+    a = ch.vol[..., None]
+    up = ch.ginv[..., None] * data
+    out = np.empty_like(data)
+    out[..., 0, :] = -a * up[..., 1, :]
+    out[..., 1, :] = a * up[..., 0, :]
+    return out
+
+
+def _star_twoform(ch, data):
+    """Hodge star of raw two-form data (*shape, 1, K) on a 2d chart: node
+    data (*shape, K)."""
+    return data[..., 0, :] / ch.vol[..., None]
 
 
 def codiff_2form(omega, A=None):
@@ -570,7 +616,17 @@ def codiff_2form(omega, A=None):
     if not isinstance(omega, TwoForm):
         raise RankMismatch("codiff_2form expects a TwoForm")
     A = _conn(omega.chart, A)
-    return -1.0 * hodge_star(d_A(hodge_star(omega), A))
+    _require_2d(A.chart, "codiff_2form")
+    return OneForm(A.chart, _codiff_2form_data(A, omega.data))
+
+
+def _codiff_2form_data(A, data):
+    """The star route -(star d_A star) of raw two-form data (*shape, 1, K)
+    on a 2d chart, as one-form data (*shape, 2, K); K = 3 under a
+    connection. Each component is that of a one-component call, bit for
+    bit."""
+    ch = A.chart
+    return -1.0 * _star_oneform(ch, _d_A_data(A, _star_twoform(ch, data)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,14 @@ from gaugekit.errors import (
     BadCover,
     BadGeometry,
     KernelConditionViolated,
+    RankMismatch,
     SupportTouchesBoundary,
     WindowTooSmall,
 )
 from gaugekit.fields import check_dbc
 from gaugekit.geometry import BoundaryField
 from gaugekit.harness import RunConfig, run_suite
-from gaugekit.operators import boundary_operator_T, bracket_dot
+from gaugekit.operators import boundary_operator_T, bracket_dot, codiff_2form
 
 
 def _unit(k):
@@ -160,6 +161,103 @@ def test_interior_inverse_realizes_the_product():
     assert float(np.max(np.abs(res.beta.data[:, away]))) < 1e-15
 
 
+def _inverse(ch, window, pair):
+    """(profile, window inverse) for a window named as in the cross-check."""
+    if window == "interior":
+        lo, hi = ch.coords[-1][0], ch.coords[-1][-1]
+        iv = (lo + 0.24 * (hi - lo), lo + 0.76 * (hi - lo))
+        psi = band_profile(ch, interval=iv, scale=1.3)
+        return psi, interior_inverse(psi, interval=iv, pair=pair)
+    side = int(window[-1])
+    psi = band_profile(ch, side=side, scale=0.7)
+    return psi, boundary_chart_inverse(psi, side=side, pair=pair)
+
+
+def _agrees(got, ref, tol=1e-12):
+    """Absolute agreement for roundoff-level values, relative otherwise."""
+    return abs(got - ref) <= (tol if abs(ref) < tol else tol * abs(ref))
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 2), (2, 0)], ids=str)
+@pytest.mark.parametrize("window", ["side0", "side1", "interior"])
+@pytest.mark.parametrize("kind", ["annulus", "annulus_log"])
+def test_rank_one_numbers_match_the_full_operators(kind, window, pair):
+    # the verification numbers are computed on the pair's coefficients; the
+    # three-component operators on the returned fields must give them too
+    ch = build_chart(kind, (96, 96))
+    psi, res = _inverse(ch, window, pair)
+    target = psi.data[..., None] * coeff_bracket(_unit(pair[0]), _unit(pair[1]))
+    prod = bracket_dot(res.alpha, res.beta).data
+    product = float(np.max(np.abs(prod - target))) / float(np.max(np.abs(target)))
+    alpha_star = codiff_2form(res.omega).data
+    route = float(np.max(np.abs(res.alpha.data - alpha_star))) / res.alpha.sup()
+    assert _agrees(res.product_residual, product)
+    assert _agrees(res.route_difference, route)
+    assert _agrees(res.horizontality_alpha, horizontality_ratio(res.alpha))
+    assert _agrees(res.horizontality_beta, horizontality_ratio(res.beta))
+    assert res.product_residual < 1e-12 and res.route_difference > 0.0
+
+
+def test_window_inverses_take_the_rank_one_path(monkeypatch):
+    import gaugekit.constructions as con
+    import gaugekit.coulomb as cm
+    import gaugekit.operators as op
+
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kw):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kw)
+        return wrapped
+
+    names = ("codiff_A", "codiff_2form", "bracket_dot", "horizontality_ratio")
+    for mod in (op, cm, con):
+        for name in names:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    ch = build_chart("annulus", (64, 64))
+    _, res = _inverse(ch, "side0", (0, 1))
+    _inverse(ch, "interior", (1, 2))
+    assert calls == {}
+    # the counters see the three-component operators when they do run
+    op.codiff_A(res.alpha)
+    op.codiff_2form(res.omega)
+    op.bracket_dot(res.alpha, res.beta)
+    cm.horizontality_ratio(res.alpha)
+    assert calls == dict.fromkeys(names, 1)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda psi: boundary_chart_inverse(psi, pair=(0, 1.5)), BadGeometry),
+    (lambda psi: boundary_chart_inverse(psi, pair=(0,)), BadGeometry),
+    (lambda psi: boundary_chart_inverse(psi, pair=(0, 1, 2)), BadGeometry),
+    (lambda psi: boundary_chart_inverse(psi, pair="01"), BadGeometry),
+    (lambda psi: boundary_chart_inverse(psi, pair=(True, 0)), BadGeometry),
+    (lambda psi: boundary_chart_inverse(psi, pair=(0, 3)), BadGeometry),
+    (lambda psi: boundary_chart_inverse(psi, pair=(2, 2)), BadGeometry),
+    (lambda psi: boundary_chart_inverse(psi, pair=None), BadGeometry),
+    (lambda psi: boundary_chart_inverse(psi, depth="0.3"), BadGeometry),
+    (lambda psi: boundary_chart_inverse(psi, depth=float("nan")), BadGeometry),
+    (lambda psi: boundary_chart_inverse(psi, depth=True), BadGeometry),
+    (lambda psi: interior_inverse(psi, interval=(0.5,)), BadGeometry),
+    (lambda psi: interior_inverse(psi, interval=("a", "b")), BadGeometry),
+    (lambda psi: interior_inverse(psi, interval=(0.6, float("inf"))), BadGeometry),
+    (lambda psi: interior_inverse(psi, interval=0.6), BadGeometry),
+    (lambda psi: boundary_chart_inverse(psi.data), RankMismatch),
+    (lambda psi: interior_inverse(psi.data, interval=(0.62, 0.88)), RankMismatch),
+], ids=[
+    "pair-float", "pair-short", "pair-long", "pair-str", "pair-bool", "pair-range",
+    "pair-same", "pair-none", "depth-str", "depth-nan", "depth-bool",
+    "interval-short", "interval-str", "interval-inf", "interval-scalar",
+    "psi-array-boundary", "psi-array-interior",
+])
+def test_window_inverse_arguments_raise_gaugekit_errors(call, error):
+    ch = build_chart("annulus", (48, 48))
+    with pytest.raises(error):
+        call(band_profile(ch, side=0))
+
+
 def test_two_routes_to_alpha_agree_under_refinement():
     diffs, hs = [], []
     for n in (64, 96, 128):
@@ -252,7 +350,7 @@ def test_generator_rejects_a_shallow_collar(monkeypatch):
         generator_for_boundary_data(_face_target(ch, 0, _unit(0)))
 
 
-@pytest.mark.parametrize("side", [2, -1])
+@pytest.mark.parametrize("side", [2, -1, True])
 def test_face_side_must_be_zero_or_one(side):
     ch = build_chart("annulus", (48, 48))
     with pytest.raises(BadGeometry):

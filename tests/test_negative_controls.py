@@ -7,6 +7,7 @@ passes on the mutated input certifies nothing.
 
 import numpy as np
 
+import gaugekit.constructions as con
 import gaugekit.coulomb as cm
 from gaugekit import boundary_identity_residual, build_chart, random_smooth_field
 from gaugekit.algebra import qmul, quat_exp
@@ -62,3 +63,52 @@ def test_flipped_source_terms_fail_the_general_identity(monkeypatch):
 
     monkeypatch.setattr(cm, "_codiff_at_faces", flipped)
     assert _general_over_plain() >= 0.25
+
+
+def _chart_inverse_failures():
+    report = run_suite("chart-inverse", RunConfig())
+    return {c.name: c.value for c in report.checks if not c.passed}
+
+
+def test_flipped_normal_coefficient_fails_route_and_horizontality(monkeypatch):
+    assert _chart_inverse_failures() == {}
+
+    coefficients = con._window_coefficients
+
+    def flipped(psi, t, sgn):
+        # alpha's normal slot with the wrong sign: alpha is no longer the
+        # codifferential of omega, nor horizontal, but the product (beta
+        # has no normal slot) and the Dirichlet traces are untouched
+        a, b, F = coefficients(psi, t, sgn)
+        a[..., 1] *= -1.0
+        return a, b, F
+
+    monkeypatch.setattr(con, "_window_coefficients", flipped)
+    failures = _chart_inverse_failures()
+    assert set(failures) == {
+        f"{w}-{check}"
+        for w in ("boundary", "interior")
+        for check in ("route-order", "route-monotone", "codiff-order")
+    }
+    # at 128^2: route orders -0.13 / -0.03, codiff orders -0.10 / -0.12
+    assert all(failures[f"{w}-{c}"] < 0.0 for w in ("boundary", "interior")
+               for c in ("route-order", "codiff-order"))
+
+
+def test_halved_beta_fails_the_product(monkeypatch):
+    coefficients = con._window_coefficients
+
+    def halved(psi, t, sgn):
+        a, b, F = coefficients(psi, t, sgn)
+        return a, 0.5 * b, F
+
+    monkeypatch.setattr(con, "_window_coefficients", halved)
+    failures = _chart_inverse_failures()
+    # a residual of one half at every rung: the product fails its bound of
+    # 1e-3, and its order (a constant series) reads 0
+    assert set(failures) == {
+        f"{w}-{check}" for w in ("boundary", "interior")
+        for check in ("product", "product-order")
+    }
+    for w in ("boundary", "interior"):
+        assert abs(failures[f"{w}-product"] - 0.5) < 1e-12

@@ -26,10 +26,12 @@ from gaugekit import (
     ritz_smallest,
 )
 from gaugekit.algebra import coeff_bracket, coeff_to_matrix, matrix_to_coeff
-from gaugekit.fields import MidOneForm, TwoForm, flat_d
+from gaugekit.fields import MidOneForm, TwoForm, _mid_samples, _node_inner, flat_d
 from gaugekit.operators import (
     SolveInfo,
     _anchor_face_rows,
+    _codiff_2form_data,
+    _codiff_adjoint,
     _codiff_at_faces,
     _energy_apply,
     _scratch,
@@ -472,6 +474,33 @@ def test_star_route_is_2d_only(shell12):
         hodge_star(random_smooth_field(shell12, "oneform", 15))
     with pytest.raises(BadGeometry):
         codiff_2form(TwoForm.zeros(shell12))
+
+
+@pytest.mark.parametrize("kind", ["annulus", "annulus_log"])
+def test_cores_act_on_each_component_alone(kind):
+    # the raw-array cores broadcast over the trailing component axis: a
+    # three-component call equals the one-component call on each component
+    ch = build_chart(kind, (32, 24))
+    flat = Connection.flat(ch)
+    w1 = random_smooth_field(ch, "oneform", 31).data
+    w2 = random_smooth_field(ch, "oneform", 32).data[..., :1, :]  # a two-form
+    cod = _codiff_adjoint(flat, _mid_samples(ch, w1))
+    star = _codiff_2form_data(flat, w2)
+    np.testing.assert_array_equal(cod, codiff_A(OneForm(ch, w1)).data)
+    np.testing.assert_array_equal(star, codiff_2form(TwoForm(ch, w2)).data)
+    for k in range(ALGEBRA_DIM):
+        one = slice(k, k + 1)
+        assert np.array_equal(cod[..., one], _codiff_adjoint(flat, _mid_samples(ch, w1[..., one])))
+        assert np.array_equal(star[..., one], _codiff_2form_data(flat, w2[..., one]))
+        # the inner product sums over components, so it is exact on data
+        # with one nonzero component: one-forms, sections and scalars
+        for data in (w1, cod):
+            rank_one = np.zeros_like(data)
+            rank_one[..., k] = data[..., k]
+            single = data[..., one]
+            assert _node_inner(ch, rank_one, data) == _node_inner(ch, single, single)
+        scalar = cod[..., k]
+        assert _node_inner(ch, cod[..., one], cod[..., one]) == _node_inner(ch, scalar, scalar)
 
 
 def test_codiff_squared_vanishes_flat_case():
