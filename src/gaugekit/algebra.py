@@ -14,8 +14,9 @@ leading array axes so whole grids of group values move through one call.
 The product, exponential and normalisation are written once, on components:
 qmul, qexp and qnormalize take and return (w, u1, u2, u3) (qexp takes the
 three algebra coefficients) as separate arrays. A component-first
-(4, *shape) array unpacks into them directly; the node-major quat_* wrappers
-on (..., 4) arrays split the last axis and stack the result back.
+(4, *shape) array unpacks into them directly, and qmul and qnormalize can
+store their result in one (`out`); the node-major quat_* wrappers on
+(..., 4) arrays split the last axis and stack the result back.
 """
 
 from __future__ import annotations
@@ -90,16 +91,28 @@ def _split(q):
     return np.moveaxis(np.asarray(q, dtype=float), -1, 0)
 
 
-def qmul(p, q):
-    """Components of the product U1 U2 for U = w*I + i(u.sigma)."""
+def qmul(p, q, out=None):
+    """Components of the product U1 U2 for U = w*I + i(u.sigma).
+
+    With `out`, a component-first array that shares no memory with either
+    factor, each component is stored there as it is formed and `out` is
+    returned.
+    """
+    parts = _qmul_parts(p, q)
+    if out is None:
+        return tuple(parts)
+    for o, part in zip(out, parts):
+        o[...] = part
+    return out
+
+
+def _qmul_parts(p, q):
     w1, x1, y1, z1 = p
     w2, x2, y2, z2 = q
-    return (
-        w1 * w2 - ((x1 * x2 + y1 * y2) + z1 * z2),
-        (w1 * x2 + w2 * x1) - (y1 * z2 - z1 * y2),
-        (w1 * y2 + w2 * y1) - (z1 * x2 - x1 * z2),
-        (w1 * z2 + w2 * z1) - (x1 * y2 - y1 * x2),
-    )
+    yield w1 * w2 - ((x1 * x2 + y1 * y2) + z1 * z2)
+    yield (w1 * x2 + w2 * x1) - (y1 * z2 - z1 * y2)
+    yield (w1 * y2 + w2 * y1) - (z1 * x2 - x1 * z2)
+    yield (w1 * z2 + w2 * z1) - (x1 * y2 - y1 * x2)
 
 
 def qexp(a):
@@ -111,11 +124,14 @@ def qexp(a):
     return np.cos(theta), fac * a1, fac * a2, fac * a3
 
 
-def qnormalize(q):
-    """Components of q projected back to the unit sphere."""
+def qnormalize(q, out=None):
+    """Components of q projected back to the unit sphere; with `out`, a
+    component-first array (q itself may be one), they are stored there."""
     w, x, y, z = q
     n = np.sqrt(((w * w + x * x) + y * y) + z * z)
-    return w / n, x / n, y / n, z / n
+    if out is None:
+        return w / n, x / n, y / n, z / n
+    return np.divide(q, n, out=out)
 
 
 def quat_identity(shape=()):

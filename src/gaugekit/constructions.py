@@ -297,25 +297,29 @@ def _window_inverse(psi, side, interval, depth, pair):
     vec_a, vec_b = _unit(ia), _unit(ib)
     # [e_a, e_b] = c e_k with k the third index
     c = float(coeff_bracket(vec_a, vec_b)[3 - ia - ib])
-    prod = _bracket_contract(a[..., None], b[..., None], ch.ginv, np.multiply)[..., 0] * c
-    target = psi.data * c
-    product_residual = float(np.max(np.abs(prod - target))) / max(
-        float(np.max(np.abs(target))), _TINY
+    product_residual = _relative_sup(
+        _bracket_contract(a[..., None], b[..., None], ch.ginv, np.multiply)[..., 0] * c,
+        psi.data * c,
     )
     omega = (ch.vol * F)[..., None, None]
-    a_star = _codiff_2form_data(flat, omega)[..., 0]
-    route_difference = float(np.max(np.abs(a - a_star))) / max(
-        float(np.max(np.abs(a))), _TINY
-    )
+    route_difference = _relative_sup(_codiff_2form_data(flat, omega)[..., 0], a)
+    # every number before the 3-component fields, so that no temporary of
+    # the checks overlaps them
+    h_alpha, h_beta = (_horizontality(flat, x[..., None]) for x in (a, b))
     return InverseResult(
         alpha=OneForm(ch, _along(a, vec_a)),
         beta=OneForm(ch, _along(b, vec_b)),
         omega=TwoForm(ch, _along(omega[..., 0], vec_a)),
         product_residual=product_residual,
         route_difference=route_difference,
-        horizontality_alpha=_horizontality(flat, a[..., None]),
-        horizontality_beta=_horizontality(flat, b[..., None]),
+        horizontality_alpha=h_alpha,
+        horizontality_beta=h_beta,
     )
+
+
+def _relative_sup(x, ref):
+    """sup |x - ref| / sup |ref|, with a floor under the denominator."""
+    return float(np.max(np.abs(x - ref))) / max(float(np.max(np.abs(ref))), _TINY)
 
 
 def boundary_chart_inverse(psi, side=0, depth=None, pair=(0, 1)):

@@ -9,9 +9,10 @@ product agree to rounding rather than to discretization error.
 The holonomy loop transport runs component-first, on (4, *shape) quaternions
 and (3, *shape) connection components, through algebra's
 qmul/qexp/qnormalize. It exponentiates each loop axis's links once and
-composes loops from straight runs of links built by doubling. The general
-boundary identity reads the pointwise codifferential on the face layers
-only (`operators._codiff_at_faces`).
+composes loops from straight runs of links built by doubling. Loop sizes
+stream in ascending order, and each loop is reduced to its probe numbers
+as soon as it exists. The general boundary identity reads the pointwise
+codifferential on the face layers only (`operators._codiff_at_faces`).
 """
 
 from __future__ import annotations
@@ -338,50 +339,106 @@ class HolonomyProbe:
 
 
 def _loop_transports(A, ks):
-    """Quaternion holonomy of the k-cell loop in the (0, normal) coordinate
-    plane at each node, component-first (4, *shape), for each k in ks.
+    """Yield (k, U) for each loop size k in ks, ascending: U is the
+    quaternion holonomy of the k-cell loop in the (0, normal) coordinate
+    plane at each node, component-first (4, *shape) with the normal axis cut
+    to its first N - k nodes, the ones whose loop fits in the chart.
 
     Each loop axis gets its forward link once, L(x) = exp(-h A(midpoint)).
     Straight runs of k links, R_k(x) = L(x + (k-1) e) ... L(x), are built by
     splitting off the largest power of two m < k: R_k(x) = R_{k-m}(x + m e)
-    R_m(x). The runs are shared by every loop size. A loop is then
-    conj(Up_k(x)) conj(R_k(x + k e_j)) Up_k(x + k e_i) R_k(x), with R the
-    run along the tangential axis i and Up the run along the normal axis j:
-    the inverse of a unit quaternion is its conjugate, an exact sign flip.
-    Each product is normalized. Shifts wrap, so a run read past the normal
-    axis's end is only valid on rows its caller discards.
+    R_m(x). A loop is then conj(Up_k(x)) conj(R_k(x + k e_j)) Up_k(x + k e_i)
+    R_k(x), with R the run along the tangential axis i and Up the run along
+    the normal axis j: the inverse of a unit quaternion is its conjugate, an
+    exact sign flip. Each product is normalized in its own buffer.
+
+    Every shift is a slice. The tangential axis is extended periodically by
+    the largest k, and each array keeps only the nodes where its value is
+    defined: a run of k links ends k nodes short, along i in the extension.
+    Runs that no remaining size reads are dropped before each loop is
+    formed; the caller should drop each loop before asking for the next.
     """
     ch = A.chart
     i, j = 0, ch.n - 1
+    ks = sorted(set(ks))
     eta = np.moveaxis(A.eta.data, (-2, -1), (0, 1))  # (n, 3, *shape)
-    runs = {}
-    for ax in (i, j):
-        mid = 0.5 * (eta[ax] + np.roll(eta[ax], -1, axis=ax + 1))
-        runs[ax] = {1: np.stack(qexp(-ch.h[ax] * mid))}
-
-    def conj(q):
-        return q[0], -q[1], -q[2], -q[3]
-
-    loops = {}
+    runs = {ax: {1: _links(ch, eta[ax], ax, ch.shape[i] + ks[-1])} for ax in (i, j)}
     for k in ks:
-        R, Up = _straight_run(runs[i], k, i + 1), _straight_run(runs[j], k, j + 1)
-        U = qnormalize(qmul(np.roll(Up, -k, axis=i + 1), R))
-        U = qnormalize(qmul(conj(np.roll(R, -k, axis=j + 1)), U))
-        loops[k] = np.stack(qnormalize(qmul(conj(Up), U)))
-    return loops
+        for ax in (i, j):
+            _straight_run(runs[ax], k, ax)
+            for m in runs[ax].keys() - _run_lengths(runs[ax], [kk for kk in ks if kk >= k]):
+                del runs[ax][m]
+        yield k, _loop(runs[i][k], runs[j][k], k, ch)
 
 
-def _straight_run(runs, k, axis):
-    """R_k = R_{k-m}(x + m e) R_m(x) along the array axis `axis`, from the
-    runs already in `runs` (keyed by length, the links at 1), where it also
+def _links(ch, comps, ax, width):
+    """Forward links along chart axis `ax` from the connection components
+    (3, *shape) along it, on the tangential axis extended periodically to
+    `width` nodes."""
+    ext = np.take(comps, range(width), axis=1, mode="wrap")
+    mid = 0.5 * (ext[_cut(ax, 0, -1)] + ext[_cut(ax, 1, None)])
+    return np.stack(qexp(-ch.h[ax] * mid))
+
+
+def _loop(R, Up, k, ch):
+    """conj(Up(x)) conj(R(x + k e_j)) Up(x + k e_i) R(x) on the chart's
+    tangential nodes x whose loop fits."""
+    i, j = 0, ch.n - 1
+    cols = _cut(i, 0, ch.shape[i])
+    R = R[cols]
+    U = _qprod(Up[_cut(i, k, k + ch.shape[i])], R[_cut(j, 0, -k)])
+    U = _qprod(_conj(R[_cut(j, k, None)]), U)
+    return _qprod(_conj(Up[cols]), U)
+
+
+def _cut(ax, start, stop):
+    """Index of a component-first array that slices chart axis `ax`."""
+    return (slice(None),) * (ax + 1) + (slice(start, stop),)
+
+
+def _conj(q):
+    return q[0], -q[1], -q[2], -q[3]
+
+
+def _qprod(p, q):
+    """The normalized product of two component-first quaternion arrays, in
+    a new buffer."""
+    out = qmul(p, q, np.empty((4,) + q[0].shape))
+    return qnormalize(out, out)
+
+
+def _straight_run(runs, k, ax):
+    """R_k = R_{k-m}(x + m e) R_m(x) along chart axis `ax`, from the runs
+    already in `runs` (keyed by length, the links at 1), where it also
     stores every run it builds. It is a module function because a recursive
     closure would keep the runs in a reference cycle until the cyclic
     garbage collector ran."""
     if k not in runs:
-        m = 1 << ((k - 1).bit_length() - 1)
-        later = np.roll(_straight_run(runs, k - m, axis), -m, axis=axis)
-        runs[k] = np.stack(qnormalize(qmul(later, _straight_run(runs, m, axis))))
+        m = _split_length(k)
+        later, first = _straight_run(runs, k - m, ax), _straight_run(runs, m, ax)
+        n = later.shape[ax + 1] - m  # R_k is defined where R_{k-m} is, less m
+        runs[k] = _qprod(later[_cut(ax, m, None)], first[_cut(ax, 0, n)])
     return runs[k]
+
+
+def _split_length(k):
+    """The largest power of two below k, the run that R_k splits off."""
+    return 1 << ((k - 1).bit_length() - 1)
+
+
+def _run_lengths(runs, ks):
+    """The run lengths that building R_k for each k in ks reads, from the
+    runs already in `runs`, the R_k themselves included."""
+    need = set()
+    todo = list(ks)
+    while todo:
+        k = todo.pop()
+        if k not in need:
+            need.add(k)
+            if k not in runs:
+                m = _split_length(k)
+                todo += [k - m, m]
+    return need
 
 
 def small_loop_holonomy(A, k=2):
@@ -414,32 +471,42 @@ def small_loop_holonomy(A, k=2):
         if ch.shape[-1] < 2 * kk + 6:
             raise BadGeometry("normal axis too short for the requested loop")
     ks = tuple(int(kk) for kk in ks)
-    U = _loop_transports(A, sorted({*ks, *(2 * kk for kk in ks)}))
 
-    # curvature two-form component along the loop plane, at each node
+    # Each loop is reduced as soon as it exists. The probe of size k reads
+    # both of its loops on the rows 2 .. N-2-2k, away from the faces; the
+    # loop of size L is the smaller loop of probe L (its largest defect,
+    # where it lies, and the defect there) and the larger loop of probe L/2
+    # (its largest defect, on rows 2 .. N-2-L).
+    n_j = ch.shape[-1]
+    small, large = {}, {}
+    for size, U in _loop_transports(A, {*ks, *(2 * kk for kk in ks)}):
+        rows = n_j - 3 - (size if size // 2 in ks else 2 * size)
+        g = quat_log(np.moveaxis(U[_cut(j, 2, 2 + rows)], 0, -1))
+        del U
+        norms = np.sqrt(np.sum(g * g, axis=-1))
+        if size // 2 in ks:
+            large[size // 2] = float(np.max(norms))
+        if size in ks:
+            near = norms[..., : n_j - 3 - 2 * size]
+            idx = np.unravel_index(int(np.argmax(near)), near.shape)
+            small[size] = (float(np.max(near)), idx, g[idx].copy())
+        del g, norms
+
+    # curvature two-form component along the loop plane, read at the center
+    # of each probe's smaller loop
     dd = exterior_d(A.eta)
-    p = dd.pairs.index((i, j))
-    F = dd.data[..., p, :] + coeff_bracket(A.eta.data[..., i, :], A.eta.data[..., j, :])
+    F = dd.data[..., dd.pairs.index((i, j)), :]
 
     probes = []
     for k in ks:
-        valid = [slice(None)] * ch.n
-        valid[-1] = slice(2, ch.shape[-1] - 1 - 2 * k)
-        valid = tuple(valid)
-        # defect fields for both loop sizes (log only where the loop is real,
-        # away from rows where the normal-axis roll wrapped around)
-        g1, g2 = (quat_log(np.moveaxis(U[kk], 0, -1)[valid]) for kk in (k, 2 * k))
-
-        # sample F at the small-loop center
-        shift = [0] * ch.n
-        shift[i], shift[j] = -k // 2, -k // 2
-        Fv = np.roll(F, shift=tuple(shift), axis=tuple(range(ch.n)))[valid]
-
-        flat_norms = np.sqrt(np.sum(g1 * g1, axis=-1))
-        d1 = float(np.max(flat_norms))
-        d2 = float(np.max(np.sqrt(np.sum(g2 * g2, axis=-1))))
-        idx = np.unravel_index(int(np.argmax(flat_norms)), flat_norms.shape)
-        gpt, fpt = g1[idx], Fv[idx]
+        d1, idx, gpt = small[k]
+        d2 = large[k]
+        at = list(idx)
+        at[i] = (at[i] + k // 2) % ch.shape[i]
+        at[j] += 2 + k // 2
+        at = tuple(at)
+        eta = A.eta.data[at]
+        fpt = F[at] + coeff_bracket(eta[i], eta[j])
         dot = float(np.dot(gpt, fpt))
         denom = float(np.sqrt(np.dot(gpt, gpt)) * np.sqrt(np.dot(fpt, fpt)))
         cosine = abs(dot) / denom if denom > 0 else 0.0

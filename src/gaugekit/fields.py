@@ -73,7 +73,15 @@ class _Field:
         require_same_chart(self.chart, other.chart)
 
     def sup(self):
-        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
+        return _sup(self.data)
+
+
+def _sup(x):
+    """max |x| over an array, 0 when it is empty, with no |x| temporary."""
+    if not x.size:
+        return 0.0
+    # abs only clears the sign of a zero maximum
+    return abs(float(max(x.max(), -x.min())))
 
 
 class ScalarField(_Field):
@@ -306,22 +314,42 @@ def require_dbc(field, tol=DBC_TOL):
 # seeded smooth fields
 # ---------------------------------------------------------------------------
 
-def _smooth_scalar(ch, rng, modes, degree, terms=4):
-    # every factor is evaluated on 1-D coordinates and broadcast in the sum
+def _smooth_slots(ch, rng, slots, modes, degree, terms=4):
+    """`slots` smooth scalars, slots leading (slots, *shape).
+
+    Each slot is a sum of `terms` products of random tangential cosines, a
+    random polynomial in the normal coordinate and a random amplitude. The
+    rng is read slot after slot and term after term; each term is then
+    evaluated for every slot at once, its factors on 1-D coordinates
+    broadcast against the slot axis.
+    """
+    tang = ch.n - 1
+    k = np.empty((terms, slots, tang))
+    phase = np.empty((terms, slots, tang))
+    coeffs = np.empty((terms, degree + 1, slots))
+    amp = np.empty((terms, slots))
+    for s in range(slots):
+        for t in range(terms):
+            for ax in range(tang):
+                k[t, s, ax] = rng.integers(0, modes + 1)
+                phase[t, s, ax] = rng.uniform(0.0, 2.0 * np.pi)
+            coeffs[t, :, s] = rng.normal(size=degree + 1)
+            amp[t, s] = rng.normal()
+
+    lead = (slice(None),) + (None,) * ch.n  # a per-slot value against the grid
     mesh = ch.mesh(sparse=True)
-    out = np.zeros(ch.shape)
     lo, hi = ch.coords[-1][0], ch.coords[-1][-1]
-    t = (mesh[-1] - lo) / (hi - lo)
-    for _ in range(terms):
+    t_norm = (mesh[-1] - lo) / (hi - lo)
+    out = np.zeros((slots,) + ch.shape)
+    prod = np.empty_like(out)
+    for t in range(terms):
         term = 1.0
-        for ax in range(ch.n - 1):
-            k = int(rng.integers(0, modes + 1))
-            phase = rng.uniform(0.0, 2.0 * np.pi)
+        for ax in range(tang):
             span = ch.shape[ax] * ch.h[ax]
-            term = term * np.cos(k * (2.0 * np.pi / span) * mesh[ax] + phase)
-        coeffs = rng.normal(size=degree + 1)
-        poly = np.polynomial.polynomial.polyval(2.0 * t - 1.0, coeffs)
-        out += rng.normal() * term * poly
+            wave = k[t, :, ax] * (2.0 * np.pi / span)
+            term = term * np.cos(wave[lead] * mesh[ax] + phase[t, :, ax][lead])
+        poly = np.polynomial.polynomial.polyval(2.0 * t_norm - 1.0, coeffs[t])
+        out += np.multiply(amp[t][lead] * term, poly, out=prod)
     return out
 
 
@@ -331,42 +359,28 @@ def random_smooth_field(chart, rank, seed, dbc=True, scale=1.0, modes=2, degree=
 
     With dbc=True, constrained slots (section values, tangential one-form
     components) carry a sin(pi t) factor in the normal coordinate so the
-    Dirichlet condition holds exactly on the grid.
+    Dirichlet condition holds exactly on the grid. The slots are built
+    together, component-first (`_smooth_slots`), scaled in place, and moved
+    behind the chart axes by one copy.
     """
-    rng = np.random.default_rng(seed)
-    mesh = chart.mesh(sparse=True)
-    lo, hi = chart.coords[-1][0], chart.coords[-1][-1]
-    vanish = np.sin(np.pi * (mesh[-1] - lo) / (hi - lo))
-    if rank == "scalar":
-        data = _smooth_scalar(chart, rng, modes, degree)
-        if dbc:
-            data = data * vanish
-        field = ScalarField(chart, data)
-    elif rank == "section":
-        data = np.stack(
-            [_smooth_scalar(chart, rng, modes, degree) for _ in range(ALGEBRA_DIM)],
-            axis=-1,
-        )
-        if dbc:
-            data = data * vanish[..., None]
-        field = Section(chart, data)
-    elif rank == "oneform":
-        comps = []
-        for ax in range(chart.n):
-            c = np.stack(
-                [_smooth_scalar(chart, rng, modes, degree) for _ in range(ALGEBRA_DIM)],
-                axis=-1,
-            )
-            if dbc and ax < chart.n - 1:
-                c = c * vanish[..., None]
-            comps.append(c)
-        field = OneForm(chart, np.stack(comps, axis=chart.n))
-    else:
+    cls = _RANKS.get(rank) if isinstance(rank, str) else None
+    if cls is None or cls is TwoForm:
         raise RankMismatch(f"unsupported rank for random field: {rank}")
-    peak = field.sup()
+    value_shape = cls.value_shape(chart)
+    rng = np.random.default_rng(seed)
+    data = _smooth_slots(chart, rng, math.prod(value_shape), modes, degree)
+    if dbc:
+        # every slot of a scalar or section; a one-form's constrained slots,
+        # its tangential axes' components, come first
+        fixed = ALGEBRA_DIM * (chart.n - 1) if cls is OneForm else len(data)
+        lo, hi = chart.coords[-1][0], chart.coords[-1][-1]
+        data[:fixed] *= np.sin(np.pi * (chart.mesh(sparse=True)[-1] - lo) / (hi - lo))
+    peak = _sup(data)
     if peak > 0:
-        field = field * (scale / peak)
-    return field
+        data *= float(scale / peak)
+    data = data.reshape(value_shape + chart.shape)
+    axes = tuple(range(len(value_shape)))
+    return cls(chart, np.moveaxis(data, axes, tuple(a - len(axes) for a in axes)).copy())
 
 
 # ---------------------------------------------------------------------------

@@ -74,11 +74,7 @@ class Chart:
             raise BadGeometry("metric generator returned the wrong shape")
         self.g = _diagonal_of(full, self.n).copy()
         self.ginv = 1.0 / self.g
-        # vol stays sqrt(det) of the full matrix, not the diagonal product:
-        # LAPACK's LU determinant differs from the product by an ulp on a few
-        # percent of the nodes, and the Jacobi-CG trajectories of connected
-        # solves amplify field changes that small into reported figures
-        self.vol = np.sqrt(np.linalg.det(full))
+        self.vol = _sqrt_det(full)
         self.is_type_a = bool(np.max(np.abs(self.g[..., -1] - 1.0)) <= _TYPE_TOL)
 
         # node quadrature weights (product trapezoid/periodic rule)
@@ -150,8 +146,8 @@ class Chart:
         out = []
         for ax in range(self.n):
             g = self._mid_metric(ax)
-            # g^aa is the reciprocal of g_aa; det as in Chart.__init__
-            c = self.cell_weights(ax) * np.sqrt(np.linalg.det(g)) * (1.0 / g[..., ax, ax])
+            # g^aa is the reciprocal of g_aa
+            c = self.cell_weights(ax) * _sqrt_det(g) * (1.0 / g[..., ax, ax])
             out.append(np.pad(c, [(0, 0)] * (self.n - 1) + [(0, 1 - self.periodic[ax])]))
         return out
 
@@ -206,6 +202,23 @@ def _diagonal_of(full, n):
     if np.any(diag <= 0):
         raise BadGeometry("metric diagonal entries must be positive")
     return diag
+
+
+def _sqrt_det(full):
+    """sqrt(det g) of metric samples (*shape, n, n), the chart's volume
+    factor, by LAPACK's LU determinant.
+
+    It is not the product of the diagonal: the LU determinant differs from
+    it by an ulp on a few percent of the nodes, and the Jacobi-CG
+    trajectories of connected solves amplify field changes that small into
+    reported figures. When the samples repeat exactly along the tangential
+    axes, the determinant is taken on one normal row and broadcast.
+    """
+    shape = full.shape[:-2]
+    row = full[(0,) * (len(shape) - 1)]
+    if np.array_equal(full, np.broadcast_to(row, full.shape)):
+        full = row
+    return np.broadcast_to(np.sqrt(np.linalg.det(full)), shape).copy()
 
 
 def same_chart(a, b):

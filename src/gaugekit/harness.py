@@ -519,23 +519,27 @@ def suite_chart_inverse(cfg):
         ch = _chart(cfg, shape)
         lo, hi = ch.coords[-1][0], ch.coords[-1][-1]
         iv = (lo + 0.2 * (hi - lo), lo + 0.9 * (hi - lo))
+
+        def numbers(w, window, pair):
+            # an inverse's fields are dropped here, before the next is built
+            if w == "boundary":
+                psi = band_profile(ch, side=0, **window)
+                res = boundary_chart_inverse(psi, side=0, pair=pair)
+            else:
+                psi = band_profile(ch, interval=iv, **window)
+                res = interior_inverse(psi, iv, pair=pair)
+            return {
+                "product": res.product_residual,
+                "route": res.route_difference,
+                "codiff": max(res.horizontality_alpha, res.horizontality_beta),
+                "dbc": max(check_dbc(res.alpha)[1], check_dbc(res.beta)[1]),
+            }
+
         row = defaultdict(list)
         for w in families:
             for window, pair in _psi_variants(ch):
-                if w == "boundary":
-                    psi = band_profile(ch, side=0, **window)
-                    res = boundary_chart_inverse(psi, side=0, pair=pair)
-                else:
-                    psi = band_profile(ch, interval=iv, **window)
-                    res = interior_inverse(psi, iv, pair=pair)
-                _, d1 = check_dbc(res.alpha)
-                _, d2 = check_dbc(res.beta)
-                row[f"{w}-product"].append(res.product_residual)
-                row[f"{w}-route"].append(res.route_difference)
-                row[f"{w}-codiff"].append(
-                    max(res.horizontality_alpha, res.horizontality_beta)
-                )
-                row[f"{w}-dbc"].append(max(d1, d2))
+                for name, value in numbers(w, window, pair).items():
+                    row[f"{w}-{name}"].append(value)
         return ch, row
 
     checks, block = _ladder_checks(*_ladder(_inverse_shapes(cfg), rung), [

@@ -272,7 +272,9 @@ def test_loop_transport_is_the_ordered_product_of_link_matrices():
     for ch, k in cases:
         A = _rand_conn(ch, 5, scale=0.4)
         i, j = 0, ch.n - 1
-        U = _loop_transports(A, (k,))[k]
+        ((size, U),) = _loop_transports(A, (k,))
+        # the loop is kept only at the nodes where it fits in the chart
+        assert size == k and U.shape == (4,) + ch.shape[:-1] + (ch.shape[-1] - k,)
         path = [(i, 1)] * k + [(j, 1)] * k + [(i, -1)] * k + [(j, -1)] * k
         rng = np.random.default_rng(k)
         nodes = [(0,) * ch.n, tuple(s - 1 for s in ch.shape[:-1]) + (ch.shape[-1] - 1 - k,)]
@@ -313,6 +315,29 @@ def test_holonomy_probe_exponentiates_each_link_once(ann64, monkeypatch):
     monkeypatch.setattr(cm, "qexp", counting("qexp", cm.qexp))
     small_loop_holonomy(_rand_conn(ann64, 3, scale=0.4), k=(2, 4))
     assert calls == {"qmul": 15, "qexp": 2}
+
+
+@pytest.mark.parametrize(
+    "kind, shape", [("annulus", (128, 128)), ("cylindrical_shell", (24, 24, 24))],
+    ids=["annulus128", "shell24"],
+)
+def test_holonomy_probe_peak_memory(kind, shape):
+    # tracemalloc peak of the probes k = (2, 4), in quaternion fields
+    # (4 values per node): 15.3 when every run and loop was kept until the
+    # last probe, 6.2 when loops are reduced as they stream and runs are
+    # dropped once no remaining size reads them
+    import tracemalloc
+
+    ch = build_chart(kind, shape)
+    A = _rand_conn(ch, 3, scale=0.4)
+    small_loop_holonomy(A, k=(2, 4))
+    tracemalloc.start()
+    try:
+        small_loop_holonomy(A, k=(2, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (4 * 8 * np.prod(shape)) <= 7.5
 
 
 def test_holonomy_probes_for_several_sizes_match_single_calls(ann64):

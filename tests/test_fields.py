@@ -146,6 +146,94 @@ def test_random_fields_decorrelate_across_seeds(ann64):
     assert np.mean(cors) < 0.9
 
 
+def _reference_scalar(ch, rng, modes, degree, terms=4):
+    # the per-slot synthesis that random_smooth_field replaced: one scalar
+    # at a time, every factor on 1-D coordinates broadcast in the sum
+    mesh = ch.mesh(sparse=True)
+    out = np.zeros(ch.shape)
+    lo, hi = ch.coords[-1][0], ch.coords[-1][-1]
+    t = (mesh[-1] - lo) / (hi - lo)
+    for _ in range(terms):
+        term = 1.0
+        for ax in range(ch.n - 1):
+            k = int(rng.integers(0, modes + 1))
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            span = ch.shape[ax] * ch.h[ax]
+            term = term * np.cos(k * (2.0 * np.pi / span) * mesh[ax] + phase)
+        coeffs = rng.normal(size=degree + 1)
+        poly = np.polynomial.polynomial.polyval(2.0 * t - 1.0, coeffs)
+        out += rng.normal() * term * poly
+    return out
+
+
+def _reference_field(ch, rank, seed, dbc=True, scale=1.0, modes=2, degree=3):
+    rng = np.random.default_rng(seed)
+    mesh = ch.mesh(sparse=True)
+    lo, hi = ch.coords[-1][0], ch.coords[-1][-1]
+    vanish = np.sin(np.pi * (mesh[-1] - lo) / (hi - lo))
+
+    def section():
+        return np.stack(
+            [_reference_scalar(ch, rng, modes, degree) for _ in range(ALGEBRA_DIM)], axis=-1
+        )
+
+    if rank == "scalar":
+        data = _reference_scalar(ch, rng, modes, degree)
+        if dbc:
+            data = data * vanish
+    elif rank == "section":
+        data = section()
+        if dbc:
+            data = data * vanish[..., None]
+    else:
+        comps = []
+        for ax in range(ch.n):
+            c = section()
+            if dbc and ax < ch.n - 1:
+                c = c * vanish[..., None]
+            comps.append(c)
+        data = np.stack(comps, axis=ch.n)
+    peak = float(np.max(np.abs(data)))
+    return data * float(scale / peak) if peak > 0 else data
+
+
+_FIELD_CHARTS = {
+    "annulus": ("annulus", (24, 20)),
+    "annulus_log": ("annulus_log", (20, 24)),
+    "slab": ("periodic_slab", (18, 16)),
+    "shell": ("cylindrical_shell", (10, 8, 12)),
+}
+
+
+@pytest.mark.parametrize("options", [{}, {"modes": 1, "degree": 2}, {"dbc": False, "scale": 0.3}],
+                         ids=["defaults", "modes1-degree2", "no-dbc-scale0.3"])
+@pytest.mark.parametrize("rank", ["scalar", "section", "oneform"])
+@pytest.mark.parametrize("chart", sorted(_FIELD_CHARTS))
+def test_random_fields_match_the_per_slot_synthesis_bit_for_bit(chart, rank, options):
+    ch = build_chart(*_FIELD_CHARTS[chart])
+    for seed in range(4):
+        got = random_smooth_field(ch, rank, seed, **options).data
+        want = _reference_field(ch, rank, seed, **options)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_random_fields_reject_unknown_ranks(ann32):
+    for rank in ("twoform", "threeform", None, ["section"]):
+        with pytest.raises(RankMismatch):
+            random_smooth_field(ann32, rank, 0)
+
+
+def test_sup_is_the_largest_magnitude(ann32):
+    rng = np.random.default_rng(3)
+    data = rng.standard_normal(ann32.shape + (ALGEBRA_DIM,))
+    for x in (data, data - 5.0, data + 5.0):
+        assert Section(ann32, x).sup() == float(np.max(np.abs(x)))
+    zero = Section(ann32, -np.zeros(ann32.shape + (ALGEBRA_DIM,))).sup()
+    assert zero == 0.0 and not np.signbit(zero)
+
+
 def test_dump_reload_roundtrip(tmp_path, ann32):
     f = random_smooth_field(ann32, "oneform", 7)
     path = tmp_path / "field.txt"

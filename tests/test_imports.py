@@ -1,7 +1,8 @@
 """Every import in the package's modules is used by that module and sits at
 module level, every private module-level definition is used somewhere in
 the package, only the harness's ladder-check helper names the ladder
-statistics, and only the geometry module uses numpy.linalg."""
+statistics, and numpy.linalg is reached only by one geometry helper, for
+LAPACK's determinant."""
 
 import ast
 from pathlib import Path
@@ -109,28 +110,42 @@ def test_only_the_ladder_helper_uses_the_ladder_statistics(path):
         assert sorted(name for _, _, name in inside) == sorted(_LADDER_STATISTICS)
 
 
-#: the one module that may use numpy.linalg: the chart keeps LAPACK's
-#: determinant, whose rounding the reports depend on, in one place
-_LINALG_MODULE = "geometry.py"
+#: the one function that may use numpy.linalg: the chart's volume factor
+#: keeps LAPACK's determinant, whose rounding the reports depend on
+_LINALG_HELPER = ("geometry.py", "_sqrt_det")
 
 
-def _linalg_uses(source):
-    """Lines that reach numpy.linalg: a `.linalg` attribute, or an import of
-    numpy.linalg or of its names."""
-    lines = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr == "linalg":
-            lines.add(node.lineno)
-        elif isinstance(node, ast.Import) and any(
-            a.name.startswith("numpy.linalg") for a in node.names
-        ):
-            lines.add(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and (
-            (node.module or "").startswith("numpy.linalg")
-            or (node.module == "numpy" and any(a.name == "linalg" for a in node.names))
-        ):
-            lines.add(node.lineno)
-    return sorted(lines)
+def _linalg_uses(source, helper=None):
+    """Lines that reach numpy.linalg outside the module-level function
+    `helper` (a `.linalg` attribute, or an import of numpy.linalg or of its
+    names), and the numpy.linalg functions that `helper` calls."""
+    tree = ast.parse(source)
+
+    def lines(root):
+        found = set()
+        for node in ast.walk(root):
+            if isinstance(node, ast.Attribute) and node.attr == "linalg":
+                found.add(node.lineno)
+            elif isinstance(node, ast.Import) and any(
+                a.name.startswith("numpy.linalg") for a in node.names
+            ):
+                found.add(node.lineno)
+            elif isinstance(node, ast.ImportFrom) and (
+                (node.module or "").startswith("numpy.linalg")
+                or (node.module == "numpy" and any(a.name == "linalg" for a in node.names))
+            ):
+                found.add(node.lineno)
+        return found
+
+    helpers = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == helper]
+    inside = set().union(*(lines(fn) for fn in helpers))
+    called = sorted(
+        node.func.attr
+        for fn in helpers for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "linalg"
+    )
+    return sorted(lines(tree) - inside), called
 
 
 def test_the_check_sees_a_linalg_use():
@@ -138,14 +153,21 @@ def test_the_check_sees_a_linalg_use():
         "import numpy as np\nfrom numpy import linalg, sum\n"
         "import numpy.linalg as la\nfrom numpy.linalg import det\n"
         "x = np.sqrt(np.sum(a * a))\ny = np.linalg.norm(a)\n"
+        "def _sqrt_det(g):\n    return np.sqrt(np.linalg.det(g))\n"
+        "def vol(g):\n    return np.linalg.det(g)\n"
     )
-    assert _linalg_uses(src) == [2, 3, 4, 6]
+    assert _linalg_uses(src) == ([2, 3, 4, 6, 8, 10], [])
+    assert _linalg_uses(src, "_sqrt_det") == ([2, 3, 4, 6, 10], ["det"])
 
 
 @pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_geometry_module_uses_linalg(path):
-    uses = _linalg_uses(path.read_text())
-    assert bool(uses) == (path.name == _LINALG_MODULE), uses
+    helper = _LINALG_HELPER[1] if path.name == _LINALG_HELPER[0] else None
+    outside, called = _linalg_uses(path.read_text(), helper)
+    assert outside == []
+    if helper:
+        # one determinant call, in the helper
+        assert called == ["det"]
 
 
 def test_the_check_sees_an_unused_import():

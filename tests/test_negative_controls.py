@@ -32,7 +32,8 @@ def test_loop_left_one_cell_open_fails_the_area_law(monkeypatch):
         eta = A.eta.data[..., 0, :]
         mid = 0.5 * (eta + np.roll(eta, -1, axis=0))
         back = np.moveaxis(quat_exp(ch.h[0] * mid), -1, 0)
-        return {k: np.stack(qmul(U, back)) for k, U in closed(A, ks).items()}
+        for k, U in closed(A, ks):
+            yield k, np.stack(qmul(U, back[..., : U.shape[-1]]))
 
     monkeypatch.setattr(cm, "_loop_transports", open_loops)
     checks = _area_law(run_suite("holonomy", cfg))
@@ -40,6 +41,32 @@ def test_loop_left_one_cell_open_fails_the_area_law(monkeypatch):
     # the missing link adds a defect of order h |A_0| whatever the loop size,
     # which pulls the doubling ratio below 3.6 (2.0 and 2.8 at seed 0)
     assert not any(c.passed for c in checks if c.name.startswith("area-law-low"))
+
+
+def test_loop_left_open_by_its_last_normal_cell_fails_the_alignment(monkeypatch):
+    # the area law alone misses this one: the missing link's defect
+    # h_n |A_n| is as small as the area term (h_n = 0.5/N on the annulus),
+    # so both area-law ratios stay in [3.6, 4.4] at 64^2; the defect
+    # direction no longer follows the curvature
+    cfg = RunConfig(grid=(64, 64))
+    assert run_suite("holonomy", cfg).passed
+
+    closed = cm._loop_transports
+
+    def open_loops(A, ks):
+        # undo the last link, the normal cell from x + e_n back down to x:
+        # the loop ends one cell short of its start
+        ch = A.chart
+        eta = A.eta.data[..., -1, :]
+        mid = 0.5 * (eta[:, :-1] + eta[:, 1:])
+        last = np.moveaxis(quat_exp(-ch.h[-1] * mid), -1, 0)
+        for k, U in closed(A, ks):
+            yield k, np.stack(qmul(last[..., : U.shape[-1]], U))
+
+    monkeypatch.setattr(cm, "_loop_transports", open_loops)
+    result = run_suite("holonomy", cfg)
+    failed = {c.name for c in result.checks if not c.passed}
+    assert "alignment-k2" in failed
 
 
 def _general_over_plain():
