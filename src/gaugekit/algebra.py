@@ -12,11 +12,12 @@ logarithm all have closed forms, and every function here broadcasts over
 leading array axes so whole grids of group values move through one call.
 
 The product, exponential and normalisation are written once, on components:
-qmul, qexp and qnormalize take and return (w, u1, u2, u3) (qexp takes the
-three algebra coefficients) as separate arrays. A component-first
-(4, *shape) array unpacks into them directly, and qmul and qnormalize can
-store their result in one (`out`); the node-major quat_* wrappers on
-(..., 4) arrays split the last axis and stack the result back.
+qmul, qexp and qnormalize take (w, u1, u2, u3) (qexp takes the three
+algebra coefficients) as separate arrays, and a component-first (4, *shape)
+array unpacks into them directly. qmul returns a component-first array;
+qexp and qnormalize return separate arrays, or store them in one (`out`).
+The node-major quat_* wrappers on (..., 4) arrays split the last axis and
+stack the result back.
 """
 
 from __future__ import annotations
@@ -55,12 +56,12 @@ def coeff_bracket(u, v):
     """Bracket of coefficient arrays: [u, v] = STRUCTURE_C * (u x v)."""
     u = np.asarray(u)
     v = np.asarray(v)
-    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
-    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
     out = np.empty(np.broadcast_shapes(u.shape, v.shape), dtype=np.result_type(u, v))
-    out[..., 0] = u1 * v2 - u2 * v1
-    out[..., 1] = u2 * v0 - u0 * v2
-    out[..., 2] = u0 * v1 - u1 * v0
+    tmp = np.empty(out.shape[:-1], dtype=out.dtype)
+    # out_c = u_a v_b - u_b v_a, formed in place with one scratch array
+    for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        o = np.multiply(u[..., a], v[..., b], out=out[..., c])
+        o -= np.multiply(u[..., b], v[..., a], out=tmp)
     out *= STRUCTURE_C
     return out
 
@@ -92,36 +93,48 @@ def _split(q):
 
 
 def qmul(p, q, out=None):
-    """Components of the product U1 U2 for U = w*I + i(u.sigma).
+    """The product U1 U2 for U = w*I + i(u.sigma), as a component-first
+    (4, ...) array: `out` when given (it must share no memory with either
+    factor), a new one otherwise.
 
-    With `out`, a component-first array that shares no memory with either
-    factor, each component is stored there as it is formed and `out` is
-    returned.
+    Each component is formed in place in `out` with two scratch arrays, in
+    the operation order of w1 w2 - ((x1 x2 + y1 y2) + z1 z2) and
+    (w1 x2 + w2 x1) - (y1 z2 - z1 y2) with its cyclic shifts.
     """
-    parts = _qmul_parts(p, q)
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    shape = np.broadcast_shapes(np.shape(w1), np.shape(w2))
     if out is None:
-        return tuple(parts)
-    for o, part in zip(out, parts):
-        o[...] = part
+        out = np.empty((4,) + shape)
+    s, t = np.empty(shape), np.empty(shape)
+    np.multiply(x1, x2, out=s)
+    s += np.multiply(y1, y2, out=t)
+    s += np.multiply(z1, z2, out=t)
+    o = np.multiply(w1, w2, out=out[0, ...])  # a view, also when 0-d
+    o -= s
+    v1, v2 = (x1, y1, z1), (x2, y2, z2)
+    for c in range(3):
+        a, b = (c + 1) % 3, (c + 2) % 3
+        o = np.multiply(w1, v2[c], out=out[1 + c, ...])
+        o += np.multiply(w2, v1[c], out=s)
+        np.multiply(v1[a], v2[b], out=s)
+        s -= np.multiply(v1[b], v2[a], out=t)
+        o -= s
     return out
 
 
-def _qmul_parts(p, q):
-    w1, x1, y1, z1 = p
-    w2, x2, y2, z2 = q
-    yield w1 * w2 - ((x1 * x2 + y1 * y2) + z1 * z2)
-    yield (w1 * x2 + w2 * x1) - (y1 * z2 - z1 * y2)
-    yield (w1 * y2 + w2 * y1) - (z1 * x2 - x1 * z2)
-    yield (w1 * z2 + w2 * z1) - (x1 * y2 - y1 * x2)
-
-
-def qexp(a):
-    """Components of exp of the algebra coefficients (a1, a2, a3)."""
+def qexp(a, out=None):
+    """Components of exp of the algebra coefficients (a1, a2, a3); with
+    `out`, a component-first (4, ...) array, they are stored there."""
     a1, a2, a3 = a
     theta = np.sqrt((a1 * a1 + a2 * a2) + a3 * a3) / np.sqrt(2.0)
     # sin(theta)/theta, stable at zero
     fac = np.sinc(theta / np.pi) / np.sqrt(2.0)
-    return np.cos(theta), fac * a1, fac * a2, fac * a3
+    if out is None:
+        return np.cos(theta), fac * a1, fac * a2, fac * a3
+    np.cos(theta, out=out[0, ...])
+    np.multiply(fac, a, out=out[1:])
+    return out
 
 
 def qnormalize(q, out=None):
@@ -169,9 +182,11 @@ def quat_log(q, tol=1e-8):
     u = q[..., 1:]
     s = np.sqrt(np.sum(u * u, axis=-1))
     theta = np.arctan2(s, w)
+    del w
     # theta/sin(theta), stable at zero
     small = s < 1e-12
     fac = np.where(small, 1.0 + theta**2 / 6.0, theta / np.where(small, 1.0, s))
+    del s, theta, small  # before the result is formed
     return np.sqrt(2.0) * fac[..., None] * u
 
 

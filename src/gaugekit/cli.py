@@ -86,7 +86,7 @@ def _load_config(args):
             dim = 3 if domain in ("cylindrical_shell", "shell") else 2
             over["ladder"] = parsed["sizes"]
             over["grid"] = (parsed["sizes"][-1],) * dim
-    if args.jobs:
+    if args.jobs is not None:
         over["jobs"] = args.jobs
     return cfg.with_overrides(**over)
 

@@ -350,7 +350,8 @@ def _loop_transports(A, ks):
     R_m(x). A loop is then conj(Up_k(x)) conj(R_k(x + k e_j)) Up_k(x + k e_i)
     R_k(x), with R the run along the tangential axis i and Up the run along
     the normal axis j: the inverse of a unit quaternion is its conjugate, an
-    exact sign flip. Each product is normalized in its own buffer.
+    exact sign flip, made in place on the run for its product and undone
+    after it (`_qprod_conj`). Each product is normalized in its own buffer.
 
     Every shift is a slice. The tangential axis is extended periodically by
     the largest k, and each array keeps only the nodes where its value is
@@ -376,8 +377,11 @@ def _links(ch, comps, ax, width):
     (3, *shape) along it, on the tangential axis extended periodically to
     `width` nodes."""
     ext = np.take(comps, range(width), axis=1, mode="wrap")
-    mid = 0.5 * (ext[_cut(ax, 0, -1)] + ext[_cut(ax, 1, None)])
-    return np.stack(qexp(-ch.h[ax] * mid))
+    mid = ext[_cut(ax, 0, -1)] + ext[_cut(ax, 1, None)]
+    del ext
+    mid *= 0.5
+    mid *= -ch.h[ax]
+    return qexp(mid, np.empty((4,) + mid.shape[1:]))
 
 
 def _loop(R, Up, k, ch):
@@ -387,8 +391,8 @@ def _loop(R, Up, k, ch):
     cols = _cut(i, 0, ch.shape[i])
     R = R[cols]
     U = _qprod(Up[_cut(i, k, k + ch.shape[i])], R[_cut(j, 0, -k)])
-    U = _qprod(_conj(R[_cut(j, k, None)]), U)
-    return _qprod(_conj(Up[cols]), U)
+    U = _qprod_conj(R[_cut(j, k, None)], U)
+    return _qprod_conj(Up[cols], U)
 
 
 def _cut(ax, start, stop):
@@ -396,15 +400,24 @@ def _cut(ax, start, stop):
     return (slice(None),) * (ax + 1) + (slice(start, stop),)
 
 
-def _conj(q):
-    return q[0], -q[1], -q[2], -q[3]
-
-
 def _qprod(p, q):
     """The normalized product of two component-first quaternion arrays, in
     a new buffer."""
     out = qmul(p, q, np.empty((4,) + q[0].shape))
     return qnormalize(out, out)
+
+
+def _qprod_conj(p, q):
+    """_qprod(conj(p), q) with no negated copy of p: p's vector part is
+    negated in place for the product and restored after it. A sign flip is
+    exact, so p (a view of a run, which later runs read) comes back bit for
+    bit."""
+    vec = p[1:]
+    np.negative(vec, out=vec)
+    try:
+        return _qprod(p, q)
+    finally:
+        np.negative(vec, out=vec)
 
 
 def _straight_run(runs, k, ax):

@@ -315,13 +315,14 @@ def require_dbc(field, tol=DBC_TOL):
 # ---------------------------------------------------------------------------
 
 def _smooth_slots(ch, rng, slots, modes, degree, terms=4):
-    """`slots` smooth scalars, slots leading (slots, *shape).
+    """Yield `slots` smooth scalars on the chart's grid, one after another,
+    each in the same buffer.
 
     Each slot is a sum of `terms` products of random tangential cosines, a
     random polynomial in the normal coordinate and a random amplitude. The
-    rng is read slot after slot and term after term; each term is then
-    evaluated for every slot at once, its factors on 1-D coordinates
-    broadcast against the slot axis.
+    rng is read slot after slot and term after term, before the first slot
+    is evaluated. A term's factors live on 1-D coordinates (a sparse mesh),
+    so its product is the one other full-grid buffer.
     """
     tang = ch.n - 1
     k = np.empty((terms, slots, tang))
@@ -336,21 +337,21 @@ def _smooth_slots(ch, rng, slots, modes, degree, terms=4):
             coeffs[t, :, s] = rng.normal(size=degree + 1)
             amp[t, s] = rng.normal()
 
-    lead = (slice(None),) + (None,) * ch.n  # a per-slot value against the grid
     mesh = ch.mesh(sparse=True)
     lo, hi = ch.coords[-1][0], ch.coords[-1][-1]
     t_norm = (mesh[-1] - lo) / (hi - lo)
-    out = np.zeros((slots,) + ch.shape)
-    prod = np.empty_like(out)
-    for t in range(terms):
-        term = 1.0
-        for ax in range(tang):
-            span = ch.shape[ax] * ch.h[ax]
-            wave = k[t, :, ax] * (2.0 * np.pi / span)
-            term = term * np.cos(wave[lead] * mesh[ax] + phase[t, :, ax][lead])
-        poly = np.polynomial.polynomial.polyval(2.0 * t_norm - 1.0, coeffs[t])
-        out += np.multiply(amp[t][lead] * term, poly, out=prod)
-    return out
+    acc, prod = np.empty(ch.shape), np.empty(ch.shape)
+    for s in range(slots):
+        acc.fill(0.0)
+        for t in range(terms):
+            term = 1.0
+            for ax in range(tang):
+                span = ch.shape[ax] * ch.h[ax]
+                wave = k[t, s, ax] * (2.0 * np.pi / span)
+                term = term * np.cos(wave * mesh[ax] + phase[t, s, ax])
+            poly = np.polynomial.polynomial.polyval(2.0 * t_norm - 1.0, coeffs[t, :, s])
+            acc += np.multiply(amp[t, s] * term, poly, out=prod)
+        yield acc
 
 
 def random_smooth_field(chart, rank, seed, dbc=True, scale=1.0, modes=2, degree=3):
@@ -359,28 +360,29 @@ def random_smooth_field(chart, rank, seed, dbc=True, scale=1.0, modes=2, degree=
 
     With dbc=True, constrained slots (section values, tangential one-form
     components) carry a sin(pi t) factor in the normal coordinate so the
-    Dirichlet condition holds exactly on the grid. The slots are built
-    together, component-first (`_smooth_slots`), scaled in place, and moved
-    behind the chart axes by one copy.
+    Dirichlet condition holds exactly on the grid. Each slot is evaluated
+    in one buffer (`_smooth_slots`) and written into the node-major result,
+    which is then scaled in place.
     """
     cls = _RANKS.get(rank) if isinstance(rank, str) else None
     if cls is None or cls is TwoForm:
         raise RankMismatch(f"unsupported rank for random field: {rank}")
-    value_shape = cls.value_shape(chart)
+    data = np.empty(chart.shape + cls.value_shape(chart))
+    slots = data.reshape(chart.shape + (-1,))  # a view: value slots last
+    # every slot of a scalar or section is constrained; a one-form's
+    # constrained slots, its tangential axes' components, come first
+    fixed = ALGEBRA_DIM * (chart.n - 1) if cls is OneForm else slots.shape[-1]
+    lo, hi = chart.coords[-1][0], chart.coords[-1][-1]
+    vanish = np.sin(np.pi * (chart.mesh(sparse=True)[-1] - lo) / (hi - lo))
     rng = np.random.default_rng(seed)
-    data = _smooth_slots(chart, rng, math.prod(value_shape), modes, degree)
-    if dbc:
-        # every slot of a scalar or section; a one-form's constrained slots,
-        # its tangential axes' components, come first
-        fixed = ALGEBRA_DIM * (chart.n - 1) if cls is OneForm else len(data)
-        lo, hi = chart.coords[-1][0], chart.coords[-1][-1]
-        data[:fixed] *= np.sin(np.pi * (chart.mesh(sparse=True)[-1] - lo) / (hi - lo))
+    for s, acc in enumerate(_smooth_slots(chart, rng, slots.shape[-1], modes, degree)):
+        if dbc and s < fixed:
+            acc *= vanish
+        slots[..., s] = acc
     peak = _sup(data)
     if peak > 0:
         data *= float(scale / peak)
-    data = data.reshape(value_shape + chart.shape)
-    axes = tuple(range(len(value_shape)))
-    return cls(chart, np.moveaxis(data, axes, tuple(a - len(axes) for a in axes)).copy())
+    return cls(chart, data)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,11 @@ A chart covers a bounded domain with one grid: every axis except the last is
 tangential and periodic, the last axis is the normal direction and carries
 the two boundary faces at its end nodes. Metric data is sampled from an
 analytic generator where available so cell-midpoint values are exact.
+
+The chart's arrays are read-only. One that repeats exactly along the
+tangential axes, as every built-in chart's metric data does, is stored as
+its normal profile: one normal row broadcast over the tangential axes (zero
+tangential strides), with the full grid's shape.
 """
 
 from __future__ import annotations
@@ -41,6 +46,12 @@ class Chart:
     only its diagonal: `g` holds g_ii at the nodes, shape `shape + (n,)`,
     and `ginv` holds g^ii = 1/g_ii. Metric contractions are broadcasts
     against them; `vol` is sqrt(det g).
+
+    `g`, `ginv`, `vol`, `quad_w` and `padded_cell_c` (so also `cell_c`) are
+    read-only views. Each one that repeats exactly along the tangential axes
+    holds one normal row of data (`_profile`); a custom metric that varies
+    tangentially keeps them dense. Every value is computed on the rows it
+    is stored on, elementwise as on the whole grid.
     """
 
     def __init__(self, kind, shape, coords, periodic, metric_fn, params=None):
@@ -72,21 +83,28 @@ class Chart:
         full = self.metric_at(self.coords)
         if full.shape != self.shape + (self.n, self.n):
             raise BadGeometry("metric generator returned the wrong shape")
-        self.g = _diagonal_of(full, self.n).copy()
-        self.ginv = 1.0 / self.g
-        self.vol = _sqrt_det(full)
-        self.is_type_a = bool(np.max(np.abs(self.g[..., -1] - 1.0)) <= _TYPE_TOL)
+        full = _profile(full, self.n)
+        diag = _diagonal_of(full, self.n)
+        self.g = self._on_grid(diag.copy())
+        self.ginv = self._on_grid(1.0 / diag)
+        self.vol = self._on_grid(_sqrt_det(full))
+        self.is_type_a = bool(np.max(np.abs(diag[..., -1] - 1.0)) <= _TYPE_TOL)
 
         # node quadrature weights (product trapezoid/periodic rule)
         w = np.ones(self.shape)
         for ax in range(self.n):
             w1 = st.quad_weights_1d(self.shape[ax], self.h[ax], self.periodic[ax])
             w = w * w1.reshape([-1 if a == ax else 1 for a in range(self.n)])
-        self.quad_w = w
+        self.quad_w = self._on_grid(_profile(w, self.n))
         # Thomas pivots of the flat separable Green solve (operators.green_A)
         self._separable = None
 
     # -- construction helpers ------------------------------------------------
+
+    def _on_grid(self, a):
+        """`a` (a profile or a whole-grid array) as a read-only array with
+        the grid's shape in front."""
+        return np.broadcast_to(a, self.shape + a.shape[self.n:])
 
     def metric_at(self, axes_coords):
         mesh = np.meshgrid(*axes_coords, indexing="ij")
@@ -145,10 +163,11 @@ class Chart:
         clears the pad of a midpoint buffer (`_stencils._pair`) it scales."""
         out = []
         for ax in range(self.n):
-            g = self._mid_metric(ax)
+            g = _profile(self._mid_metric(ax), self.n)
             # g^aa is the reciprocal of g_aa
-            c = self.cell_weights(ax) * _sqrt_det(g) * (1.0 / g[..., ax, ax])
-            out.append(np.pad(c, [(0, 0)] * (self.n - 1) + [(0, 1 - self.periodic[ax])]))
+            c = _profile(self.cell_weights(ax) * _sqrt_det(g) * (1.0 / g[..., ax, ax]), self.n)
+            pad = [(0, 0)] * (self.n - 1) + [(0, 1 - self.periodic[ax])]
+            out.append(self._on_grid(np.pad(c, pad)))
         return out
 
     def mesh(self, sparse=False):
@@ -204,6 +223,14 @@ def _diagonal_of(full, n):
     return diag
 
 
+def _profile(a, n):
+    """`a`, whose first n axes are grid axes with the normal one last, cut
+    to length 1 along the n - 1 tangential axes when it repeats exactly
+    along them (a copy of its first row); `a` itself otherwise."""
+    row = a[(slice(0, 1),) * (n - 1)]
+    return row.copy() if np.array_equal(a, np.broadcast_to(row, a.shape)) else a
+
+
 def _sqrt_det(full):
     """sqrt(det g) of metric samples (*shape, n, n), the chart's volume
     factor, by LAPACK's LU determinant.
@@ -211,14 +238,11 @@ def _sqrt_det(full):
     It is not the product of the diagonal: the LU determinant differs from
     it by an ulp on a few percent of the nodes, and the Jacobi-CG
     trajectories of connected solves amplify field changes that small into
-    reported figures. When the samples repeat exactly along the tangential
-    axes, the determinant is taken on one normal row and broadcast.
+    reported figures. The chart passes its samples as a profile
+    (`_profile`) whenever they repeat along the tangential axes, so the
+    determinant is taken once per normal row.
     """
-    shape = full.shape[:-2]
-    row = full[(0,) * (len(shape) - 1)]
-    if np.array_equal(full, np.broadcast_to(row, full.shape)):
-        full = row
-    return np.broadcast_to(np.sqrt(np.linalg.det(full)), shape).copy()
+    return np.sqrt(np.linalg.det(full))
 
 
 def same_chart(a, b):

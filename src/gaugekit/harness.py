@@ -442,6 +442,7 @@ def _identity_suite(cfg, general):
                 e1 = horizontal_project(e1, A, tol=cfg.solve_tol)
                 e2 = horizontal_project(e2, A, tol=cfg.solve_tol)
             rats.append(boundary_identity_residual(e1, e2, A, general=general).ratio)
+            del e1, e2  # before the next pair is drawn
         return ch, {"ratio": rats}
 
     checks, block = _ladder_checks(*_ladder(cfg.ladder_shapes(), rung), [

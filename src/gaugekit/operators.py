@@ -244,6 +244,10 @@ def bracket_dot(alpha, beta):
     return Section(alpha.chart, _bracket_contract(alpha.data, beta.data, alpha.chart.ginv))
 
 
+#: nodes per block of `_bracket_contract`
+_CONTRACT_BLOCK = 8192
+
+
 def _bracket_contract(a, b, ginv, product=None):
     """sum_i g^ii [a_i, b_i] of node-major one-form data, with `ginv` the
     inverse metric diagonal on the same nodes. With product=np.multiply it
@@ -251,10 +255,22 @@ def _bracket_contract(a, b, ginv, product=None):
     componentwise: [a e_a . b e_b] is that contraction times [e_a, e_b],
     bit for bit. The bracket is looked up at call time, where layer
     tracing sees it."""
-    br = (coeff_bracket if product is None else product)(a, ginv[..., None] * b)
-    # the sum over i as whole-array adds in axis order, which round as the
-    # reduce over the strided axis does, at a fifth of its cost
-    return sum((br[..., i, :] for i in range(1, a.shape[-2])), br[..., 0, :])
+    product = coeff_bracket if product is None else product
+    out = np.empty(a.shape[:-2] + a.shape[-1:])
+    # blocks of rows along the first grid axis, about _CONTRACT_BLOCK nodes
+    # each, bound the temporaries whatever the grid
+    step = max(1, _CONTRACT_BLOCK // math.prod(a.shape[1:-2]))
+    for lo in range(0, a.shape[0], step):
+        rows = slice(lo, lo + step)
+        ar, br, gr = a[rows], b[rows], ginv[rows]
+        o = out[rows]
+        # one axis at a time, added into the first axis's term in axis
+        # order: that rounds as the reduce over the strided axis of the
+        # full bracket does
+        o[...] = product(ar[..., 0, :], gr[..., 0, None] * br[..., 0, :])
+        for i in range(1, a.shape[-2]):
+            o += product(ar[..., i, :], gr[..., i, None] * br[..., i, :])
+    return out
 
 
 # ---------------------------------------------------------------------------

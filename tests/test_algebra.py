@@ -26,6 +26,7 @@ from gaugekit.algebra import (
     basis_element,
     coeff_to_matrix,
     matrix_to_coeff,
+    qmul,
     quat_rotate,
     quat_to_matrix,
 )
@@ -227,3 +228,27 @@ def test_decompose_reconstructs_random_elements():
             coeff_bracket(f.coeffs, g.coeffs) for f, g in pairs
         )
         np.testing.assert_allclose(coeff_total, x.coeffs, atol=1e-14)
+
+
+def _former_qmul(p, q):
+    """qmul's components as whole-array expressions."""
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return np.stack([
+        w1 * w2 - ((x1 * x2 + y1 * y2) + z1 * z2),
+        (w1 * x2 + w2 * x1) - (y1 * z2 - z1 * y2),
+        (w1 * y2 + w2 * y1) - (z1 * x2 - x1 * z2),
+        (w1 * z2 + w2 * z1) - (x1 * y2 - y1 * x2),
+    ])
+
+
+def test_qmul_matches_its_former_formula():
+    rng = np.random.default_rng(8)
+    p, q = rng.standard_normal((2, 4, 6, 5))
+    want = _former_qmul(p, q)
+    assert qmul(p, q).tobytes() == want.tobytes()
+    out = np.empty_like(p)
+    assert qmul(p, q, out) is out and out.tobytes() == want.tobytes()
+    # broadcasting, and single quaternions
+    assert qmul(p[:, :1], q).tobytes() == _former_qmul(p[:, :1], q).tobytes()
+    assert qmul(p[:, 0, 0], q[:, 0, 0]).tobytes() == _former_qmul(p[:, 0, 0], q[:, 0, 0]).tobytes()

@@ -19,10 +19,14 @@ from gaugekit import (
     laplacian_A,
     random_smooth_field,
 )
-from gaugekit.algebra import coeff_to_matrix, matrix_to_coeff, quat_to_matrix
+from gaugekit.algebra import coeff_to_matrix, matrix_to_coeff, qexp, qnormalize, quat_to_matrix
 from gaugekit.coulomb import (
     GaugeTransformation,
+    _cut,
+    _links,
     _loop_transports,
+    _qprod,
+    _qprod_conj,
     freeness_check,
     obstruction_report,
     small_loop_holonomy,
@@ -338,6 +342,52 @@ def test_holonomy_probe_peak_memory(kind, shape):
     finally:
         tracemalloc.stop()
     assert peak / (4 * 8 * np.prod(shape)) <= 7.5
+
+
+@pytest.mark.parametrize("kind, shape", [("annulus", (40, 32)), ("cylindrical_shell", (10, 8, 12))],
+                         ids=["annulus40x32", "shell10x8x12"])
+def test_links_match_the_stacked_exponential(kind, shape):
+    ch = build_chart(kind, shape)
+    eta = np.moveaxis(_rand_conn(ch, 5, scale=0.4).eta.data, (-2, -1), (0, 1))
+    width = ch.shape[0] + 8
+    for ax in (0, ch.n - 1):
+        # the former evaluation: a new array per step, stacked at the end
+        ext = np.take(eta[ax], range(width), axis=1, mode="wrap")
+        mid = 0.5 * (ext[_cut(ax, 0, -1)] + ext[_cut(ax, 1, None)])
+        want = np.stack(qexp(-ch.h[ax] * mid))
+        assert _links(ch, eta[ax], ax, width).tobytes() == want.tobytes()
+
+
+def test_conjugate_product_restores_its_factor():
+    rng = np.random.default_rng(4)
+    p = qnormalize(rng.standard_normal((4, 9, 7)), np.empty((4, 9, 7)))
+    q = qnormalize(rng.standard_normal((4, 9, 7)), np.empty((4, 9, 7)))
+    p[1, 0, 0] = -0.0  # a signed zero comes back with its sign
+    before = p.copy()
+    got = _qprod_conj(p, q)
+    assert p.tobytes() == before.tobytes()
+    conj = np.concatenate([p[:1], -p[1:]])
+    assert got.tobytes() == _qprod(conj, q).tobytes()
+
+
+def test_general_identity_residual_peak_memory():
+    # tracemalloc peak of one general boundary-identity residual at annulus
+    # 256^2, in scalar fields: the bracket product (3) and the contraction's
+    # blocks of rows; the full (..., n, 3) bracket took it to 16
+    import tracemalloc
+
+    ch = build_chart("annulus", (256, 256))
+    A = _rand_conn(ch, 20, scale=0.1)
+    e1 = random_smooth_field(ch, "oneform", 21, scale=0.1)
+    e2 = random_smooth_field(ch, "oneform", 22, scale=0.1)
+    boundary_identity_residual(e1, e2, A, general=True)
+    tracemalloc.start()
+    try:
+        boundary_identity_residual(e1, e2, A, general=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / np.empty(ch.shape).nbytes <= 4.5
 
 
 def test_holonomy_probes_for_several_sizes_match_single_calls(ann64):

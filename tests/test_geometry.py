@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from gaugekit import BadGeometry, NotTypeA, build_chart, inward_normal, mean_curvature
+from gaugekit import (
+    BadGeometry,
+    NotTypeA,
+    SolveInfo,
+    build_chart,
+    green_A,
+    inward_normal,
+    mean_curvature,
+    random_smooth_field,
+)
+from gaugekit import _stencils as st
 from gaugekit.geometry import mean_curvature_typeA, mean_curvature_typeB
 
 
@@ -210,3 +220,121 @@ def test_custom_metric_is_checked_at_the_midpoints():
         chart().cell_c
     with pytest.raises(BadGeometry, match="off-diagonal entry 3.000e-01"):
         chart().is_tangentially_uniform
+
+
+# ---------------------------------------------------------------------------
+# chart arrays stored as normal profiles
+# ---------------------------------------------------------------------------
+
+_BUILT_IN_CHARTS = [
+    ("annulus", (24, 20)),
+    ("annulus_log", (16, 18)),
+    ("periodic_slab", (12, 14)),
+    ("periodic_slab", (8, 6, 10)),
+    ("cylindrical_shell", (8, 6, 10)),
+]
+
+
+def _dense_arrays(ch):
+    """The chart's arrays evaluated on the whole grid, as the chart stored
+    them before it kept profiles: named arrays, `padded_cell_c` per axis."""
+    full = ch.metric_at(ch.coords)
+    g = np.diagonal(full, axis1=-2, axis2=-1).copy()
+    w = np.ones(ch.shape)
+    for ax in range(ch.n):
+        w1 = st.quad_weights_1d(ch.shape[ax], ch.h[ax], ch.periodic[ax])
+        w = w * w1.reshape([-1 if a == ax else 1 for a in range(ch.n)])
+    out = {"g": g, "ginv": 1.0 / g, "vol": np.sqrt(np.linalg.det(full)), "quad_w": w}
+    for ax in range(ch.n):
+        m = ch.metric_at(ch.mid_coords(ax))
+        c = ch.cell_weights(ax) * np.sqrt(np.linalg.det(m)) * (1.0 / m[..., ax, ax])
+        pad = [(0, 0)] * (ch.n - 1) + [(0, 1 - ch.periodic[ax])]
+        out[f"padded_cell_c[{ax}]"] = np.pad(c, pad)
+    return out
+
+
+def _stored_arrays(ch):
+    out = {name: getattr(ch, name) for name in ("g", "ginv", "vol", "quad_w")}
+    out.update({f"padded_cell_c[{ax}]": c for ax, c in enumerate(ch.padded_cell_c)})
+    out.update({f"cell_c[{ax}]": c for ax, c in enumerate(ch.cell_c)})
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("kind, shape", _BUILT_IN_CHARTS,
+                         ids=[f"{k}-{'x'.join(map(str, s))}" for k, s in _BUILT_IN_CHARTS])
+def test_built_in_chart_arrays_are_read_only_normal_profiles(kind, shape):
+    ch = build_chart(kind, shape)
+    dense = _dense_arrays(ch)
+    stored = _stored_arrays(ch)
+    for name, want in dense.items():
+        got = stored[name]
+        assert got.shape == want.shape, name
+        assert _bits(got) == _bits(want), name
+    tangential = (0,) * (ch.n - 1)
+    for name, a in stored.items():
+        # one normal row of data, broadcast along the tangential axes
+        assert a.strides[: ch.n - 1] == tangential, name
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+    assert ch.is_tangentially_uniform
+
+
+def _theta_metric(eps):
+    def metric(mesh):
+        theta, r = mesh
+        g = np.zeros(np.broadcast(theta, r).shape + (2, 2))
+        g[..., 0, 0] = r**2 * (1.0 + eps * np.cos(theta))
+        g[..., 1, 1] = 1.0
+        return g
+    return metric
+
+
+def test_a_tangentially_varying_chart_keeps_dense_read_only_arrays():
+    ch = build_chart("custom", (16, 12), metric=_theta_metric(0.3),
+                     extents=[(0.0, 2 * np.pi), (0.5, 1.0)])
+    dense = _dense_arrays(ch)
+    stored = _stored_arrays(ch)
+    for name, want in dense.items():
+        assert _bits(stored[name]) == _bits(want), name
+    for name in ("g", "ginv", "vol", "padded_cell_c[0]", "padded_cell_c[1]"):
+        a = stored[name]
+        assert a.strides[0] != 0, name
+        assert not a.flags.writeable, name
+    # the node weights repeat along theta whatever the metric
+    assert ch.quad_w.strides[0] == 0
+    assert not ch.is_tangentially_uniform
+
+
+def test_tangential_uniformity_keeps_its_tolerance():
+    # a theta dependence below 1e-12 changes the metric's bits, so the
+    # arrays stay dense, yet the chart still counts as tangentially uniform
+    # (and a flat Green solve on it stays on the separable path)
+    ch = build_chart("custom", (16, 12), metric=_theta_metric(1e-14),
+                     extents=[(0.0, 2 * np.pi), (0.5, 1.0)])
+    assert ch.g.strides[0] != 0
+    assert ch.is_tangentially_uniform
+    info = SolveInfo()
+    green_A(random_smooth_field(ch, "section", 3), None, tol=1e-10, info=info)
+    assert info.iterations == 1
+
+
+def test_built_chart_holds_profiles_only():
+    # tracemalloc of building the 256^2 annulus and its energy-form
+    # coefficients: what the chart keeps is under an eighth of one scalar
+    # field (dense arrays kept 8 fields)
+    import tracemalloc
+
+    field = np.empty((256, 256)).nbytes
+    tracemalloc.start()
+    try:
+        ch = build_chart("annulus", (256, 256))
+        ch.cell_c
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < field / 8

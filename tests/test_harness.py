@@ -477,6 +477,15 @@ def test_cli_exit_two_on_config_error(capsys):
     assert "error:" in err
 
 
+def test_cli_rejects_zero_jobs(capsys):
+    # --jobs 0 reaches the config check instead of falling back to its jobs
+    rc = cli.main(["verify", "--grid", "32x32", "--jobs", "0", "gauge"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error: config key 'jobs' must be an integer >= 1, not 0" in captured.err
+
+
 def test_cli_refinement_sizes_set_ladder(capsys):
     rc = cli.main(
         ["study", "--grid", "16,32", "--format", "json", "mean-curvature"]

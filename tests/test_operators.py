@@ -25,11 +25,12 @@ from gaugekit import (
     random_smooth_field,
     ritz_smallest,
 )
-from gaugekit.algebra import coeff_bracket, coeff_to_matrix, matrix_to_coeff
+from gaugekit.algebra import STRUCTURE_C, coeff_bracket, coeff_to_matrix, matrix_to_coeff
 from gaugekit.fields import MidOneForm, TwoForm, _mid_samples, _node_inner, flat_d
 from gaugekit.operators import (
     SolveInfo,
     _anchor_face_rows,
+    _bracket_contract,
     _codiff_2form_data,
     _codiff_adjoint,
     _codiff_at_faces,
@@ -285,6 +286,8 @@ def test_flat_green_falls_back_to_jacobi_on_a_nonuniform_chart():
     ch = build_chart(
         "custom", (16, 16), metric=metric, extents=[(0.0, 2 * np.pi), (0.5, 1.0)]
     )
+    # the metric data varies along theta, so the chart keeps it dense
+    assert ch.vol.strides[0] != 0 and ch.padded_cell_c[1].strides[0] != 0
     assert not ch.is_tangentially_uniform
     rhs_field = random_smooth_field(ch, "section", 13)
     # flat, then under a connection: both take the Jacobi path here
@@ -386,6 +389,55 @@ def test_warm_energy_apply_allocates_less_than_a_field(kind, shape):
     finally:
         tracemalloc.stop()
     assert peak < x.nbytes
+
+
+def _former_bracket(u, v):
+    """algebra.coeff_bracket as whole-array expressions per component."""
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape))
+    out[..., 0] = u1 * v2 - u2 * v1
+    out[..., 1] = u2 * v0 - u0 * v2
+    out[..., 2] = u0 * v1 - u1 * v0
+    out *= STRUCTURE_C
+    return out
+
+
+def _former_contract(a, b, ginv, product):
+    """_bracket_contract as the full (..., n, K) bracket summed over the axes
+    in axis order."""
+    br = product(a, ginv[..., None] * b)
+    return sum((br[..., i, :] for i in range(1, a.shape[-2])), br[..., 0, :])
+
+
+def test_coeff_bracket_matches_its_former_formula():
+    rng = np.random.default_rng(5)
+    u, v = rng.standard_normal((2, 7, 9, 3))
+    assert coeff_bracket(u, v).tobytes() == _former_bracket(u, v).tobytes()
+    # broadcasting, and a single pair of coefficient vectors
+    assert coeff_bracket(u[0, 0], v).tobytes() == _former_bracket(u[0, 0], v).tobytes()
+    assert coeff_bracket(u[0, 0], v[0, 0]).tobytes() == _former_bracket(u[0, 0], v[0, 0]).tobytes()
+
+
+@pytest.mark.parametrize("kind, shape", [("annulus", (160, 96)), ("cylindrical_shell", (8, 6, 10))],
+                         ids=["annulus160x96", "shell8x6x10"])
+def test_bracket_contraction_matches_the_full_bracket_sum(kind, shape):
+    # 160 x 96 takes two uneven blocks of rows
+    ch = build_chart(kind, shape)
+    a = random_smooth_field(ch, "oneform", 21).data
+    b = random_smooth_field(ch, "oneform", 22).data
+    got = _bracket_contract(a, b, ch.ginv)
+    assert got.tobytes() == _former_contract(a, b, ch.ginv, _former_bracket).tobytes()
+    assert bracket_dot(OneForm(ch, a), OneForm(ch, b)).data.tobytes() == got.tobytes()
+    # rank-one coefficients, componentwise
+    a1, b1 = a[..., :1], b[..., :1]
+    got = _bracket_contract(a1, b1, ch.ginv, np.multiply)
+    assert got.tobytes() == _former_contract(a1, b1, ch.ginv, np.multiply).tobytes()
+    # a band of normal rows, as the face-row codifferential passes it
+    rows = (slice(None),) * (ch.n - 1) + (slice(3, 8),)
+    got = _bracket_contract(a[rows], b[rows], ch.ginv[rows])
+    want = _former_contract(a[rows], b[rows], ch.ginv[rows], _former_bracket)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_connections_share_the_chart_energy_coefficients(ann32):
