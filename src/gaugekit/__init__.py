@@ -74,7 +74,6 @@ from .geometry import (
     BoundaryField,
     Chart,
     build_chart,
-    inward_normal,
     mean_curvature,
 )
 from .harness import Report, RunConfig, convergence_order, emit_report, run_all, run_suite

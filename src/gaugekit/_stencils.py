@@ -12,10 +12,12 @@ Node derivatives are centered second order inside; periodic axes wrap. The
 one-sided rules at a bounded face live in one place, `face_layer_deriv`:
 the 3-point second-order or the 5-point fourth-order rule, re-anchored at
 every layer counted inward from the face. Its callers are the end rows of
-`deriv_node`, `one_sided_deriv_at_face` (the face layer alone, used by the
-mean curvature, the boundary identity and the generator's Hopf derivative),
-the face-layer anchoring of `operators.horizontal_project`, and the layer
-chain of `operators.boundary_operator_T`.
+`deriv_node`, `one_sided_deriv_at_face` (the face layer alone), the
+face-layer anchoring of `operators.horizontal_project`, and the layer chain
+of `operators.boundary_operator_T`. Only the `geometry` module calls
+`one_sided_deriv_at_face`: its mean curvature, and `normal_derivative`, the
+inward unit-normal derivative that every other boundary evaluation takes
+(T0 and T_A, the boundary identities, the generator's Hopf derivative).
 """
 
 from __future__ import annotations

@@ -75,9 +75,9 @@ def _load_config(args):
     over = {}
     if args.seed is not None:
         over["seed"] = args.seed
-    if args.domain:
+    if args.domain is not None:
         over["domain"] = args.domain
-    if args.grid:
+    if args.grid is not None:
         parsed = parse_grid(args.grid)
         if "grid" in parsed:
             over["grid"] = parsed["grid"]

@@ -39,7 +39,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .fields import OneForm, ScalarField, Section, TwoForm, l2_norm
-from .geometry import BoundaryField, mean_curvature
+from .geometry import BoundaryField, mean_curvature, normal_derivative
 from .operators import (
     _bracket_contract,
     _cancellation_ratio,
@@ -407,9 +407,7 @@ def generator_for_boundary_data(target, side=0, A=None, solve_tol=1e-10,
         raise BadCover("collar too shallow for the extension plateau")
 
     wvals = _hopf_potential(ch, A, solve_tol) if _shared is None else _shared
-    fc = ch.faces[side]
-    dW = st.one_sided_deriv_at_face(wvals, ch.n - 1, ch.h[-1], side)
-    bprime = fc.inward_sign * dW
+    bprime = normal_derivative(ch, wvals, ch.faces[side])
     hopf_min = float(np.min(bprime))
     if hopf_min <= 0.0:
         raise HopfViolation("Hopf derivative is not strictly positive on the face")
@@ -632,11 +630,8 @@ def bracket_boundary_identity_check(g1, f1, g2, f2):
     scale = _TINY
     for fc in ch.faces:
         sl = ch.face_slice(fc)
-        root = np.sqrt(ch.g[sl][..., -1])[..., None]
-        dg1 = fc.inward_sign * st.one_sided_deriv_at_face(
-            g1.data, ch.n - 1, ch.h[-1], fc.side, order=4) / root
-        dg2 = fc.inward_sign * st.one_sided_deriv_at_face(
-            g2.data, ch.n - 1, ch.h[-1], fc.side, order=4) / root
+        dg1 = normal_derivative(ch, g1.data, fc, order=4)
+        dg2 = normal_derivative(ch, g2.data, fc, order=4)
         rhs = 3.0 * coeff_bracket(f1.data[sl], dg2) + 3.0 * coeff_bracket(dg1, f2.data[sl])
         res = lhs.values[fc.side] - rhs
         residual = max(residual, float(np.max(np.abs(res))))

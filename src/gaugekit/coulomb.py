@@ -50,7 +50,7 @@ from .fields import (
     random_smooth_field,
     require_dbc,
 )
-from .geometry import mean_curvature, require_same_chart
+from .geometry import along_normal, mean_curvature, normal_derivative, require_same_chart
 from .operators import (
     Connection,
     _cancellation_ratio,
@@ -226,15 +226,9 @@ def boundary_identity_residual(alpha, beta, A=None, general=False):
         bnu = normal_component(beta)
     for fc in ch.faces:
         sl = ch.face_slice(fc)
-        gnn = ch.g[sl][..., -1]
-        dn = st.one_sided_deriv_at_face(s.data, ch.n - 1, ch.h[-1], fc.side, order=4)
-        dterm = fc.inward_sign * dn / np.sqrt(gnn)[..., None]
+        dterm = normal_derivative(ch, s.data, fc, order=4)
         if not A.is_flat:
-            a_nu = (
-                fc.inward_sign
-                * A.eta.data[sl][..., -1, :]
-                / np.sqrt(gnn)[..., None]
-            )
+            a_nu = along_normal(ch, fc, A.eta.data[sl][..., -1, :])
             dterm = dterm + coeff_bracket(a_nu, s.data[sl])
         hterm = 2.0 * (ch.n - 1) * H.values[fc.side][..., None] * s.data[sl]
         lhs = dterm + hterm

@@ -22,7 +22,7 @@ import numpy as np
 from . import _stencils as st
 from .algebra import ALGEBRA_DIM
 from .errors import BadGeometry, ChartMismatch, DbcViolation, RankMismatch
-from .geometry import BoundaryField, build_chart, require_same_chart
+from .geometry import BoundaryField, along_normal, build_chart, require_same_chart
 
 _PAIR_TABLE = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 
@@ -133,16 +133,6 @@ _RANKS = {cls.rank: cls for cls in (ScalarField, Section, OneForm, TwoForm)}
 # derivatives
 # ---------------------------------------------------------------------------
 
-def flat_d(f):
-    """Componentwise exterior derivative of a 0-form, collocated at nodes."""
-    if not isinstance(f, (Section, ScalarField)):
-        raise RankMismatch("flat_d expects a Section or ScalarField")
-    data = _node_d(f.chart, f.data)
-    if isinstance(f, ScalarField):
-        return data  # raw (..., n) array; scalar forms stay internal
-    return OneForm(f.chart, data)
-
-
 def _node_d(ch, data):
     """Node derivatives of raw 0-form data (*shape, ...) along every axis,
     stacked behind the chart axes: (*shape, n, ...)."""
@@ -170,14 +160,6 @@ def exterior_d(omega):
 # boundary restrictions
 # ---------------------------------------------------------------------------
 
-def trace_boundary(f):
-    """Restrict a Section (or ScalarField) to the boundary node set."""
-    if not isinstance(f, (Section, ScalarField)):
-        raise RankMismatch("trace_boundary expects a Section or ScalarField")
-    ch = f.chart
-    return BoundaryField(ch, {fc.side: f.data[ch.face_slice(fc)] for fc in ch.faces})
-
-
 def normal_component(omega):
     """Pair a one-form with the inward unit normal on each face."""
     if not isinstance(omega, OneForm):
@@ -185,9 +167,7 @@ def normal_component(omega):
     ch = omega.chart
     values = {}
     for fc in ch.faces:
-        gnn = ch.g[ch.face_slice(fc)][..., -1]
-        comp = omega.data[ch.face_slice(fc)][..., -1, :]
-        values[fc.side] = fc.inward_sign * comp / np.sqrt(gnn)[..., None]
+        values[fc.side] = along_normal(ch, fc, omega.data[ch.face_slice(fc)][..., -1, :])
     return BoundaryField(ch, values)
 
 

@@ -1,9 +1,15 @@
-"""Charts on logically rectangular grids, boundary faces, and mean curvature.
+"""Charts on logically rectangular grids, boundary faces, and the face layer.
 
 A chart covers a bounded domain with one grid: every axis except the last is
 tangential and periodic, the last axis is the normal direction and carries
 the two boundary faces at its end nodes. Metric data is sampled from an
 analytic generator where available so cell-midpoint values are exact.
+
+The face layer is the geometry every boundary evaluation rests on: the
+inward unit normal nu = inward_sign / sqrt(g_nn) d/dx_n of a diagonal
+metric, applied to face values by `along_normal` and to a field's one-sided
+normal derivative by `normal_derivative`, and the mean curvature H of each
+face, one formula on every chart.
 
 The chart's arrays are read-only. One that repeats exactly along the
 tangential axes, as every built-in chart's metric data does, is stored as
@@ -22,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _stencils as st
-from .errors import BadGeometry, ChartMismatch, NotTypeA
+from .errors import BadGeometry, ChartMismatch
 
 _TYPE_TOL = 1e-12
 _custom_counter = itertools.count()
@@ -111,10 +117,14 @@ class Chart:
         return np.asarray(self.metric_fn(mesh), dtype=float)
 
     def _mid_metric(self, axis):
-        """The metric at one axis's midpoints, checked as at the nodes."""
+        """The metric at one axis's midpoints, checked as at the nodes, as a
+        profile (`_profile`), and its largest deviation along the tangential
+        axes."""
         full = self.metric_at(self.mid_coords(axis))
         _diagonal_of(full, self.n)
-        return full
+        g = _profile(full, self.n)
+        # samples cut to a profile repeat exactly along the tangential axes
+        return g, (0.0 if g is not full else _tangential_spread(full, self.n))
 
     def mid_coords(self, axis):
         """Coordinate arrays with one axis moved to cell midpoints."""
@@ -160,10 +170,15 @@ class Chart:
     @cached_property
     def padded_cell_c(self):
         """`cell_c` node-shaped: the bounded axis ends in a zero pad, which
-        clears the pad of a midpoint buffer (`_stencils._pair`) it scales."""
-        out = []
+        clears the pad of a midpoint buffer (`_stencils._pair`) it scales.
+
+        Sampling each axis's midpoint metric here also records its largest
+        deviation along the tangential axes, which `is_tangentially_uniform`
+        reads, so the metric is sampled once per axis."""
+        out, self._mid_spread = [], []
         for ax in range(self.n):
-            g = _profile(self._mid_metric(ax), self.n)
+            g, spread = self._mid_metric(ax)
+            self._mid_spread.append(spread)
             # g^aa is the reciprocal of g_aa
             c = _profile(self.cell_weights(ax) * _sqrt_det(g) * (1.0 / g[..., ax, ax]), self.n)
             pad = [(0, 0)] * (self.n - 1) + [(0, 1 - self.periodic[ax])]
@@ -181,11 +196,10 @@ class Chart:
         The flat energy matrix is then separable: circulant along the
         tangential axes with coefficients that depend on the normal node only.
         """
-        t0 = (0,) * (self.n - 1)
-        samples = itertools.chain(
-            [self.g], (self._mid_metric(ax) for ax in range(self.n))
-        )
-        return all(float(np.max(np.abs(g - g[t0]))) <= _TYPE_TOL for g in samples)
+        if _tangential_spread(self.g, self.n) > _TYPE_TOL:
+            return False
+        self.padded_cell_c  # samples the midpoint metrics, recording _mid_spread
+        return all(d <= _TYPE_TOL for d in self._mid_spread)
 
     # -- boundary helpers ----------------------------------------------------
 
@@ -221,6 +235,12 @@ def _diagonal_of(full, n):
     if np.any(diag <= 0):
         raise BadGeometry("metric diagonal entries must be positive")
     return diag
+
+
+def _tangential_spread(a, n):
+    """Largest deviation of `a`, whose first n axes are grid axes with the
+    normal one last, from its first tangential row."""
+    return float(np.max(np.abs(a - a[(0,) * (n - 1)])))
 
 
 def _profile(a, n):
@@ -416,59 +436,46 @@ def build_chart(kind, shape, **params):
 
 
 # ---------------------------------------------------------------------------
-# mean curvature and normals
+# the face layer: inward unit-normal derivatives and mean curvature
 # ---------------------------------------------------------------------------
 
-def inward_normal(chart, face):
-    """Contravariant components of the inward unit normal on a face."""
-    gnn = chart.g[chart.face_slice(face)][..., -1]
-    nu = np.zeros(chart.tangential_shape + (chart.n,))
-    nu[..., -1] = face.inward_sign / np.sqrt(gnn)
-    return nu
+def along_normal(chart, face, values):
+    """Face values paired with the inward unit normal's one contravariant
+    component: inward_sign * values / sqrt(g_nn), broadcast over the
+    values' trailing component axes."""
+    root = np.sqrt(chart.g[chart.face_slice(face)][..., -1])
+    return face.inward_sign * values / np.expand_dims(root, tuple(range(root.ndim, np.ndim(values))))
 
 
-def mean_curvature_typeA(chart):
-    """Mean curvature per face from H = (1/(n-1)) d(vol)/dx_n / vol.
-
-    Valid on charts whose normal coordinate is unit speed (type A); the
-    derivative is taken toward the interior, so the sign flips on the far
-    face automatically.
-    """
-    if not chart.is_type_a:
-        raise NotTypeA("chart normal coordinate is not unit speed")
-    values = {}
-    for f in chart.faces:
-        d = st.one_sided_deriv_at_face(chart.vol, chart.n - 1, chart.h[-1], f.side)
-        a0 = chart.vol[chart.face_slice(f)]
-        values[f.side] = f.inward_sign * d / a0 / (chart.n - 1)
-    return BoundaryField(chart, values)
+def normal_derivative(chart, data, face, order=2):
+    """The inward unit-normal derivative d(data)(nu) on a face: the
+    one-sided rule of the given order along the normal axis, then
+    `along_normal`."""
+    d = st.one_sided_deriv_at_face(data, chart.n - 1, chart.h[-1], face.side, order)
+    return along_normal(chart, face, d)
 
 
-def mean_curvature_typeB(chart):
+def mean_curvature(chart):
     """Mean curvature per face; the normal direction is orthogonal to the
     faces on every (diagonal) chart.
 
     Uses H = (1/(n-1)) [ sqrt(g_nn) d(1/sqrt(g_nn))(nu) + d(vol)(nu)/vol ],
     which collapses to the normal log-derivative of the tangential volume
-    factor; on unit-speed charts it agrees with the type A formula.
+    factor; on a unit-speed normal coordinate the first term vanishes. The
+    metric is read on the `st.END_ROW_FOOTPRINT` normal layers at each
+    face, the footprint of the one-sided rule, so no whole-grid array is
+    formed.
     """
-    gnn = chart.g[..., -1]
-    sq = np.sqrt(gnn)
-    values = {}
     ax = chart.n - 1
+    depth = st.END_ROW_FOOTPRINT
+    values = {}
     for f in chart.faces:
+        rows = (slice(None),) * ax + (slice(0, depth) if f.side == 0 else slice(-depth, None),)
+        sq = np.sqrt(chart.g[rows][..., -1])
+        vol = chart.vol[rows]
         dinv = st.one_sided_deriv_at_face(1.0 / sq, ax, chart.h[-1], f.side)
-        dvol = st.one_sided_deriv_at_face(chart.vol, ax, chart.h[-1], f.side)
+        dvol = st.one_sided_deriv_at_face(vol, ax, chart.h[-1], f.side)
         fs = chart.face_slice(f)
         sgn = f.inward_sign / sq[fs]
-        term1 = sq[fs] * (sgn * dinv)
-        term2 = (sgn * dvol) / chart.vol[fs]
-        values[f.side] = (term1 + term2) / (chart.n - 1)
+        values[f.side] = (sq[fs] * (sgn * dinv) + (sgn * dvol) / vol[fs]) / (chart.n - 1)
     return BoundaryField(chart, values)
-
-
-def mean_curvature(chart):
-    """Mean curvature by whichever formula the chart admits (A preferred)."""
-    if chart.is_type_a:
-        return mean_curvature_typeA(chart)
-    return mean_curvature_typeB(chart)

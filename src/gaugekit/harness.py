@@ -53,7 +53,6 @@ from .geometry import (
     BoundaryField,
     build_chart,
     mean_curvature,
-    mean_curvature_typeB,
 )
 from .operators import (
     Connection,
@@ -649,7 +648,7 @@ def _planar_ladder(cfg):
 
 
 def suite_mean_curvature(cfg):
-    """Face curvature against closed forms; unit-speed vs general route."""
+    """Face curvature against closed forms; one formula in two coordinates."""
     # 128 radial nodes: the named grid for the closed-form comparison
     ch = build_chart("annulus", (64, 128))
     H = mean_curvature(ch)
@@ -671,14 +670,14 @@ def suite_mean_curvature(cfg):
         float(np.max(np.abs(Hs.values[1] + 0.5 / s1))),
     )
 
-    # type agreement: the volume-ratio route on the unit-speed chart is
-    # exact there, so its face values serve as the type A reference for the
-    # general-route values computed on the log-radial chart of the same
-    # geometry (type B but not type A).
+    # type agreement: one formula in two coordinates. On the unit-speed
+    # radial chart the volume factor is linear, so its face values are exact
+    # and serve as the reference for the values on the log-radial chart of
+    # the same geometry, whose normal coordinate is not unit speed.
     def rung(shape):
         chb = build_chart("annulus_log", shape)
         Ha = mean_curvature(build_chart("annulus", shape))
-        Hb = mean_curvature_typeB(chb)
+        Hb = mean_curvature(chb)
         return chb, {"agreement": max(
             float(np.max(np.abs(Hb.values[0] - Ha.values[0]))),
             float(np.max(np.abs(Hb.values[1] - Ha.values[1]))),

@@ -76,7 +76,13 @@ from .fields import (
     check_dbc,
     l2_inner,
 )
-from .geometry import BoundaryField, mean_curvature, require_same_chart
+from .geometry import (
+    BoundaryField,
+    along_normal,
+    mean_curvature,
+    normal_derivative,
+    require_same_chart,
+)
 
 
 class Connection:
@@ -655,17 +661,13 @@ def boundary_operator_T0(f):
         raise RankMismatch("boundary_operator_T0 expects a Section or ScalarField")
     ch = f.chart
     H = mean_curvature(ch)
-    comps = f.data.ndim > ch.n
+    # H broadcast over a section's component axis
+    comp_axes = tuple(range(ch.n - 1, f.data.ndim - 1))
     values = {}
     for fc in ch.faces:
-        sl = ch.face_slice(fc)
-        d = st.one_sided_deriv_at_face(f.data, ch.n - 1, ch.h[-1], fc.side)
-        gnn = ch.g[sl][..., -1]
-        hface = H.values[fc.side]
-        if comps:
-            gnn = gnn[..., None]
-            hface = hface[..., None]
-        values[fc.side] = fc.inward_sign * d / np.sqrt(gnn) + 2.0 * (ch.n - 1) * hface * f.data[sl]
+        hface = np.expand_dims(H.values[fc.side], comp_axes)
+        values[fc.side] = (normal_derivative(ch, f.data, fc)
+                           + 2.0 * (ch.n - 1) * hface * f.data[ch.face_slice(fc)])
     return BoundaryField(ch, values)
 
 
@@ -725,8 +727,7 @@ def boundary_operator_T(f, A=None, split=False):
         dlap = np.take(dn(lap, 1), 0, axis=ax)
         if Al is not None:
             dlap = dlap + coeff_bracket(np.take(Al, 0, axis=ax)[..., ax, :], lap0)
-        gnn = ch.g[ch.face_slice(fc)][..., -1]
-        dvals[fc.side] = fc.inward_sign * dlap / np.sqrt(gnn)[..., None]
+        dvals[fc.side] = along_normal(ch, fc, dlap)
         hvals[fc.side] = 2.0 * (n - 1) * H.values[fc.side][..., None] * lap0
     d_part = BoundaryField(ch, dvals)
     h_part = BoundaryField(ch, hvals)

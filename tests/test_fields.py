@@ -13,13 +13,14 @@ from gaugekit import (
     TwoForm,
     build_chart,
     check_dbc,
+    d_A,
     dump_field,
     l2_inner,
     l2_norm,
     load_field,
     random_smooth_field,
 )
-from gaugekit.fields import exterior_d, flat_d, normal_component, trace_boundary
+from gaugekit.fields import exterior_d, normal_component
 
 
 def _unit_section(ch, k):
@@ -86,7 +87,7 @@ def test_dbc_trivial_cases(ann32):
 
 def test_flat_d_kills_constants(ann32):
     c = Section(ann32, np.ones(ann32.shape + (ALGEBRA_DIM,)))
-    d = flat_d(c)
+    d = d_A(c)
     assert float(np.max(np.abs(d.data))) < 1e-13
 
 
@@ -96,18 +97,9 @@ def test_flat_d_matches_analytic_derivative():
         ch = build_chart("annulus", (n, n))
         th, r = ch.mesh()
         f = Section(ch, np.sin(th)[..., None] * np.eye(ALGEBRA_DIM)[1])
-        d = flat_d(f)
+        d = d_A(f)
         errs.append(float(np.max(np.abs(d.data[..., 0, 1] - np.cos(th)))))
     assert errs[0] < 0.01 and errs[1] < errs[0] / 3.0
-
-
-def test_trace_boundary_samples_faces(ann32):
-    th, r = ann32.mesh()
-    f = Section(ann32, r[..., None] * np.eye(ALGEBRA_DIM)[0])
-    tb = trace_boundary(f)
-    r0, r1 = ann32.coords[1][0], ann32.coords[1][-1]
-    np.testing.assert_allclose(tb.values[0][..., 0], r0, atol=1e-14)
-    np.testing.assert_allclose(tb.values[1][..., 0], r1, atol=1e-14)
 
 
 def test_normal_component_orientation(ann32):

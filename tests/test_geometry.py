@@ -5,16 +5,18 @@ import pytest
 
 from gaugekit import (
     BadGeometry,
-    NotTypeA,
+    OneForm,
+    ScalarField,
     SolveInfo,
+    boundary_operator_T0,
     build_chart,
     green_A,
-    inward_normal,
     mean_curvature,
     random_smooth_field,
 )
 from gaugekit import _stencils as st
-from gaugekit.geometry import mean_curvature_typeA, mean_curvature_typeB
+from gaugekit.fields import normal_component
+from gaugekit.geometry import along_normal, normal_derivative
 
 
 def test_annulus_metric_is_polar(ann64):
@@ -62,13 +64,13 @@ def test_shell_curvature_halves(shell12):
     np.testing.assert_allclose(H.values[1], -0.5 / r1, atol=1e-12)
 
 
-def test_general_route_agrees_with_unit_speed_route():
+def test_one_formula_agrees_in_two_coordinates():
+    # the same annulus with a unit-speed and with a log-radial normal
+    # coordinate: the two face curvatures converge to each other
     errs = []
     for n in (48, 96):
-        cha = build_chart("annulus", (n, n))
-        chb = build_chart("annulus_log", (n, n))
-        Ha = mean_curvature_typeA(cha)
-        Hb = mean_curvature_typeB(chb)
+        Ha = mean_curvature(build_chart("annulus", (n, n)))
+        Hb = mean_curvature(build_chart("annulus_log", (n, n)))
         errs.append(
             max(
                 float(np.max(np.abs(Ha.values[s] - Hb.values[s])))
@@ -80,10 +82,78 @@ def test_general_route_agrees_with_unit_speed_route():
     assert order > 1.5
 
 
-def test_log_chart_rejects_unit_speed_route():
-    ch = build_chart("annulus_log", (16, 16))
-    with pytest.raises(NotTypeA):
-        mean_curvature_typeA(ch)
+_UNIT_SPEED_CHARTS = [
+    ("annulus", (32, 32)), ("annulus", (64, 128)),
+    ("periodic_slab", (32, 32)), ("periodic_slab", (64, 48)),
+    ("cylindrical_shell", (12, 12, 16)), ("cylindrical_shell", (8, 10, 24)),
+]
+
+
+@pytest.mark.parametrize("kind, shape", _UNIT_SPEED_CHARTS,
+                         ids=[f"{k}-{'x'.join(map(str, s))}" for k, s in _UNIT_SPEED_CHARTS])
+def test_mean_curvature_is_the_unit_speed_formula_bit_for_bit(kind, shape):
+    # on a unit-speed normal coordinate the general formula is the former
+    # volume-ratio formula, sign bits of zero values included
+    ch = build_chart(kind, shape)
+    assert ch.is_type_a
+    H = mean_curvature(ch)
+    for f in ch.faces:
+        d = st.one_sided_deriv_at_face(ch.vol, ch.n - 1, ch.h[-1], f.side)
+        want = f.inward_sign * d / ch.vol[ch.face_slice(f)] / (ch.n - 1)
+        assert _bits(H.values[f.side]) == _bits(want)
+        assert np.array_equal(np.signbit(H.values[f.side]), np.signbit(want))
+
+
+@pytest.mark.parametrize("kind", ["annulus", "annulus_log"])
+def test_face_layer_is_the_former_hand_written_expressions(kind):
+    # bit for bit against the expressions each boundary evaluation wrote out
+    # before: T0 on a scalar and on a section, the boundary identity's
+    # fourth-order derivative, and the normal component of a one-form;
+    # sqrt(g_nn) is 1 on the annulus and r on annulus_log
+    ch = build_chart(kind, (24, 20))
+    sec = random_smooth_field(ch, "section", 4)
+    scal = ScalarField(ch, sec.data[..., 0].copy())
+    om = random_smooth_field(ch, "oneform", 5)
+    H = mean_curvature(ch)
+    T_sec = boundary_operator_T0(sec)
+    T_scal = boundary_operator_T0(scal)
+    nc = normal_component(om)
+    for fc in ch.faces:
+        sl = ch.face_slice(fc)
+        gnn = ch.g[sl][..., -1]
+        hface = H.values[fc.side]
+        d = st.one_sided_deriv_at_face(scal.data, ch.n - 1, ch.h[-1], fc.side)
+        want = fc.inward_sign * d / np.sqrt(gnn) + 2.0 * (ch.n - 1) * hface * scal.data[sl]
+        assert _bits(T_scal.values[fc.side]) == _bits(want)
+        d = st.one_sided_deriv_at_face(sec.data, ch.n - 1, ch.h[-1], fc.side)
+        want = (fc.inward_sign * d / np.sqrt(gnn[..., None])
+                + 2.0 * (ch.n - 1) * hface[..., None] * sec.data[sl])
+        assert _bits(T_sec.values[fc.side]) == _bits(want)
+        d4 = st.one_sided_deriv_at_face(sec.data, ch.n - 1, ch.h[-1], fc.side, order=4)
+        want = fc.inward_sign * d4 / np.sqrt(gnn)[..., None]
+        assert _bits(normal_derivative(ch, sec.data, fc, order=4)) == _bits(want)
+        comp = om.data[sl][..., -1, :]
+        want = fc.inward_sign * comp / np.sqrt(gnn)[..., None]
+        assert _bits(nc.values[fc.side]) == _bits(want)
+        assert _bits(along_normal(ch, fc, comp)) == _bits(want)
+
+
+def test_mean_curvature_reads_the_face_layers_only():
+    # tracemalloc peak of one call at 256^2: under a tenth of one scalar
+    # field on both coordinates (the whole-grid route formed two fields on
+    # annulus_log)
+    import tracemalloc
+
+    field = np.empty((256, 256)).nbytes
+    for kind in ("annulus", "annulus_log"):
+        ch = build_chart(kind, (256, 256))
+        tracemalloc.start()
+        try:
+            mean_curvature(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < field / 10, kind
 
 
 def test_custom_chart_curvature_closed_form():
@@ -105,14 +175,20 @@ def test_custom_chart_curvature_closed_form():
     np.testing.assert_allclose(H.values[1], 0.25, atol=1e-3)
 
 
-def test_inward_normal_orientation(ann32, slab32):
-    # annulus outer face points along -d/dr, inner along +d/dr; unit length
-    nu_in = inward_normal(ann32, ann32.faces[0])
-    nu_out = inward_normal(ann32, ann32.faces[1])
-    assert np.all(nu_in[..., -1] > 0) and np.all(nu_out[..., -1] < 0)
-    np.testing.assert_allclose(np.abs(nu_in[..., -1]), 1.0, atol=1e-13)
-    nu0 = inward_normal(slab32, slab32.faces[0])
-    np.testing.assert_allclose(nu0[..., -1], 1.0, atol=1e-15)
+def test_normal_derivative_orientation(ann32, slab32):
+    # d(r)(nu) is +1 on the inner annulus face and -1 on the outer one
+    # (r is linear in the unit-speed coordinate, so exactly), and +1 at the
+    # slab's bottom face
+    r = np.broadcast_to(ann32.coords[1], ann32.shape)
+    np.testing.assert_array_equal(normal_derivative(ann32, r, ann32.faces[0]), 1.0)
+    np.testing.assert_array_equal(normal_derivative(ann32, r, ann32.faces[1]), -1.0)
+    z = np.broadcast_to(slab32.coords[1], slab32.shape)
+    np.testing.assert_array_equal(normal_derivative(slab32, z, slab32.faces[0]), 1.0)
+    # a log-radial coordinate s: d(r)(nu) = (dr/ds) / sqrt(g_ss) = 1
+    ch = build_chart("annulus_log", (32, 64))
+    r = ch.params["r0"] * np.exp(np.broadcast_to(ch.coords[1], ch.shape))
+    np.testing.assert_allclose(normal_derivative(ch, r, ch.faces[0]), 1.0, atol=1e-3)
+    np.testing.assert_allclose(normal_derivative(ch, r, ch.faces[1]), -1.0, atol=1e-3)
 
 
 def test_domain_name_aliases():
@@ -200,6 +276,30 @@ def test_tangential_uniformity_looks_at_the_midpoints():
                      extents=[(0.0, 2 * np.pi), (0.5, 1.0)])
     assert np.max(np.abs(ch.g - ch.g[:1])) <= 1e-12
     assert not ch.is_tangentially_uniform
+
+
+def test_a_chart_samples_its_metric_once_per_axis_and_once_at_the_nodes():
+    calls = []
+
+    def counted(eps):
+        def metric(mesh):
+            calls.append(1)
+            return _theta_metric(eps)(mesh)
+        return build_chart("custom", (16, 12), metric=metric,
+                           extents=[(0.0, 2 * np.pi), (0.5, 1.0)])
+
+    ch = counted(0.3)
+    assert len(calls) == 1
+    ch.cell_c
+    assert not ch.is_tangentially_uniform
+    assert len(calls) == ch.n + 1
+    # the other order, on a uniform metric: the uniformity check samples the
+    # midpoints, and cell_c reuses that sampling
+    calls.clear()
+    ch = counted(0.0)
+    assert ch.is_tangentially_uniform
+    ch.cell_c
+    assert len(calls) == ch.n + 1
 
 
 def test_custom_metric_is_checked_at_the_midpoints():

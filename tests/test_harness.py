@@ -486,6 +486,22 @@ def test_cli_rejects_zero_jobs(capsys):
     assert "error: config key 'jobs' must be an integer >= 1, not 0" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--domain", "", "--grid", "32x32"],
+     "error: config key 'domain' must be one of annulus, annulus_log, periodic_slab, "
+     "cylindrical_shell, slab, shell, not ''"),
+    (["--grid", ""], "error: cannot parse grid ''; use e.g. 64x64 or 32,64,128"),
+], ids=["domain", "grid"])
+def test_cli_rejects_an_empty_domain_or_grid(capsys, argv, message):
+    # an empty value reaches the config check instead of falling back to
+    # the config's domain or grid
+    rc = cli.main(["verify", *argv, "gauge"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_cli_refinement_sizes_set_ladder(capsys):
     rc = cli.main(
         ["study", "--grid", "16,32", "--format", "json", "mean-curvature"]

@@ -1,8 +1,9 @@
 """Every import in the package's modules is used by that module and sits at
 module level, every private module-level definition is used somewhere in
 the package, only the harness's ladder-check helper names the ladder
-statistics, and numpy.linalg is reached only by one geometry helper, for
-LAPACK's determinant."""
+statistics, the face layer's one-sided derivative and inward sign are read
+only in geometry (and the sign in T_A's layer chain), and numpy.linalg is
+reached only by one geometry helper, for LAPACK's determinant."""
 
 import ast
 from pathlib import Path
@@ -108,6 +109,62 @@ def test_only_the_ladder_helper_uses_the_ladder_statistics(path):
     if helper:
         # one call site each, in the helper
         assert sorted(name for _, _, name in inside) == sorted(_LADDER_STATISTICS)
+
+
+#: the face layer's names, and where each may be read outside geometry.py:
+#: every other boundary evaluation goes through geometry.normal_derivative
+#: or geometry.along_normal
+_FACE_LAYER = {
+    "one_sided_deriv_at_face": None,
+    "inward_sign": ("operators.py", "boundary_operator_T"),
+}
+
+
+def _face_layer_uses(source, name, helper=None):
+    """(line, col) of each read of `name` (a Name or an attribute) in
+    `source` outside the module-level function `helper`, and the count of
+    those inside it."""
+    tree = ast.parse(source)
+
+    def uses(root):
+        return {
+            (node.lineno, node.col_offset) for node in ast.walk(root)
+            if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) == name
+        }
+
+    inside = set().union(*(
+        uses(fn) for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == helper
+    ))
+    return sorted(uses(tree) - inside), len(inside)
+
+
+def test_the_check_sees_a_hand_built_face_layer():
+    src = (
+        "def boundary_operator_T(f, fc):\n    return fc.inward_sign * f\n"
+        "def nu(ch, fc):\n"
+        "    d = st.one_sided_deriv_at_face(ch.vol, 1, ch.h[-1], fc.side)\n"
+        "    return fc.inward_sign * d / np.sqrt(ch.g[..., -1])\n"
+        "sign = Face(0).inward_sign\n"
+    )
+    assert _face_layer_uses(src, "inward_sign", "boundary_operator_T") == (
+        [(5, 11), (6, 7)], 1
+    )
+    assert _face_layer_uses(src, "one_sided_deriv_at_face") == ([(4, 8)], 0)
+
+
+@pytest.mark.parametrize("name", sorted(_FACE_LAYER))
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_only_geometry_builds_the_face_layer(path, name):
+    if path.name in ("geometry.py", "_stencils.py"):
+        return  # the face layer's home, and the stencil's definition
+    allowed = _FACE_LAYER[name]
+    helper = allowed[1] if allowed and path.name == allowed[0] else None
+    outside, inside = _face_layer_uses(path.read_text(), name, helper)
+    assert outside == []
+    if helper:
+        # the layer chain orients its normal derivatives
+        assert inside >= 1
 
 
 #: the one function that may use numpy.linalg: the chart's volume factor
