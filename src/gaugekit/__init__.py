@@ -9,14 +9,8 @@ realizes prescribed data through bracket products and commutators.
 from .algebra import (
     ALGEBRA_DIM,
     STRUCTURE_C,
-    AlgebraElement,
-    GroupElement,
-    bracket,
     coeff_bracket,
     commutator_decompose,
-    exp_map,
-    log_map,
-    trace_inner,
 )
 from .constructions import (
     LADDER,

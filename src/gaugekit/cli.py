@@ -122,7 +122,7 @@ def main(argv=None):
         if args.dump_fields:
             dump_run_fields(cfg, args.dump_fields)
         return 0 if report.passed else 1
-    except GaugekitError as exc:
+    except (GaugekitError, OSError) as exc:  # OSError: a report or dump not written
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

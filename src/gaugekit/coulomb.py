@@ -1,10 +1,11 @@
 """Gauge action, curvature of the Dirichlet connection, and boundary checks.
 
-A gauge transformation stores its group values as a quaternion grid together
-with its own logarithmic derivative (Maurer-Cartan one-form), computed once
-at construction. Composition multiplies values pointwise and transports the
-stored derivative by the cocycle rule, so acting twice and acting by the
-product agree to rounding rather than to discretization error.
+A gauge transformation stores its group values as a component-first
+(4, *shape) quaternion grid together with its own logarithmic derivative
+(Maurer-Cartan one-form), computed once at construction. Composition
+multiplies values pointwise and transports the stored derivative by the
+cocycle rule, so acting twice and acting by the product agree to rounding
+rather than to discretization error.
 
 The holonomy loop transport runs component-first, on (4, *shape) quaternions
 and (3, *shape) connection components, through algebra's
@@ -26,11 +27,8 @@ from .algebra import (
     ALGEBRA_DIM,
     coeff_bracket,
     quat_conj,
-    quat_exp,
     quat_identity,
     quat_log,
-    quat_mul,
-    quat_normalize,
     quat_rotate,
     quat_rotate_inv,
     qexp,
@@ -64,13 +62,17 @@ from .operators import (
 
 
 class GaugeTransformation:
-    """Pointwise SU(2) field with its stored Maurer-Cartan one-form."""
+    """Pointwise SU(2) field with its stored Maurer-Cartan one-form.
+
+    `quat` holds the group values as component-first quaternions
+    (4, *shape); `mu` is the one-form array (*shape, n, 3) of U^-1 dU.
+    """
 
     def __init__(self, chart, quat, mu):
         self.chart = chart
         self.quat = np.asarray(quat, dtype=float)
         self.mu = np.asarray(mu, dtype=float)
-        if self.quat.shape != chart.shape + (4,):
+        if self.quat.shape != (4,) + chart.shape:
             raise RankMismatch("gauge values must be one quaternion per node")
         if self.mu.shape != chart.shape + (chart.n, ALGEBRA_DIM):
             raise RankMismatch("stored derivative must be a one-form array")
@@ -90,20 +92,21 @@ class GaugeTransformation:
             raise RankMismatch("from_section expects a Section")
         require_dbc(f)
         ch = f.chart
-        q = quat_exp(f.data)
+        q = qexp(np.moveaxis(f.data, -1, 0), np.empty((4,) + ch.shape))
         mu = np.empty(ch.shape + (ch.n, ALGEBRA_DIM))
         qc = quat_conj(q)
         for ax in range(ch.n):
-            dq = st.deriv_node(q, ax, ch.h[ax], ch.periodic[ax])
+            dq = st.deriv_node(q, ax + 1, ch.h[ax], ch.periodic[ax])
             # vector part of U^-1 dU; coefficients carry the sqrt(2) of the basis
-            mu[..., ax, :] = np.sqrt(2.0) * quat_mul(qc, dq)[..., 1:]
+            mu[..., ax, :] = np.moveaxis(np.sqrt(2.0) * qmul(qc, dq)[1:], 0, -1)
         return cls(ch, q, mu)
 
     def compose(self, other):
         """Pointwise product self * other with the cocycle derivative rule."""
         require_same_chart(self.chart, other.chart)
-        quat = quat_normalize(quat_mul(self.quat, other.quat))
-        mu = quat_rotate_inv(other.quat[..., None, :], self.mu) + other.mu
+        quat = qmul(self.quat, other.quat)
+        qnormalize(quat, quat)
+        mu = _adjoint(quat_rotate_inv, other.quat, self.mu) + other.mu
         return GaugeTransformation(self.chart, quat, mu)
 
     def __mul__(self, other):
@@ -111,23 +114,17 @@ class GaugeTransformation:
 
     def inverse(self):
         quat = quat_conj(self.quat)
-        mu = -quat_rotate(self.quat[..., None, :], self.mu)
+        mu = -_adjoint(quat_rotate, self.quat, self.mu)
         return GaugeTransformation(self.chart, quat, mu)
 
-    def boundary_distance(self):
-        """Sup Frobenius distance from the identity over the boundary nodes."""
-        ch = self.chart
-        e = quat_identity(())
-        worst = 0.0
-        for fc in ch.faces:
-            q = self.quat[ch.face_slice(fc)] - e
-            d = np.sqrt(2.0) * np.sqrt(np.sum(q * q, axis=-1))
-            if d.size:
-                worst = max(worst, float(np.max(d)))
-        return worst
 
-    def log_section(self, tol=1e-8):
-        return Section(self.chart, quat_log(self.quat, tol=tol))
+def _adjoint(rotate, q, form):
+    """quat_rotate or quat_rotate_inv by the gauge values q (4, *shape) of
+    the one-form array `form` (*shape, n, 3), in the form's layout. The
+    result is C-ordered, as every other one-form array is, so reductions
+    over it add in the same order."""
+    rotated = rotate(q[..., None], np.moveaxis(form, -1, 0))
+    return np.ascontiguousarray(np.moveaxis(rotated, 0, -1))
 
 
 def gauge_act(A, g):
@@ -135,7 +132,7 @@ def gauge_act(A, g):
     require_same_chart(A.chart, g.chart)
     new = g.mu.copy()
     if not A.is_flat:
-        new += quat_rotate_inv(g.quat[..., None, :], A.eta.data)
+        new += _adjoint(quat_rotate_inv, g.quat, A.eta.data)
     return Connection(A.chart, OneForm(A.chart, new))
 
 
@@ -448,15 +445,16 @@ def _run_lengths(runs, ks):
     return need
 
 
-def small_loop_holonomy(A, k=2):
-    """Holonomy defect of loops with sides k and 2k cells in the plane of
-    the first tangential axis and the normal axis.
+def small_loop_holonomy(A, k=(2, 4)):
+    """Holonomy defects of loops with sides k and 2k cells in the plane of
+    the first tangential axis and the normal axis, for each size in the
+    sequence k.
 
-    Returns the sup defects, their ratio (near 4 for a curvature-dominated
-    defect), and the alignment of the defect direction with the curvature
-    two-form at the loop center. The overall sign is reported, not judged.
-    A tuple of sizes k returns a list of probes, in that order. Every loop
-    is transported once, from straight runs of links shared by all sizes
+    Returns a list of probes, one per size in the order given: the sup
+    defects, their ratio (near 4 for a curvature-dominated defect), and the
+    alignment of the defect direction with the curvature two-form at the
+    loop center. The overall sign is reported, not judged. Every loop is
+    transported once, from straight runs of links shared by all sizes
     (`_loop_transports`): k = (2, 4) takes 2 exponentials and 15 products.
     Each size must be an even integer of at least 2.
     """
@@ -464,11 +462,9 @@ def small_loop_holonomy(A, k=2):
         raise BadGeometry("holonomy probes need a non-flat connection")
     ch = A.chart
     i, j = 0, ch.n - 1
-    single = np.isscalar(k)
-    try:
-        ks = (k,) if single else tuple(k)
-    except TypeError:
-        ks = (k,)
+    if not isinstance(k, (list, tuple)):
+        raise BadGeometry(f"loop sizes must be a list or tuple, not {k!r}")
+    ks = tuple(k)
     if not ks:
         raise BadGeometry("at least one loop size is needed")
     for kk in ks:
@@ -488,15 +484,15 @@ def small_loop_holonomy(A, k=2):
     small, large = {}, {}
     for size, U in _loop_transports(A, {*ks, *(2 * kk for kk in ks)}):
         rows = n_j - 3 - (size if size // 2 in ks else 2 * size)
-        g = quat_log(np.moveaxis(U[_cut(j, 2, 2 + rows)], 0, -1))
+        g = quat_log(U[_cut(j, 2, 2 + rows)])
         del U
-        norms = np.sqrt(np.sum(g * g, axis=-1))
+        norms = np.sqrt(np.sum(g * g, axis=0))
         if size // 2 in ks:
             large[size // 2] = float(np.max(norms))
         if size in ks:
             near = norms[..., : n_j - 3 - 2 * size]
             idx = np.unravel_index(int(np.argmax(near)), near.shape)
-            small[size] = (float(np.max(near)), idx, g[idx].copy())
+            small[size] = (float(np.max(near)), idx, g[(slice(None),) + idx].copy())
         del g, norms
 
     # curvature two-form component along the loop plane, read at the center
@@ -528,4 +524,4 @@ def small_loop_holonomy(A, k=2):
             sign=float(np.sign(dot)),
             scale_const=scale_const,
         ))
-    return probes[0] if single else probes
+    return probes

@@ -182,8 +182,13 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            raw = json.load(fh)
+        """The configuration in a JSON file; a file that cannot be read or
+        parsed raises ConfigError."""
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+            raise ConfigError(f"cannot read run configuration {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("a run configuration must be a JSON object")
         return cls()._update(raw)

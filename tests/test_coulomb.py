@@ -19,7 +19,15 @@ from gaugekit import (
     laplacian_A,
     random_smooth_field,
 )
-from gaugekit.algebra import coeff_to_matrix, matrix_to_coeff, qexp, qnormalize, quat_to_matrix
+from gaugekit.algebra import (
+    coeff_to_matrix,
+    matrix_to_coeff,
+    qexp,
+    qnormalize,
+    quat_identity,
+    quat_log,
+    quat_to_matrix,
+)
 from gaugekit.coulomb import (
     GaugeTransformation,
     _cut,
@@ -100,7 +108,11 @@ def test_inverse_transform_undoes_action(ann32):
 def test_dirichlet_transforms_are_identity_on_faces(ann32):
     f = random_smooth_field(ann32, "section", 9, scale=0.5)
     g = GaugeTransformation.from_section(f)
-    assert g.boundary_distance() < 1e-15
+    assert g.quat.shape == (4,) + ann32.shape
+    for fc in ann32.faces:
+        # Frobenius distance sqrt(2) |q - 1| from the identity on the face
+        d = g.quat[(slice(None),) + ann32.face_slice(fc)] - quat_identity()[:, None]
+        assert np.sqrt(2.0) * np.max(np.sqrt(np.sum(d * d, axis=0))) < 1e-15
     # and the moved connection keeps exact Dirichlet traces
     A = _rand_conn(ann32, 10)
     moved = gauge_act(A, g)
@@ -110,7 +122,7 @@ def test_dirichlet_transforms_are_identity_on_faces(ann32):
 def test_log_section_roundtrip(ann32):
     f = random_smooth_field(ann32, "section", 11, scale=0.5)
     g = GaugeTransformation.from_section(f)
-    np.testing.assert_allclose(g.log_section().data, f.data, atol=1e-12)
+    np.testing.assert_allclose(np.moveaxis(quat_log(g.quat), 0, -1), f.data, atol=1e-12)
 
 
 def test_from_section_rejects_boundary_values(ann32):
@@ -239,15 +251,14 @@ def test_obstruction_with_generic_connection(ann64):
 
 def test_holonomy_defect_scales_with_loop_area(ann64):
     A = _rand_conn(ann64, 3, scale=0.4)
-    for k in (2, 4):
-        p = small_loop_holonomy(A, k=k)
+    for p in small_loop_holonomy(A, k=(2, 4)):
         assert 3.6 <= p.ratio <= 4.4
         assert p.cosine >= 0.99
 
 
 def test_holonomy_scale_constant_is_stable(ann64):
     A = _rand_conn(ann64, 3, scale=0.4)
-    consts = [small_loop_holonomy(A, k=k).scale_const for k in (2, 4)]
+    consts = [p.scale_const for p in small_loop_holonomy(A, k=(2, 4))]
     assert abs(consts[0] - consts[1]) / abs(consts[1]) < 0.05
 
 
@@ -256,11 +267,12 @@ def test_holonomy_rejects_flat_and_odd_loops(ann32):
         small_loop_holonomy(Connection.flat(ann32))
     A = _rand_conn(ann32, 23)
     with pytest.raises(BadGeometry):
-        small_loop_holonomy(A, k=3)
+        small_loop_holonomy(A, k=(3,))
 
 
-@pytest.mark.parametrize("k", [2.0, 4.0, "2", (), None, (2, 4.0), True],
-                         ids=["float", "float4", "str", "empty", "none", "mixed", "bool"])
+@pytest.mark.parametrize("k", [2.0, 4.0, "2", (), None, (2, 4.0), True, 2, (True,)],
+                         ids=["float", "float4", "str", "empty", "none", "mixed", "bool",
+                              "scalar", "bool-size"])
 def test_holonomy_rejects_loop_sizes_that_are_not_even_integers(ann32, k):
     A = _rand_conn(ann32, 23)
     with pytest.raises(BadGeometry):
@@ -393,4 +405,4 @@ def test_general_identity_residual_peak_memory():
 def test_holonomy_probes_for_several_sizes_match_single_calls(ann64):
     A = _rand_conn(ann64, 3, scale=0.4)
     probes = small_loop_holonomy(A, k=(2, 4))
-    assert probes == [small_loop_holonomy(A, k=k) for k in (2, 4)]
+    assert probes == [small_loop_holonomy(A, k=(k,))[0] for k in (2, 4)]

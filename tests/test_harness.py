@@ -502,6 +502,55 @@ def test_cli_rejects_an_empty_domain_or_grid(capsys, argv, message):
     assert message in captured.err
 
 
+def _bad_configs(tmp_path):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"grid": [32, 3')
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    return {
+        "missing": tmp_path / "missing.json",
+        "truncated": truncated,
+        "directory": tmp_path,
+        "binary": binary,
+    }
+
+
+@pytest.mark.parametrize("case", ["missing", "truncated", "directory", "binary"])
+def test_config_file_that_cannot_be_read_raises_config_error(tmp_path, case):
+    path = _bad_configs(tmp_path)[case]
+    with pytest.raises(ConfigError, match="cannot read run configuration"):
+        RunConfig.from_json(path)
+
+
+@pytest.mark.parametrize("case", ["missing", "truncated", "directory", "binary"])
+def test_cli_exit_two_on_an_unreadable_config(tmp_path, capsys, case):
+    path = _bad_configs(tmp_path)[case]
+    rc = cli.main(["verify", "--config", str(path), "--grid", "32x32", "mean-curvature"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read run configuration")
+
+
+def test_cli_exit_two_on_a_report_it_cannot_write(tmp_path, capsys):
+    outp = tmp_path / "no-such-dir" / "report.json"
+    rc = cli.main(["verify", "--grid", "32x32", "--out", str(outp), "mean-curvature"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and str(outp) in captured.err
+    assert not outp.exists()
+
+
+def test_cli_exit_two_on_a_dump_directory_under_a_file(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    rc = cli.main(["dump", "--grid", "32x32", "--out", str(afile / "fields")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(afile) in captured.err
+
+
 def test_cli_refinement_sizes_set_ladder(capsys):
     rc = cli.main(
         ["study", "--grid", "16,32", "--format", "json", "mean-curvature"]

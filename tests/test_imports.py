@@ -1,6 +1,7 @@
 """Every import in the package's modules is used by that module and sits at
 module level, every private module-level definition is used somewhere in
-the package, only the harness's ladder-check helper names the ladder
+the package, every name the package exports is used by it or is a named
+library entry point, only the harness's ladder-check helper names the ladder
 statistics, the face layer's one-sided derivative and inward sign are read
 only in geometry (and the sign in T_A's layer chain), and numpy.linalg is
 reached only by one geometry helper, for LAPACK's determinant."""
@@ -247,6 +248,66 @@ def test_the_check_sees_an_unused_private_definition():
         "b": "from a import _Kept\nimport a\na._used()\n",
     }
     assert _unused_private_definitions("a", sources) == ["_dead"]
+
+
+#: exported names that no package module uses, each a library entry point
+_ENTRY_POINTS = {
+    # the positive theorem's algebraic step (acceptance criterion 13)
+    "commutator_decompose",
+    # the paper's flat restriction operator, next to its connected form
+    "boundary_operator_T0",
+    # reads back what `gaugekit dump` writes
+    "load_field",
+    # the metric's star on 2-d one- and two-forms, which the package applies
+    # through its private kernels (`_star_oneform`, `_star_twoform`)
+    "hodge_star",
+}
+
+
+def _exported_names(init_source):
+    """The names the package's __init__ imports to re-export."""
+    return sorted(
+        alias.asname or alias.name
+        for node in ast.parse(init_source).body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    )
+
+
+def _unused_exports(init_source, sources):
+    """Names exported by `init_source` that no Name, Attribute or import
+    alias in the package modules' `sources` reads (a definition is not a
+    read), less the library entry points."""
+    named = set()
+    for src in sources.values():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return [n for n in _exported_names(init_source) if n not in named | _ENTRY_POINTS]
+
+
+def test_the_check_sees_an_unused_export():
+    init = "from .a import helper, kept, load_field\nfrom .b import Used\n"
+    sources = {
+        "a.py": "def helper():\n    pass\ndef kept():\n    return helper\n"
+                "def load_field():\n    pass\n",
+        "b.py": "from .a import kept\nclass Used:\n    pass\n",
+        "c.py": "import b\nb.Used()\n",
+    }
+    assert _unused_exports(init, sources) == []
+    sources["a.py"] = "def helper():\n    pass\ndef kept():\n    pass\n"
+    assert _unused_exports(init, sources) == ["helper"]
+
+
+def test_every_export_is_used_or_an_entry_point():
+    sources = {p.name: p.read_text() for p in _MODULES}
+    init = (_PACKAGE / "__init__.py").read_text()
+    assert _unused_exports(init, sources) == []
+    # each entry point is still exported
+    assert _ENTRY_POINTS <= set(_exported_names(init))
 
 
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
