@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .errors import GaugekitError
@@ -91,12 +92,10 @@ def _load_config(args):
     return cfg.with_overrides(**over)
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(path):
+    """Where the report goes: the file at `path`, opened before any suite
+    runs so that a path it cannot write fails at once, or standard output."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 def main(argv=None):
@@ -114,11 +113,12 @@ def main(argv=None):
             names = _CONSTRUCT
         else:
             names = args.suites or _STUDY
-        report = run_all(cfg, names)
-        if args.command == "study" and (args.fmt or "text") == "text":
-            _emit(emit_study(report), args.out)
-        else:
-            _emit(emit_report(report, args.fmt or "text"), args.out)
+        with _output(args.out) as fh:
+            report = run_all(cfg, names)
+            if args.command == "study" and (args.fmt or "text") == "text":
+                fh.write(emit_study(report))
+            else:
+                fh.write(emit_report(report, args.fmt or "text"))
         if args.dump_fields:
             dump_run_fields(cfg, args.dump_fields)
         return 0 if report.passed else 1

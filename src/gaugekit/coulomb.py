@@ -39,7 +39,6 @@ from .errors import BadGeometry, NotHorizontal, RankMismatch
 from .fields import (
     OneForm,
     Section,
-    _mid_samples,
     _node_inner,
     _root,
     exterior_d,
@@ -87,7 +86,13 @@ class GaugeTransformation:
 
     @classmethod
     def from_section(cls, f):
-        """Exponentiate a Dirichlet section; boundary values are exactly 1."""
+        """Exponentiate a Dirichlet section.
+
+        On the faces each coefficient of f is at most DBC_TOL (1e-12, by
+        `require_dbc`), so a face value is the identity up to |f| / sqrt(2)
+        <= 1.3e-12 in its vector part and its scalar part rounds to 1. It is
+        exactly the identity only where f is exactly zero.
+        """
         if not isinstance(f, Section):
             raise RankMismatch("from_section expects a Section")
         require_dbc(f)
@@ -159,7 +164,7 @@ def _horizontality(A, data):
     if den == 0.0:
         return 0.0
     span = float(ch.coords[-1][-1] - ch.coords[-1][0])
-    cod = _codiff_adjoint(A, _mid_samples(ch, data))
+    cod = _codiff_adjoint(A, data)
     return _root(_node_inner(ch, cod, cod)) * span / den
 
 

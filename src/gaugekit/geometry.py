@@ -102,8 +102,10 @@ class Chart:
             w1 = st.quad_weights_1d(self.shape[ax], self.h[ax], self.periodic[ax])
             w = w * w1.reshape([-1 if a == ax else 1 for a in range(self.n)])
         self.quad_w = self._on_grid(_profile(w, self.n))
-        # Thomas pivots of the flat separable Green solve (operators.green_A)
+        # Thomas pivots of the flat separable Green solve and the inverse
+        # Jacobi diagonal of the others (operators.green_A)
         self._separable = None
+        self._jacobi = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -175,14 +177,16 @@ class Chart:
         Sampling each axis's midpoint metric here also records its largest
         deviation along the tangential axes, which `is_tangentially_uniform`
         reads, so the metric is sampled once per axis."""
-        out, self._mid_spread = [], []
+        out, spreads = [], []
         for ax in range(self.n):
             g, spread = self._mid_metric(ax)
-            self._mid_spread.append(spread)
+            spreads.append(spread)
             # g^aa is the reciprocal of g_aa
             c = _profile(self.cell_weights(ax) * _sqrt_det(g) * (1.0 / g[..., ax, ax]), self.n)
             pad = [(0, 0)] * (self.n - 1) + [(0, 1 - self.periodic[ax])]
             out.append(self._on_grid(np.pad(c, pad)))
+        # set whole, before the coefficients are: another thread may read it
+        self._mid_spread = spreads
         return out
 
     def mesh(self, sparse=False):

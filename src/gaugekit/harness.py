@@ -5,6 +5,11 @@ determines its report byte-for-byte. Single-grid suites check identities
 and bounds at the configured resolution. Ladder suites refine the grid and
 state their checks as rules over named series; `_ladder_checks` turns them
 into checks and a "ladders" metrics block, which `emit_study` prints.
+
+The two projections of a horizontal pair run at once, one on a worker
+thread (`_project_pair`); they are independent solves, so the pair is bit
+for bit what the two in turn give. This module is the package's one home of
+threads: the pair's worker and `RunConfig.jobs` suite workers.
 """
 
 from __future__ import annotations
@@ -432,6 +437,23 @@ _GENTLE = {"modes": 1, "degree": 2}
 N_IDENTITY_PAIRS = 5
 
 
+def _project_pair(e1, e2, A, tol):
+    """horizontal_project of both fields of a pair at once: the first on a
+    worker thread, the second on this one. The solves are independent and
+    each is computed as alone, so the pair is bit for bit the two projections
+    in turn; numpy releases the GIL in their array loops. An error of the
+    first projection is raised before one of the second, as in turn.
+    `horizontal_project` is looked up at call time."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        first = pool.submit(horizontal_project, e1, A, tol=tol)
+        try:
+            second = horizontal_project(e2, A, tol=tol)
+        except Exception:
+            first.result()  # raises the first projection's error, if any
+            raise
+        return first.result(), second
+
+
 def _identity_suite(cfg, general):
     """Residual ratios of the trace identity per rung, one member per pair."""
 
@@ -443,8 +465,7 @@ def _identity_suite(cfg, general):
             e1 = random_smooth_field(ch, "oneform", cfg.seed + 100 + 2 * p, **_GENTLE)
             e2 = random_smooth_field(ch, "oneform", cfg.seed + 101 + 2 * p, **_GENTLE)
             if not general:
-                e1 = horizontal_project(e1, A, tol=cfg.solve_tol)
-                e2 = horizontal_project(e2, A, tol=cfg.solve_tol)
+                e1, e2 = _project_pair(e1, e2, A, cfg.solve_tol)
             rats.append(boundary_identity_residual(e1, e2, A, general=general).ratio)
             del e1, e2  # before the next pair is drawn
         return ch, {"ratio": rats}
@@ -480,8 +501,7 @@ def suite_obstruction(cfg):
     for label, A in cases:
         e1 = random_smooth_field(ch, "oneform", cfg.seed + 41)
         e2 = random_smooth_field(ch, "oneform", cfg.seed + 42)
-        al = horizontal_project(e1, A, tol=cfg.solve_tol)
-        be = horizontal_project(e2, A, tol=cfg.solve_tol)
+        al, be = _project_pair(e1, e2, A, cfg.solve_tol)
         rep = obstruction_report(al, be, A, seed=cfg.seed + 7, solve_tol=cfg.solve_tol)
         checks.append(Check(f"{label}-curvature-ratio", rep.ratio_curvature, 2e-2))
         checks.append(Check(f"{label}-reference-ratio", rep.ratio_reference, 0.5, "min"))

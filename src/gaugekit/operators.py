@@ -25,14 +25,16 @@ into node-shaped buffers its caller passes in (`_scratch`), so that every
 stencil is one flat shifted op; the 1/2 of its averages is folded into the
 bracket, which rounds identically.
 
-The adjoint codifferential (`_codiff_adjoint`), the star route of
+The adjoint codifferential (`_codiff_adjoint_c`), the star route of
 codiff_2form (`_codiff_2form_data`) and the node inner product
 (`fields._node_inner`) each have one raw-array core that broadcasts over a
 trailing component axis: any number of components when the connection is
 flat, 3 under a connection. codiff_A, hodge_star, codiff_2form, l2_inner
 and horizontality_ratio call them with the 3 su(2) components; the window
 inverses, whose pairs have rank one, call them with 1. A component of a
-3-component call equals the 1-component call on it bit for bit.
+3-component call equals the 1-component call on it bit for bit. The
+codifferential averages a node one-form to one axis's midpoints at a time,
+in its scratch.
 
 The Green solve is preconditioned conjugate gradient with one stopping rule,
 ||S u - M g|| <= tol ||M g||. With a flat connection on a chart whose metric
@@ -41,13 +43,17 @@ for every built-in chart) the energy matrix is separable, and the
 preconditioner is its direct solve: an FFT along the periodic axes and one
 cached tridiagonal sweep per mode along the normal axis, so CG stops after
 one iteration. Solves under a connection, and flat solves on other charts,
-use the Jacobi diagonal. Each solve allocates its work buffers once and
-reuses them in every iteration. The CG state is whole component-first node
-arrays whose Dirichlet face rows stay zero, so its updates are contiguous
-loops; the inner products multiply the interior rows into a node-major
-buffer and sum there, in the order of a node-major field. The buffers
-belong to the call, not to the chart or the module, because
-`RunConfig.jobs` runs suites on threads.
+use the Jacobi diagonal, which the chart caches as a normal profile. Each
+solve allocates its work buffers once and reuses them in every iteration:
+four CG arrays (the preconditioned residual and the product A p share one)
+and three of energy-form scratch. The CG state is whole component-first
+node arrays whose Dirichlet face rows stay zero, so its updates are
+contiguous loops; the inner products multiply the interior rows into a
+node-major buffer and sum there, in the order of a node-major field. The
+buffers belong to the call, not to the chart or the module, because solves
+run on threads (`RunConfig.jobs` suites, and the two projections of a
+horizontal pair in the harness); what a chart or a connection caches is
+published only once it is complete.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ from .fields import (
 )
 from .geometry import (
     BoundaryField,
+    _profile,
     along_normal,
     mean_curvature,
     normal_derivative,
@@ -120,10 +127,13 @@ class Connection:
             return None
         ch = self.chart
         if self._mid is None:
-            self._mid = [np.zeros((ALGEBRA_DIM,) + ch.shape) for _ in range(ch.n)]
-            for a, m in enumerate(self._mid):
+            mids = [np.zeros((ALGEBRA_DIM,) + ch.shape) for _ in range(ch.n)]
+            for a, m in enumerate(mids):
                 st.avg_mid(_comps(self.eta.data[..., a, :]), a + 1, ch.periodic[a],
                            out=_mids(ch, a, m))
+            # published only when complete: a projection on another thread
+            # reads it as soon as it is set
+            self._mid = mids
         return self._mid[ax]
 
 
@@ -151,7 +161,9 @@ def _d_A_data(A, data):
     any K when A is flat."""
     out = _node_d(A.chart, data)
     if not A.is_flat:
-        out = out + coeff_bracket(A.eta.data, data[..., None, :])
+        # one axis at a time: the bracket's temporary is one section
+        for ax in range(A.chart.n):
+            out[..., ax, :] += coeff_bracket(A.eta.data[..., ax, :], data)
     return out
 
 
@@ -172,8 +184,8 @@ def _mids(ch, ax, a):
 
 def _scratch(A, ncomp=ALGEBRA_DIM):
     """Work buffers of one energy-form evaluation under the connection A:
-    (gradient, sum, bracket, one component), shared by all axes, for ncomp
-    components (3 under a connection).
+    (gradient, sum, bracket), shared by all axes, for ncomp components (3
+    under a connection).
 
     They are node-shaped and contiguous: on the bounded axis the N-1
     midpoints lead and the last slot is a pad, which the zero pad of
@@ -183,46 +195,56 @@ def _scratch(A, ncomp=ALGEBRA_DIM):
     ch = A.chart
     shape = (ncomp,) + ch.shape
     if A.is_flat:
-        return np.zeros(shape), np.zeros(shape), None, None
-    return np.zeros(shape), np.zeros(shape), np.zeros(shape), np.zeros(ch.shape)
+        return np.zeros(shape), np.zeros(shape), None
+    return np.zeros(shape), np.zeros(shape), np.zeros(shape)
 
 
 def _half_bracket(u, v, out, tmp):
-    """[u, v] / 2 of component-first arrays, written into `out`; `tmp` is one
-    component of scratch. Halving is exact, so [u, 2 w] / 2 rounds as
-    `algebra.coeff_bracket(u, w)` bit for bit (barring subnormals)."""
-    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(u[i], v[j], out=out[k])
-        np.subtract(out[k], np.multiply(u[j], v[i], out=tmp), out=out[k])
+    """[u, v] / 2 of component-first arrays, written into `out`; `tmp` (the
+    shape of `out`) is scratch. Halving is exact, so [u, 2 w] / 2 rounds as
+    `algebra.coeff_bracket(u, w)` bit for bit (barring subnormals).
+
+    Component k is u_i v_j - u_j v_i over the cyclic (k, i, j); the rows
+    (u_2, u_0) are one view of u with a stride of -2 rows, so each product
+    is formed for two components at once."""
+    u20 = u[2::-2]
+    np.multiply(u[1], v[2], out=out[0])
+    np.multiply(u20, v[:2], out=out[1:])
+    np.multiply(u20, v[1:], out=tmp[:2])
+    np.multiply(u[1], v[0], out=tmp[2])
+    out -= tmp
     out *= 0.5 * STRUCTURE_C
     return out
 
 
-def _grad_mid(A, x, ax, out, avg, br, tmp):
+def _grad_mid(A, x, ax, out, avg, br):
     """Staggered covariant gradient of the component-first node values x
-    along ax, written into the node-shaped `out` (see `_scratch`); `avg`,
-    `br` (the shape of `out`) and `tmp` (one component) are scratch. The
-    bracket takes avg_mid without its 1/2, which `_half_bracket` supplies."""
+    along ax, written into the node-shaped `out` (see `_scratch`); `avg` and
+    `br` (the shape of `out`) are scratch. The bracket takes avg_mid without
+    its 1/2, which `_half_bracket` supplies; it is formed first, with `out`
+    as its scratch."""
     ch = A.chart
-    st.deriv_mid(x, ax + 1, ch.h[ax], ch.periodic[ax], out=out)
     Am = A._mid_A(ax)
     if Am is not None:
         st._pair(x, ax + 1, ch.periodic[ax], np.add, avg)
-        out += _half_bracket(Am, avg, br, tmp)
+        _half_bracket(Am, avg, br, out)
+    st.deriv_mid(x, ax + 1, ch.h[ax], ch.periodic[ax], out=out)
+    if Am is not None:
+        out += br
     return out
 
 
-def _add_div_mid(out, A, mid, ax, node, br, tmp):
+def _add_div_mid(out, A, mid, ax, node, br):
     """Add to the component-first node array `out` the transpose of
     _grad_mid along ax applied to the node-shaped midpoint values `mid`
-    weighted by `Chart.cell_c`. `mid` is overwritten; `node`, `br` (the shape
-    of `out`) and `tmp` (one component) are scratch."""
+    weighted by `Chart.cell_c`. `mid` is overwritten; `node` and `br` (the
+    shape of `out`) are scratch."""
     ch = A.chart
     per = ch.periodic[ax]
     mid *= ch.padded_cell_c[ax]
     Am = A._mid_A(ax)
     if Am is not None:
-        _half_bracket(Am, mid, br, tmp)
+        _half_bracket(Am, mid, br, node)
     out += st.deriv_mid_t(mid, ax + 1, ch.h[ax], per, out=node)
     if Am is not None:
         out -= st._pair_t(br, ax + 1, per, np.add, node)
@@ -283,31 +305,35 @@ def _bracket_contract(a, b, ginv, product=None):
 # codifferential and Laplacian
 # ---------------------------------------------------------------------------
 
-def _div_mid(A, mids):
-    """Node-major sum over the axes of _add_div_mid applied to midpoint
-    samples, one node-major (*mid_shape, K) array per axis (K = 3 under a
-    connection). Its scratch is freed on return, before the caller's next
-    temporaries."""
+def _codiff_adjoint_c(A, src):
+    """The adjoint codifferential as component-first (K, *shape) data:
+    the sum over the axes of _add_div_mid applied to midpoint samples,
+    divided by the node weights, face layers zero; K = 3 under a connection.
+
+    `src` is node one-form data (*shape, n, K), averaged to one axis's
+    midpoints at a time, or a MidOneForm's list of per-axis (*mid_shape, K)
+    samples. Each component is that of a one-component call, bit for bit.
+    """
     ch = A.chart
-    ncomp = mids[0].shape[-1]
+    ncomp = src[0].shape[-1] if isinstance(src, list) else src.shape[-1]
     acc = np.zeros((ncomp,) + ch.shape)
-    t, node, br, tmp = _scratch(A, ncomp)
+    t, node, br = _scratch(A, ncomp)
     for ax in range(ch.n):
-        _mids(ch, ax, t)[...] = _comps(mids[ax])
-        _add_div_mid(acc, A, t, ax, node, br, tmp)
-    return _nodes(acc)
-
-
-def _codiff_adjoint(A, mids):
-    """The adjoint codifferential of midpoint samples (see `_div_mid`) as
-    node-major (*shape, K) data: divided by the node weights, face layers
-    zero. Each component is that of a one-component call, bit for bit."""
-    ch = A.chart
-    out = _div_mid(A, mids)
-    out /= (ch.quad_w * ch.vol)[..., None]
+        if isinstance(src, list):
+            _mids(ch, ax, t)[...] = _comps(src[ax])
+        else:
+            st.avg_mid(_comps(src[..., ax, :]), ax + 1, ch.periodic[ax], out=_mids(ch, ax, t))
+        _add_div_mid(acc, A, t, ax, node, br)
+    del t, node, br  # before the weights' temporary
+    acc /= ch.quad_w * ch.vol
     for fc in ch.faces:
-        out[ch.face_slice(fc)] = 0.0
-    return out
+        acc[(slice(None),) + ch.face_slice(fc)] = 0.0
+    return acc
+
+
+def _codiff_adjoint(A, src):
+    """`_codiff_adjoint_c` as node-major (*shape, K) data."""
+    return _nodes(_codiff_adjoint_c(A, src))
 
 
 def _energy_apply(A, x, out=None, scratch=None):
@@ -316,11 +342,11 @@ def _energy_apply(A, x, out=None, scratch=None):
     is a `_scratch` set; both are allocated when not given."""
     if out is None:
         out = np.empty(x.shape)
-    t, avg, br, tmp = _scratch(A) if scratch is None else scratch
+    t, avg, br = _scratch(A) if scratch is None else scratch
     out.fill(0.0)
     for ax in range(A.chart.n):
-        _grad_mid(A, x, ax, t, avg, br, tmp)
-        _add_div_mid(out, A, t, ax, avg, br, tmp)
+        _grad_mid(A, x, ax, t, avg, br)
+        _add_div_mid(out, A, t, ax, avg, br)
     return out
 
 
@@ -345,7 +371,8 @@ def codiff_A(omega, A=None, form="adjoint"):
         return Section(ch, _pointwise_codiff(omega, A))
     if form != "adjoint":
         raise ValueError("form must be 'adjoint' or 'pointwise'")
-    return Section(ch, _codiff_adjoint(A, MidOneForm.of(omega).arrays))
+    src = omega.arrays if isinstance(omega, MidOneForm) else omega.data
+    return Section(ch, _codiff_adjoint(A, src))
 
 
 def _pointwise_codiff(omega, A, rows=slice(None)):
@@ -483,9 +510,11 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
     ic = (slice(None),) + ii  # the interior rows, component first
     shape = (ALGEBRA_DIM,) + ch.shape
     # The CG state is whole node arrays with zero face rows (see the module
-    # docstring); r starts as the right-hand side M g.
+    # docstring); r starts as the right-hand side M g. The solve holds no
+    # reference to g after this, so a temporary right-hand side is freed.
     r = np.zeros(shape)
     np.multiply((ch.quad_w * ch.vol)[ii], _comps(g.data)[ic], out=r[ic])
+    del g
     scratch = _scratch(A)
     # Interior products summed in node-major order round as on node-major
     # fields; they live in the sum buffer, which only the energy apply uses.
@@ -510,38 +539,49 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
         solve = _separable_solver(ch)
         pre = lambda v, out: solve(v[ic], out[ic])
     else:
-        # inverse diagonal of the derivative part of the energy matrix
-        dinv = 1.0 / sum(
-            st.avg_mid_t(c, ax, ch.periodic[ax]) * 2.0 / ch.h[ax] ** 2
-            for ax, c in enumerate(ch.cell_c)
-        )
+        dinv = _jacobi_inverse(ch)
         pre = lambda v, out: np.multiply(dinv, v, out=out)
-    x, z, p, ap = np.zeros(shape), np.zeros(shape), np.zeros(shape), np.empty(shape)
-    pre(r, z)
-    p[...] = z
-    rz = dot(r, z)
+    # w holds the preconditioned residual z and the product A p in turn
+    x, p, w = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    pre(r, w)
+    p[...] = w
+    rz = dot(r, w)
     res = bnorm
     for k in range(1, maxiter + 1):
-        _energy_apply(A, p, ap, scratch)
-        ap[..., 0] = ap[..., -1] = 0.0  # the Dirichlet face rows
-        alpha = rz / dot(p, ap)
-        # z, free until the next preconditioning, and ap are the temporaries
-        x += np.multiply(p, alpha, out=z)
-        r -= np.multiply(ap, alpha, out=ap)
+        _energy_apply(A, p, w, scratch)
+        w[..., 0] = w[..., -1] = 0.0  # the Dirichlet face rows
+        alpha = rz / dot(p, w)
+        # A p is spent once r is updated; w is then the temporary of x's
+        r -= np.multiply(w, alpha, out=w)
+        x += np.multiply(p, alpha, out=w)
         res = float(np.sqrt(dot(r, r)))
         if res <= tol * bnorm:
-            info.iterations, info.residual, info.converged = k, res / bnorm, True
-            sol = Section.zeros(ch)
-            sol.data[ii] = np.moveaxis(x[ic], 0, -1)
-            return sol
+            break
         if not math.isfinite(res):
             raise _no_convergence(info, k, math.nan, "met a non-finite residual")
-        pre(r, z)
-        rz_new = dot(r, z)
+        pre(r, w)
+        rz_new = dot(r, w)
         p *= rz_new / rz
-        p += z
+        p += w
         rz = rz_new
-    raise _no_convergence(info, maxiter, res / bnorm, f"at relative residual {res / bnorm:.3e}")
+    else:
+        raise _no_convergence(info, maxiter, res / bnorm, f"at relative residual {res / bnorm:.3e}")
+    info.iterations, info.residual, info.converged = k, res / bnorm, True
+    del r, p, w, scratch, prod, cprod  # the solution is built from x alone
+    sol = Section.zeros(ch)
+    sol.data[ii] = np.moveaxis(x[ic], 0, -1)
+    return sol
+
+
+def _jacobi_inverse(ch):
+    """Inverse diagonal of the derivative part of the energy matrix, cached
+    on the chart as a normal profile whenever it repeats tangentially."""
+    if ch._jacobi is None:
+        ch._jacobi = _profile(1.0 / sum(
+            st.avg_mid_t(c, ax, ch.periodic[ax]) * 2.0 / ch.h[ax] ** 2
+            for ax, c in enumerate(ch.cell_c)
+        ), ch.n)
+    return ch._jacobi
 
 
 def _no_convergence(info, iterations, residual, why):
@@ -590,10 +630,16 @@ def horizontal_project(eta, A=None, tol=1e-10):
     gamma is anchored through the face layers so boundary evaluations of the
     projected form keep their full order.
     """
+    if not isinstance(eta, OneForm):
+        raise RankMismatch("horizontal_project expects a OneForm")
     A = _conn(eta.chart, A)
-    gamma = green_A(codiff_A(eta, A, form="adjoint"), A, tol=tol)
-    grad = _anchor_face_rows(d_A(gamma, A), gamma, eta.chart)
-    return eta - grad
+    ch = eta.chart
+    # the codifferential goes to the solve as a node-major view of its
+    # component-first data, which the solve frees once it has its residual
+    gamma = green_A(Section(ch, np.moveaxis(_codiff_adjoint_c(A, eta.data), 0, -1)), A, tol=tol)
+    grad = _anchor_face_rows(d_A(gamma, A), gamma, ch)
+    np.subtract(eta.data, grad.data, out=grad.data)
+    return grad
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Run configuration, convergence bookkeeping, report emission, CLI."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from gaugekit import cli, harness
+from gaugekit import build_chart, cli, harness, horizontal_project, random_smooth_field
 from gaugekit.errors import ConfigError, NoConvergence
 from gaugekit.harness import (
     Check,
@@ -410,6 +411,41 @@ def test_unconverged_solve_is_a_failed_check(monkeypatch):
     assert failed.metrics == {"iterations": 7, "residual": 0.25}
 
 
+@pytest.mark.parametrize("kind, shape", [
+    ("annulus", (32, 32)), ("cylindrical_shell", (8, 8, 10)),
+], ids=["annulus32", "shell8x8x10"])
+def test_pair_projection_is_the_two_projections_in_turn(kind, shape):
+    ch = build_chart(kind, shape)
+    A = harness._rand_connection(ch, 5)
+    e1 = random_smooth_field(ch, "oneform", 6)
+    e2 = random_smooth_field(ch, "oneform", 7)
+    al, be = harness._project_pair(e1, e2, A, 1e-10)
+    assert np.array_equal(al.data, horizontal_project(e1, A, tol=1e-10).data)
+    assert np.array_equal(be.data, horizontal_project(e2, A, tol=1e-10).data)
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller", "both"])
+def test_a_pair_projection_that_fails_is_a_failed_check(monkeypatch, failing):
+    # the first field of a pair is projected on the worker thread, the
+    # second on the caller's; the first's error wins, as it would in turn
+    real = harness.horizontal_project
+    caller = threading.current_thread()
+
+    def capped(eta, A=None, tol=1e-10):
+        on_worker = threading.current_thread() is not caller
+        if failing == "both" or on_worker == (failing == "worker"):
+            raise NoConvergence("capped", iterations=3 if on_worker else 5,
+                                residual=0.5 if on_worker else 0.25)
+        return real(eta, A, tol)
+
+    monkeypatch.setattr(harness, "horizontal_project", capped)
+    failed = run_suite("boundary-identity", RunConfig(grid=(32, 32)))
+    assert [c.name for c in failed.checks] == ["solve"] and not failed.passed
+    on_worker = failing != "caller"
+    assert failed.metrics == {"iterations": 3 if on_worker else 5,
+                              "residual": 0.5 if on_worker else 0.25}
+
+
 def test_non_finite_solve_is_a_failed_check(monkeypatch):
     real = harness.horizontal_project
 
@@ -539,6 +575,19 @@ def test_cli_exit_two_on_a_report_it_cannot_write(tmp_path, capsys):
     assert rc == 2
     assert captured.err.startswith("error: ") and str(outp) in captured.err
     assert not outp.exists()
+
+
+def test_cli_checks_the_report_path_before_any_suite_runs(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kw):
+        raise AssertionError("a suite ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "run_all", no_run)
+    outp = tmp_path / "no-such-dir" / "report.json"
+    rc = cli.main(["verify", "--out", str(outp)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(outp) in captured.err
 
 
 def test_cli_exit_two_on_a_dump_directory_under_a_file(tmp_path, capsys):

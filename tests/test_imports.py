@@ -3,8 +3,9 @@ module level, every private module-level definition is used somewhere in
 the package, every name the package exports is used by it or is a named
 library entry point, only the harness's ladder-check helper names the ladder
 statistics, the face layer's one-sided derivative and inward sign are read
-only in geometry (and the sign in T_A's layer chain), and numpy.linalg is
-reached only by one geometry helper, for LAPACK's determinant."""
+only in geometry (and the sign in T_A's layer chain), numpy.linalg is
+reached only by one geometry helper, for LAPACK's determinant, and only the
+harness starts threads."""
 
 import ast
 from pathlib import Path
@@ -226,6 +227,49 @@ def test_only_the_geometry_module_uses_linalg(path):
     if helper:
         # one determinant call, in the helper
         assert called == ["det"]
+
+
+#: the one module that starts threads, and the names that start them
+_THREAD_HOME = "harness.py"
+_THREAD_NAMES = {"threading", "ThreadPoolExecutor"}
+
+
+def _thread_uses(source):
+    """Lines that name `threading` or `ThreadPoolExecutor`, or import the
+    modules that hold them."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in _THREAD_NAMES:
+            found.add(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+            a.name.split(".")[0] in ("threading", "concurrent") for a in node.names
+        ):
+            found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in (
+            "threading", "concurrent"
+        ):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_the_check_sees_a_thread():
+    src = (
+        "import threading as th\nfrom concurrent.futures import ThreadPoolExecutor\n"
+        "import concurrent.futures\nx = 1\n"
+        "with ThreadPoolExecutor(1) as pool:\n    pass\nt = threading.Thread()\n"
+        "p = concurrent.futures.ThreadPoolExecutor(2)\n"
+    )
+    assert _thread_uses(src) == [1, 2, 3, 5, 7, 8]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_only_the_harness_starts_threads(path):
+    uses = _thread_uses(path.read_text())
+    if path.name == _THREAD_HOME:
+        assert uses  # the pair projection and the suite workers
+    else:
+        assert uses == []
 
 
 def test_the_check_sees_an_unused_import():
