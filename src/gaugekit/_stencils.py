@@ -11,7 +11,8 @@ node-shaped buffers pair as one flat shifted op, not one loop per row.
 Node derivatives are centered second order inside; periodic axes wrap. The
 one-sided rules at a bounded face live in one place, `face_layer_deriv`:
 the 3-point second-order or the 5-point fourth-order rule, re-anchored at
-every layer counted inward from the face. Its callers are the end rows of
+every layer counted inward from the face; an axis too short for the rule
+raises BadGeometry there. Its callers are the end rows of
 `deriv_node`, `one_sided_deriv_at_face` (the face layer alone), the
 face-layer anchoring of `operators.horizontal_project`, and the layer chain
 of `operators.boundary_operator_T`. Only the `geometry` module calls
@@ -25,6 +26,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import BadGeometry
 
 
 def _axslice(ndim, axis, sl):
@@ -192,11 +195,17 @@ def face_layer_deriv(v, axis, h, side, depth=1, order=2):
     is re-anchored at every layer, so its truncation constant does not jump
     from layer to layer. The axis is kept with length `depth`, in array
     order: the result lines up with the first or last `depth` slices of v.
+    An axis shorter than the rule's reach from the deepest layer raises
+    BadGeometry.
     """
     if order not in _ONE_SIDED:
         raise ValueError(f"unsupported one-sided order: {order}")
     weights, den = _ONE_SIDED[order]
     v = np.asarray(v)
+    reach = len(weights) + depth - 1
+    if v.shape[axis] < reach:
+        raise BadGeometry(f"the order-{order} one-sided rule at depth {depth} reads "
+                          f"{reach} nodes along axis {axis}, which holds {v.shape[axis]}")
     if side == 1:
         v = np.flip(v, axis)
     nd = v.ndim

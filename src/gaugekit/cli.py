@@ -28,7 +28,7 @@ _STUDY = [
 ]
 
 
-def _common(sp):
+def _config_flags(sp):
     sp.add_argument("--config", help="JSON run configuration file")
     sp.add_argument("--seed", type=int, help="run seed (overrides config)")
     sp.add_argument(
@@ -39,13 +39,13 @@ def _common(sp):
         "--domain",
         help="annulus | slab | shell | annulus_log (long names accepted)",
     )
-    sp.add_argument("--jobs", type=int, help="parallel suite workers")
+
+
+def _report_flags(sp):
+    _config_flags(sp)
     sp.add_argument("--out", help="write the report to this file")
     sp.add_argument(
-        "--format", dest="fmt", choices=("text", "json", "csv"), default=None
-    )
-    sp.add_argument(
-        "--dump-fields", dest="dump_fields", help="directory for field text dumps"
+        "--format", dest="fmt", choices=("text", "json", "csv"), default="text"
     )
 
 
@@ -56,18 +56,19 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
     v = sub.add_parser("verify", help="run verification suites (default: all)")
-    _common(v)
+    _report_flags(v)
     v.add_argument("suites", nargs="*", metavar="suite",
                    help=f"subset of {', '.join(sorted(SUITES))}")
     c = sub.add_parser("construct", help="run the constructive suites")
-    _common(c)
+    _report_flags(c)
     s = sub.add_parser(
         "study", help="ladder tables: every series per rung, then the order checks"
     )
-    _common(s)
+    _report_flags(s)
     s.add_argument("suites", nargs="*", metavar="suite")
     d = sub.add_parser("dump", help="write representative fields as text dumps")
-    _common(d)
+    _config_flags(d)
+    d.add_argument("--out", default="gaugekit-fields", help="directory for the dumps")
     return p
 
 
@@ -87,8 +88,6 @@ def _load_config(args):
             dim = 3 if domain in ("cylindrical_shell", "shell") else 2
             over["ladder"] = parsed["sizes"]
             over["grid"] = (parsed["sizes"][-1],) * dim
-    if args.jobs is not None:
-        over["jobs"] = args.jobs
     return cfg.with_overrides(**over)
 
 
@@ -103,8 +102,7 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         if args.command == "dump":
-            outdir = args.dump_fields or args.out or "gaugekit-fields"
-            for path in dump_run_fields(cfg, outdir):
+            for path in dump_run_fields(cfg, args.out):
                 sys.stdout.write(path + "\n")
             return 0
         if args.command == "verify":
@@ -115,12 +113,10 @@ def main(argv=None):
             names = args.suites or _STUDY
         with _output(args.out) as fh:
             report = run_all(cfg, names)
-            if args.command == "study" and (args.fmt or "text") == "text":
+            if args.command == "study" and args.fmt == "text":
                 fh.write(emit_study(report))
             else:
-                fh.write(emit_report(report, args.fmt or "text"))
-        if args.dump_fields:
-            dump_run_fields(cfg, args.dump_fields)
+                fh.write(emit_report(report, args.fmt))
         return 0 if report.passed else 1
     except (GaugekitError, OSError) as exc:  # OSError: a report or dump not written
         sys.stderr.write(f"error: {exc}\n")

@@ -8,17 +8,17 @@ into checks and a "ladders" metrics block, which `emit_study` prints.
 
 The two projections of a horizontal pair run at once, one on a worker
 thread (`_project_pair`); they are independent solves, so the pair is bit
-for bit what the two in turn give. This module is the package's one home of
-threads: the pair's worker and `RunConfig.jobs` suite workers.
+for bit what the two in turn give. That helper is the package's one home of
+threads; suites run one after another.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
 import os
 from collections import defaultdict, namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -148,7 +148,6 @@ _CONFIG_CHECKS = {
     ),
     "seed": (_is_int, "an integer"),
     "solve_tol": (lambda v: _is_number(v) and 0 < v < math.inf, "a positive number"),
-    "jobs": (lambda v: _is_int(v, 1), "an integer >= 1"),
     "thresholds": (
         lambda v: isinstance(v, dict)
         and all(_is_threshold_key(k) and _is_number(t) for k, t in v.items()),
@@ -178,7 +177,6 @@ class RunConfig:
     ladder: list = None
     seed: int = 0
     solve_tol: float = 1e-10
-    jobs: int = 1
     #: optional "suite.check" -> value overrides for the documented defaults
     thresholds: dict = field(default_factory=dict)
 
@@ -230,7 +228,6 @@ class RunConfig:
             else [s if np.isscalar(s) else tuple(s) for s in self.ladder],
             "seed": self.seed,
             "solve_tol": self.solve_tol,
-            "jobs": self.jobs,
             "thresholds": dict(self.thresholds),
         }
 
@@ -444,7 +441,7 @@ def _project_pair(e1, e2, A, tol):
     in turn; numpy releases the GIL in their array loops. An error of the
     first projection is raised before one of the second, as in turn.
     `horizontal_project` is looked up at call time."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
         first = pool.submit(horizontal_project, e1, A, tol=tol)
         try:
             second = horizontal_project(e2, A, tol=tol)
@@ -939,12 +936,7 @@ def run_suite(name, cfg):
 
 def run_all(cfg, names=None):
     names = list(SUITES) if names is None else [_resolve_suite(n) for n in names]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(lambda n: run_suite(n, cfg), names))
-    else:
-        results = [run_suite(n, cfg) for n in names]
-    return Report(cfg.to_dict(), results)
+    return Report(cfg.to_dict(), [run_suite(n, cfg) for n in names])
 
 
 # ---------------------------------------------------------------------------

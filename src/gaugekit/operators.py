@@ -50,10 +50,10 @@ and three of energy-form scratch. The CG state is whole component-first
 node arrays whose Dirichlet face rows stay zero, so its updates are
 contiguous loops; the inner products multiply the interior rows into a
 node-major buffer and sum there, in the order of a node-major field. The
-buffers belong to the call, not to the chart or the module, because solves
-run on threads (`RunConfig.jobs` suites, and the two projections of a
-horizontal pair in the harness); what a chart or a connection caches is
-published only once it is complete.
+buffers belong to the call, not to the chart or the module, because the
+two projections of a horizontal pair solve at once on two threads in the
+harness; what a chart or a connection caches is published only once it is
+complete.
 """
 
 from __future__ import annotations

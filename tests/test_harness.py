@@ -1,10 +1,13 @@
 """Run configuration, convergence bookkeeping, report emission, CLI."""
 
 import json
+import math
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from gaugekit import build_chart, cli, harness, horizontal_project, random_smooth_field
 from gaugekit.errors import ConfigError, NoConvergence
@@ -172,8 +175,8 @@ def test_config_rejects_unknown_keys(tmp_path):
 @pytest.mark.parametrize(
     "raw",
     [
-        {"jobs": "2"},
-        {"jobs": 0},
+        {"domain_params": [1.0]},
+        {"thresholds": [["gauge.cocycle", 1e-12]]},
         {"grid": "64"},
         {"grid": [64]},
         {"grid": [64, 2]},
@@ -204,14 +207,13 @@ def test_config_rejects_malformed_values(tmp_path, raw):
     "kw",
     [
         {"ladder_shapes": 3},
-        {"jobs": "2"},
         {"grid": (2, 2)},
         {"ladder": [64, 32]},
         {"thresholds": {"no-such-suite.x": 1.0}},
         {"thresholds": {"gauge": 2.0}},
         {"thresholds": {"gauge.": 2.0}},
     ],
-    ids=["method-name", "string-jobs", "small-grid", "decreasing-ladder",
+    ids=["method-name", "small-grid", "decreasing-ladder",
          "threshold-unknown-suite", "threshold-no-check", "threshold-empty-check"],
 )
 def test_overrides_reject_malformed_values(kw):
@@ -219,11 +221,115 @@ def test_overrides_reject_malformed_values(kw):
         RunConfig().with_overrides(**kw)
 
 
+#: the same draws on every run, and no example database
+_PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+_sizes = hs.integers(4, 256)
+_finite = hs.floats(allow_nan=False, allow_infinity=False)
+_threshold_keys = hs.builds(
+    "{}.{}".format, hs.sampled_from(sorted(harness.SUITES)), hs.text(min_size=1, max_size=12)
+)
+
+
+@hs.composite
+def _valid_configs(draw):
+    """RunConfig keyword arguments that pass its checks."""
+    grid = tuple(draw(hs.lists(_sizes, min_size=2, max_size=3)))
+    ladder = draw(hs.none() | hs.lists(_sizes, min_size=1, max_size=4, unique=True))
+    if ladder is not None:
+        # each rung a size or the grid shape it stands for, in increasing order
+        as_shape = draw(hs.lists(hs.booleans(), min_size=len(ladder), max_size=len(ladder)))
+        ladder = [(s,) * len(grid) if t else s for s, t in zip(sorted(ladder), as_shape)]
+    return {
+        "domain": draw(hs.sampled_from(harness._DOMAINS)),
+        "domain_params": draw(hs.dictionaries(hs.text(max_size=8), _finite | hs.integers())),
+        "grid": grid,
+        "ladder": ladder,
+        "seed": draw(hs.integers(-(2**70), 2**70)),
+        "solve_tol": draw(hs.floats(0.0, exclude_min=True, allow_infinity=False)),
+        "thresholds": draw(hs.dictionaries(_threshold_keys, _finite | hs.integers())),
+    }
+
+
+@pytest.fixture(scope="module")
+def cfg_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "cfg.json"
+
+
+@_PROPERTY
+@given(_valid_configs())
+def test_valid_configs_round_trip(cfg_file, kw):
+    cfg = RunConfig(**kw)
+    cfg_file.write_text(json.dumps(cfg.to_dict()))
+    assert RunConfig.from_json(cfg_file).to_dict() == cfg.to_dict()
+    assert RunConfig().with_overrides(**kw).to_dict() == cfg.to_dict()
+    assert RunConfig(**cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
+#: field -> values its check refuses: wrong types, bools where ints are
+#: due, out-of-range sizes and non-increasing ladders
+_INVALID = {
+    "domain": hs.text(max_size=12).filter(lambda v: v not in harness._DOMAINS)
+    | hs.just("custom") | hs.integers() | hs.none() | hs.lists(hs.text(max_size=3)),
+    "domain_params": hs.lists(_finite) | hs.text(max_size=4) | hs.integers() | hs.none(),
+    "grid": hs.lists(_sizes, min_size=2, max_size=3).flatmap(
+        lambda g: hs.sampled_from([
+            g[:1], g + [4, 4], [3] + g[1:], g[:-1] + [True], g[:-1] + [float(g[-1])],
+            [str(s) for s in g], {"x": g},
+        ])
+    ) | hs.booleans() | hs.integers() | hs.none(),
+    "ladder": hs.lists(_sizes, min_size=2, max_size=4).map(sorted).flatmap(
+        lambda l: hs.sampled_from([
+            l[::-1] if l[0] != l[-1] else l, l + [l[-1]], [2] + l, l + [True],
+            [str(s) for s in l], [float(s) for s in l], [(s,) for s in l],
+        ])
+    ) | hs.integers() | hs.text(max_size=4) | hs.booleans(),
+    "seed": hs.booleans() | hs.text(max_size=4) | _finite | hs.none() | hs.lists(_sizes),
+    "solve_tol": hs.floats(max_value=0.0) | hs.just(math.inf) | hs.just(math.nan)
+    | hs.booleans() | hs.text(max_size=4) | hs.none(),
+    "thresholds": hs.dictionaries(_threshold_keys, hs.booleans() | hs.text(max_size=4)
+                                  | hs.none(), min_size=1)
+    | hs.dictionaries(hs.text(max_size=8), _finite, min_size=1).filter(
+        lambda d: not all(harness._is_threshold_key(k) for k in d))
+    | hs.lists(_finite) | hs.none(),
+}
+_UNKNOWN_KEYS = hs.sampled_from(["ladder_shapes", "to_dict", "gird"]) | hs.text(
+    max_size=10
+).filter(lambda k: k not in _INVALID)
+_invalid_items = hs.sampled_from(sorted(_INVALID)).flatmap(
+    lambda k: hs.tuples(hs.just(k), _INVALID[k])
+)
+
+
+def _refused(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
+@_PROPERTY
+@given(_invalid_items)
+def test_invalid_values_raise_config_error(cfg_file, item):
+    key, value = item
+    cfg_file.write_text(json.dumps({key: value}))
+    _refused(lambda: RunConfig.from_json(cfg_file))
+    _refused(lambda: RunConfig(**{key: value}))
+    if value is not None:  # None leaves an overridden field as it is
+        _refused(lambda: RunConfig().with_overrides(**{key: value}))
+
+
+@_PROPERTY
+@given(_UNKNOWN_KEYS, _sizes | hs.none() | hs.text(max_size=4))
+@example("jobs", 1)  # the retired suite-worker count
+def test_unknown_keys_raise_config_error(cfg_file, key, value):
+    cfg_file.write_text(json.dumps({key: value}))
+    _refused(lambda: RunConfig.from_json(cfg_file))
+    _refused(lambda: RunConfig().with_overrides(**{key: value}))
+
+
 def test_cli_grid_override_passes_the_check():
-    args = cli.build_parser().parse_args(["verify", "--grid", "64x64", "--jobs", "2"])
+    args = cli.build_parser().parse_args(["verify", "--grid", "64x64"])
     cfg = cli._load_config(args)
     assert cfg.grid == (64, 64)
-    assert cfg.jobs == 2
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +489,6 @@ def test_study_emits_ladder_tables(ladder_report):
     assert "final-ratio: not binding (calibrated at 128x128)" in lines
 
 
-def test_parallel_jobs_give_identical_results():
-    cfg = RunConfig(grid=(32, 32), seed=2)
-    # the second pair runs one solve suite twice, so both threads solve on
-    # the same grids at once; a work buffer shared between them would
-    # change the reports
-    for names in (["mean-curvature", "gauge"], ["boundary-identity", "boundary-identity"]):
-        seq = run_all(cfg, names)
-        par = run_all(cfg.with_overrides(jobs=2), names)
-        a = [s.to_dict() for s in seq.suites]
-        b = [s.to_dict() for s in par.suites]
-        assert a == b
-
-
 def test_unconverged_solve_is_a_failed_check(monkeypatch):
     def capped(eta, A=None, tol=1e-10):
         raise NoConvergence("capped", iterations=7, residual=0.25)
@@ -495,6 +588,20 @@ def test_cli_suite_error_keeps_the_report(capsys):
     assert lines[at + 1].strip() == f"BadCover: {gen['metrics']['message']}"
 
 
+def test_cli_short_rung_fails_the_identity_suites_with_bad_geometry(capsys):
+    # the 4-node rung is too short for the order-4 face rule of the
+    # identities; each identity suite records it and the run goes on
+    rc = cli.main(["verify", "--grid", "4,5,6", "--format", "json",
+                   "boundary-identity", "general-identity", "mean-curvature"])
+    assert rc == 1
+    bi, gi, mc = json.loads(capsys.readouterr().out)["suites"]
+    for suite in (bi, gi):
+        assert [c["name"] for c in suite["checks"]] == ["error"]
+        assert suite["metrics"]["error"] == "BadGeometry"
+        assert "reads 5 nodes" in suite["metrics"]["message"]
+    assert mc["suite"] == "mean-curvature" and mc["passed"]
+
+
 def test_cli_exit_one_on_failed_check(tmp_path, capsys):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"thresholds": {"mean-curvature.slab-zero": -1.0}}))
@@ -513,13 +620,29 @@ def test_cli_exit_two_on_config_error(capsys):
     assert "error:" in err
 
 
-def test_cli_rejects_zero_jobs(capsys):
-    # --jobs 0 reaches the config check instead of falling back to its jobs
-    rc = cli.main(["verify", "--grid", "32x32", "--jobs", "0", "gauge"])
+def test_cli_config_naming_jobs_exits_two(tmp_path, capsys):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"jobs": 1}))
+    rc = cli.main(["verify", "--config", str(cfgp), "--grid", "32x32", "gauge"])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
-    assert "error: config key 'jobs' must be an integer >= 1, not 0" in captured.err
+    assert "error: unknown config key 'jobs'" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--jobs", "2"],
+    ["verify", "--dump-fields", "x"],
+    ["construct", "--dump-fields", "x"],
+    ["study", "--dump-fields", "x"],
+    ["dump", "--format", "json"],
+], ids=["verify-jobs", "verify-dump-fields", "construct-dump-fields",
+        "study-dump-fields", "dump-format"])
+def test_cli_rejects_a_flag_the_command_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -624,7 +747,7 @@ def test_cli_domain_alias_and_output_file(tmp_path):
 
 
 def test_cli_dump_writes_field_files(tmp_path, capsys):
-    rc = cli.main(["dump", "--grid", "48x48", "--dump-fields", str(tmp_path / "f")])
+    rc = cli.main(["dump", "--grid", "48x48", "--out", str(tmp_path / "f")])
     out = capsys.readouterr().out
     assert rc == 0
     listed = [ln for ln in out.splitlines() if ln.strip()]

@@ -5,7 +5,7 @@ library entry point, only the harness's ladder-check helper names the ladder
 statistics, the face layer's one-sided derivative and inward sign are read
 only in geometry (and the sign in T_A's layer chain), numpy.linalg is
 reached only by one geometry helper, for LAPACK's determinant, and only the
-harness starts threads."""
+harness's pair projection starts threads."""
 
 import ast
 from pathlib import Path
@@ -229,28 +229,37 @@ def test_only_the_geometry_module_uses_linalg(path):
         assert called == ["det"]
 
 
-#: the one module that starts threads, and the names that start them
-_THREAD_HOME = "harness.py"
+#: the one function that starts threads, and the names that start them
+_THREAD_HELPER = ("harness.py", "_project_pair")
 _THREAD_NAMES = {"threading", "ThreadPoolExecutor"}
+_THREAD_MODULES = ("threading", "concurrent")
 
 
-def _thread_uses(source):
-    """Lines that name `threading` or `ThreadPoolExecutor`, or import the
-    modules that hold them."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        if name in _THREAD_NAMES:
-            found.add(node.lineno)
-        elif isinstance(node, ast.Import) and any(
-            a.name.split(".")[0] in ("threading", "concurrent") for a in node.names
-        ):
-            found.add(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in (
-            "threading", "concurrent"
-        ):
-            found.add(node.lineno)
-    return sorted(found)
+def _thread_uses(source, helper=None):
+    """Lines that name `threading` or `ThreadPoolExecutor` outside the
+    module-level function `helper`, the lines inside it that do, and the
+    lines that import the modules that hold them."""
+    tree = ast.parse(source)
+
+    def names(root):
+        return {
+            node.lineno for node in ast.walk(root)
+            if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+            in _THREAD_NAMES
+        }
+
+    imports = sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] in _THREAD_MODULES for a in node.names))
+        or (isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] in _THREAD_MODULES)
+    )
+    inside = set().union(*(
+        names(fn) for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == helper
+    ))
+    return sorted(names(tree) - inside), sorted(inside), imports
 
 
 def test_the_check_sees_a_thread():
@@ -259,17 +268,25 @@ def test_the_check_sees_a_thread():
         "import concurrent.futures\nx = 1\n"
         "with ThreadPoolExecutor(1) as pool:\n    pass\nt = threading.Thread()\n"
         "p = concurrent.futures.ThreadPoolExecutor(2)\n"
+        "def _project_pair(a, b):\n"
+        "    with ThreadPoolExecutor(max_workers=1) as pool:\n        return pool\n"
+        "def run_all(names):\n"
+        "    with ThreadPoolExecutor(max_workers=2) as pool:\n        return pool\n"
     )
-    assert _thread_uses(src) == [1, 2, 3, 5, 7, 8]
+    assert _thread_uses(src) == ([5, 7, 8, 10, 13], [], [1, 2, 3])
+    assert _thread_uses(src, "_project_pair") == ([5, 7, 8, 13], [10], [1, 2, 3])
 
 
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_only_the_harness_starts_threads(path):
-    uses = _thread_uses(path.read_text())
-    if path.name == _THREAD_HOME:
-        assert uses  # the pair projection and the suite workers
+    helper = _THREAD_HELPER[1] if path.name == _THREAD_HELPER[0] else None
+    outside, inside, imports = _thread_uses(path.read_text(), helper)
+    assert outside == []
+    if helper:
+        # the pair projection's one worker, from one module-level import
+        assert len(inside) == 1 and len(imports) == 1
     else:
-        assert uses == []
+        assert inside == imports == []
 
 
 def test_the_check_sees_an_unused_import():

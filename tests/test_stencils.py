@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 
 from gaugekit import _stencils as st
+from gaugekit.errors import BadGeometry
 
 
 def _grid(n=17, h=0.25):
@@ -67,6 +68,19 @@ def test_one_sided_order4_exact_on_quartics(axis, side):
         side,
         1e-9,
     )
+
+
+@pytest.mark.parametrize("order, depth, reach", [(2, 1, 3), (2, 3, 5), (4, 1, 5), (4, 2, 6)])
+@pytest.mark.parametrize("side", [0, 1])
+def test_face_rule_on_too_short_an_axis_raises_bad_geometry(order, depth, reach, side):
+    v = np.ones((3, reach))
+    assert st.face_layer_deriv(v, 1, 0.1, side, depth, order).shape == (3, depth)
+    short = f"reads {reach} nodes along axis 1, which holds {reach - 1}"
+    with pytest.raises(BadGeometry, match=short):
+        st.face_layer_deriv(v[:, 1:], 1, 0.1, side, depth, order)
+    if depth == 1:
+        with pytest.raises(BadGeometry):
+            st.one_sided_deriv_at_face(v[:, 1:], 1, 0.1, side, order)
 
 
 def test_one_sided_applies_along_chosen_axis():
