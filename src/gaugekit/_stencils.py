@@ -14,11 +14,12 @@ the 3-point second-order or the 5-point fourth-order rule, re-anchored at
 every layer counted inward from the face; an axis too short for the rule
 raises BadGeometry there. Its callers are the end rows of
 `deriv_node`, `one_sided_deriv_at_face` (the face layer alone), the
-face-layer anchoring of `operators.horizontal_project`, and the layer chain
-of `operators.boundary_operator_T`. Only the `geometry` module calls
-`one_sided_deriv_at_face`: its mean curvature, and `normal_derivative`, the
-inward unit-normal derivative that every other boundary evaluation takes
-(T0 and T_A, the boundary identities, the generator's Hopf derivative).
+face-layer anchoring of `operators.horizontal_project`, and the face-layer
+Laplacian of T_A, on the layers `geometry.Chart.face_rows` indexes. Only
+`geometry` calls `one_sided_deriv_at_face`: its mean curvature, and
+`normal_derivative`, which every other boundary evaluation takes (the face
+map `operators._face_map` of T0, T_A and the boundary identities; the
+generator's Hopf derivative).
 """
 
 from __future__ import annotations

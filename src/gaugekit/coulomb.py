@@ -47,13 +47,14 @@ from .fields import (
     random_smooth_field,
     require_dbc,
 )
-from .geometry import along_normal, mean_curvature, normal_derivative, require_same_chart
+from .geometry import require_same_chart
 from .operators import (
     Connection,
     _cancellation_ratio,
     _codiff_adjoint,
     _codiff_at_faces,
     _conn,
+    _face_map,
     bracket_dot,
     green_A,
     ritz_smallest,
@@ -209,8 +210,9 @@ class IdentityReport:
 def boundary_identity_residual(alpha, beta, A=None, general=False):
     """Residual of the boundary identity for the bracket product.
 
-    Horizontal form: d_A[a.b](nu) + 2(n-1) H [a.b] = 0. The general form
-    keeps the codifferential source terms -[d*_A a, b(nu)] - [a(nu), d*_A b]
+    Horizontal form: the face map r_A([a.b]) = d_A[a.b](nu) + 2(n-1) H [a.b]
+    = 0 (`operators._face_map`, fourth order). The general form keeps the
+    codifferential source terms -[d*_A a, b(nu)] - [a(nu), d*_A b]
     on the right-hand side, with the pointwise codifferential evaluated on
     the normal layers its face rows read. Returns sup residual together with
     the sup norm of the bracket product, which serves as the relative scale.
@@ -219,30 +221,16 @@ def boundary_identity_residual(alpha, beta, A=None, general=False):
     A = _conn(alpha.chart, A)
     ch = alpha.chart
     s = bracket_dot(alpha, beta)
-    H = mean_curvature(ch)
-    residual = 0.0
+    d_part, h_part = _face_map(ch, lambda fc: s.data, A, order=4)
+    res = (d_part + h_part).values
     if general:
-        ca = _codiff_at_faces(alpha, A)
-        cb = _codiff_at_faces(beta, A)
-        anu = normal_component(alpha)
-        bnu = normal_component(beta)
-    for fc in ch.faces:
-        sl = ch.face_slice(fc)
-        dterm = normal_derivative(ch, s.data, fc, order=4)
-        if not A.is_flat:
-            a_nu = along_normal(ch, fc, A.eta.data[sl][..., -1, :])
-            dterm = dterm + coeff_bracket(a_nu, s.data[sl])
-        hterm = 2.0 * (ch.n - 1) * H.values[fc.side][..., None] * s.data[sl]
-        lhs = dterm + hterm
-        rhs = 0.0
-        if general:
-            r1 = -coeff_bracket(ca.values[fc.side], bnu.values[fc.side])
-            r2 = -coeff_bracket(anu.values[fc.side], cb.values[fc.side])
-            rhs = r1 + r2
-        res = lhs - rhs
-        residual = max(residual, float(np.max(np.abs(res))))
-    scale = s.sup()
-    return IdentityReport(residual, scale)
+        ca, cb = _codiff_at_faces(alpha, A), _codiff_at_faces(beta, A)
+        anu, bnu = normal_component(alpha).values, normal_component(beta).values
+        for side, lhs in res.items():
+            res[side] = lhs - (-coeff_bracket(ca.values[side], bnu[side])
+                               - coeff_bracket(anu[side], cb.values[side]))
+    residual = max(0.0, *(float(np.max(np.abs(v))) for v in res.values()))
+    return IdentityReport(residual, s.sup())
 
 
 @dataclass

@@ -9,7 +9,7 @@ The face layer is the geometry every boundary evaluation rests on: the
 inward unit normal nu = inward_sign / sqrt(g_nn) d/dx_n of a diagonal
 metric, applied to face values by `along_normal` and to a field's one-sided
 normal derivative by `normal_derivative`, and the mean curvature H of each
-face, one formula on every chart.
+face, one formula on every chart. `Chart.face_rows` indexes a face's layers.
 
 The chart's arrays are read-only. One that repeats exactly along the
 tangential axes, as every built-in chart's metric data does, is stored as
@@ -210,6 +210,13 @@ class Chart:
     def face_slice(self, face):
         sl = [slice(None)] * self.n
         sl[-1] = 0 if face.side == 0 else -1
+        return tuple(sl)
+
+    def face_rows(self, face, k):
+        """Index of the k >= 1 normal layers nearest `face`, in array order,
+        of the whole grid or of a slab of layers at that face."""
+        sl = [slice(None)] * self.n
+        sl[-1] = slice(0, k) if face.side == 0 else slice(-k, None)
         return tuple(sl)
 
     @property
@@ -471,10 +478,9 @@ def mean_curvature(chart):
     formed.
     """
     ax = chart.n - 1
-    depth = st.END_ROW_FOOTPRINT
     values = {}
     for f in chart.faces:
-        rows = (slice(None),) * ax + (slice(0, depth) if f.side == 0 else slice(-depth, None),)
+        rows = chart.face_rows(f, st.END_ROW_FOOTPRINT)
         sq = np.sqrt(chart.g[rows][..., -1])
         vol = chart.vol[rows]
         dinv = st.one_sided_deriv_at_face(1.0 / sq, ax, chart.h[-1], f.side)

@@ -150,8 +150,9 @@ _CONFIG_CHECKS = {
     "solve_tol": (lambda v: _is_number(v) and 0 < v < math.inf, "a positive number"),
     "thresholds": (
         lambda v: isinstance(v, dict)
-        and all(_is_threshold_key(k) and _is_number(t) for k, t in v.items()),
-        "an object of '<suite>.<check>' keys and numeric thresholds",
+        and all(_is_threshold_key(k) and _is_number(t) and math.isfinite(t)
+                for k, t in v.items()),
+        "an object of '<suite>.<check>' keys and finite numeric thresholds",
     ),
 }
 
@@ -237,6 +238,8 @@ class RunConfig:
             shapes = [
                 (int(s),) * dim if np.isscalar(s) else tuple(s) for s in self.ladder
             ]
+            if any(len(s) != dim for s in shapes):
+                raise ConfigError(f"ladder grid shapes must have the grid's {dim} sizes")
             if any(b <= a for a, b in zip(shapes, shapes[1:])):
                 raise ConfigError("ladder grid sizes must be strictly increasing")
             return shapes
@@ -661,12 +664,9 @@ def suite_bracket_identity(cfg):
 
 
 def _planar_ladder(cfg):
-    """The 2d rungs of the run's ladder for the suites that measure on
-    annulus charts whatever the run's domain; a 3d run gets the named
-    32, 64, 128 ladder."""
-    return [s for s in cfg.ladder_shapes() if len(s) == 2] or [
-        (32, 32), (64, 64), (128, 128)
-    ]
+    """The run's ladder for the suites that measure on annulus charts
+    whatever the run's domain; a 3d run gets the named 32, 64, 128 ladder."""
+    return cfg.ladder_shapes() if len(cfg.grid) == 2 else [(32, 32), (64, 64), (128, 128)]
 
 
 def suite_mean_curvature(cfg):
@@ -978,24 +978,34 @@ def emit_report(report, fmt="text"):
             mark = "PASS" if s.passed else "FAIL"
             lines.append(f"[{mark}] {s.suite}")
             for c in s.checks:
-                cm = "pass" if c.passed else "FAIL"
-                rel = {"max": "<=", "min": ">=", "gt": ">", "lt": "<"}[c.kind]
-                lines.append(
-                    f"    {cm:4s} {c.name}: {_fmt(c.value)} {rel} {_fmt(c.threshold)}"
-                )
-                if c.name == "error" and not c.passed:
-                    lines.append(f"         {s.metrics['error']}: {s.metrics['message']}")
+                lines += _check_lines(s, c)
         lines.append("ALL PASS" if report.passed else "FAILURES PRESENT")
         return "\n".join(lines) + "\n"
     raise ConfigError(f"unknown report format {fmt!r}")
 
 
+def _check_lines(s, c):
+    """The text lines of the check c of the suite result s: its verdict,
+    value and bound, then the error that a failed `error` check names."""
+    cm = "pass" if c.passed else "FAIL"
+    rel = {"max": "<=", "min": ">=", "gt": ">", "lt": "<"}[c.kind]
+    lines = [f"    {cm:4s} {c.name}: {_fmt(c.value)} {rel} {_fmt(c.threshold)}"]
+    if c.name == "error" and not c.passed:
+        lines.append(f"         {s.metrics['error']}: {s.metrics['message']}")
+    return lines
+
+
 def emit_study(report):
     """Convergence tables: every series of each ladder in a report, one row
     per rung and one column per member, then the values of the ladder's order
-    checks and the calibrated bounds that do not bind on it."""
+    checks and the calibrated bounds that do not bind on it. A suite that
+    stopped at a failed `error` or `solve` check gets that check's lines of
+    the text report instead."""
     lines = []
     for s in report.suites:
+        for c in s.checks:
+            if c.name in ("error", "solve") and not c.passed:
+                lines += [f"# {s.suite}", *_check_lines(s, c), ""]
         value = {c.name: c.value for c in s.checks}
         for ladder in s.metrics.get("ladders", ()):
             lines.append(f"# {s.suite}")

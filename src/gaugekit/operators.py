@@ -54,6 +54,11 @@ buffers belong to the call, not to the chart or the module, because the
 two projections of a horizontal pair solve at once on two threads in the
 harness; what a chart or a connection caches is published only once it is
 complete.
+
+The boundary operators share one face map r_A(u) = d_A u(nu) + 2(n-1) H u
+(`_face_map`), the one place the mean curvature H enters: T0 is the flat
+face map, T_A = r_A Lap_A the face map of the face-layer Laplacian, and the
+boundary identity of `coulomb` the face map of the bracket product.
 """
 
 from __future__ import annotations
@@ -375,9 +380,10 @@ def codiff_A(omega, A=None, form="adjoint"):
     return Section(ch, _codiff_adjoint(A, src))
 
 
-def _pointwise_codiff(omega, A, rows=slice(None)):
-    """-(1/a) d_i(a g^ii w_i) - [A . w] of the node OneForm w = omega on its
-    normal-axis rows `rows` alone, as node-major data on those rows.
+def _pointwise_codiff(omega, A, rows=(...,)):
+    """-(1/a) d_i(a g^ii w_i) - [A . w] of the node OneForm w = omega on the
+    normal layers `rows` alone (a `Chart.face_rows` index; every node by
+    default), as node-major data on those rows.
 
     The normal derivative is deriv_node's over those rows. A window of
     `st.END_ROW_FOOTPRINT` rows at a face is the footprint of its one-sided
@@ -385,15 +391,14 @@ def _pointwise_codiff(omega, A, rows=slice(None)):
     bit: every other step is pointwise or along a periodic axis.
     """
     ch = omega.chart
-    sl = (slice(None),) * (ch.n - 1) + (rows,)
-    w, ginv, vol = omega.data[sl], ch.ginv[sl], ch.vol[sl]
+    w, ginv, vol = omega.data[rows], ch.ginv[rows], ch.vol[rows]
     flux = ginv[..., None] * w * vol[..., None, None]
     acc = np.zeros(w.shape[:-2] + (ALGEBRA_DIM,))
     for ax in range(ch.n):
         acc += st.deriv_node(flux[..., ax, :], ax, ch.h[ax], ch.periodic[ax])
     out = -acc / vol[..., None]
     if not A.is_flat:
-        out = out - _bracket_contract(A.eta.data[sl], w, ginv)
+        out = out - _bracket_contract(A.eta.data[rows], w, ginv)
     return out
 
 
@@ -404,12 +409,11 @@ def _codiff_at_faces(omega, A=None):
         raise RankMismatch("the face-row codifferential expects a node OneForm")
     A = _conn(omega.chart, A)
     ch = omega.chart
-    depth = st.END_ROW_FOOTPRINT
-    values = {}
-    for fc in ch.faces:
-        rows = slice(0, depth) if fc.side == 0 else slice(-depth, None)
-        values[fc.side] = _pointwise_codiff(omega, A, rows)[ch.face_slice(fc)]
-    return BoundaryField(ch, values)
+    return BoundaryField(ch, {
+        fc.side: _pointwise_codiff(omega, A, ch.face_rows(fc, st.END_ROW_FOOTPRINT))[
+            ch.face_slice(fc)]
+        for fc in ch.faces
+    })
 
 
 def laplacian_A(f, A=None, form="adjoint"):
@@ -606,17 +610,15 @@ def _anchor_face_rows(grad, f, ch, depth=8):
     face vicinity, pushing the family seam well inside the domain.
     """
     ax = ch.n - 1
-    if ch.periodic[ax]:
+    depth = min(depth, ch.shape[-1] - 4)
+    if depth <= 0:
         return grad
-    N = ch.shape[-1]
-    depth = max(0, min(depth, N - 4))
     h = ch.h[-1]
     plain = st.deriv_node(f.data, ax, h, False)
     comp = grad.data[..., ax, :]
-    for side, rows in ((0, slice(0, depth)), (1, slice(N - depth, N))):
-        sl = (slice(None),) * ax + (rows,)
-        anch = st.face_layer_deriv(f.data, ax, h, side, depth, order=4)
-        comp[sl] += anch - plain[sl]
+    for fc in ch.faces:
+        rows = ch.face_rows(fc, depth)
+        comp[rows] += st.face_layer_deriv(f.data, ax, h, fc.side, depth, order=4) - plain[rows]
     return grad
 
 
@@ -701,85 +703,76 @@ def _codiff_2form_data(A, data):
 # boundary operators
 # ---------------------------------------------------------------------------
 
+def _face_map(ch, layers, A, order=2):
+    """The face map r_A(u) = d_A u(nu) + 2(n-1) H u as (derivative part,
+    curvature part). `layers(face)` is u on the normal layers at that face,
+    in array order; d_A u(nu) is `normal_derivative` of the given order plus
+    [A(nu), u]."""
+    H = mean_curvature(ch)
+    d_vals, h_vals = {}, {}
+    for fc in ch.faces:
+        u = layers(fc)
+        u0 = u[ch.face_slice(fc)]
+        d = normal_derivative(ch, u, fc, order)
+        if not A.is_flat:
+            a_nu = along_normal(ch, fc, A.eta.data[ch.face_slice(fc)][..., -1, :])
+            d = d + coeff_bracket(a_nu, u0)
+        d_vals[fc.side] = d
+        # H broadcast over a section's component axis
+        hface = np.expand_dims(H.values[fc.side], tuple(range(ch.n - 1, u0.ndim)))
+        h_vals[fc.side] = 2.0 * (ch.n - 1) * hface * u0
+    return BoundaryField(ch, d_vals), BoundaryField(ch, h_vals)
+
+
 def boundary_operator_T0(f):
     """Flat boundary operator: df(nu) + 2(n-1) H f on each face."""
     if not isinstance(f, (Section, ScalarField)):
         raise RankMismatch("boundary_operator_T0 expects a Section or ScalarField")
+    d_part, h_part = _face_map(f.chart, lambda fc: f.data, _conn(f.chart, None))
+    return d_part + h_part
+
+
+def _face_layer_laplacian(f, A, fc):
+    """Lap_A f (pointwise form) on the 3 normal layers at the face fc, in
+    array order. Each normal derivative is the 3-point one-sided rule
+    re-anchored at its layer, keeping the composition second order;
+    tangential ones are the periodic centered stencils."""
     ch = f.chart
-    H = mean_curvature(ch)
-    # H broadcast over a section's component axis
-    comp_axes = tuple(range(ch.n - 1, f.data.ndim - 1))
-    values = {}
-    for fc in ch.faces:
-        hface = np.expand_dims(H.values[fc.side], comp_axes)
-        values[fc.side] = (normal_derivative(ch, f.data, fc)
-                           + 2.0 * (ch.n - 1) * hface * f.data[ch.face_slice(fc)])
-    return BoundaryField(ch, values)
+    ax = ch.n - 1
+    rows = lambda k: ch.face_rows(fc, k)
+    dn = lambda v, depth: st.face_layer_deriv(v, ax, ch.h[-1], fc.side, depth)
+    f5 = f.data[rows(5)]
+    # the covariant derivative on the 5 layers, one array per axis
+    om = [st.deriv_node(f5, t, ch.h[t], True) for t in range(ax)] + [dn(f.data[rows(7)], 5)]
+    Al = None if A.is_flat else A.eta.data[rows(5)]
+    if Al is not None:
+        om = [c + coeff_bracket(Al[..., i, :], f5) for i, c in enumerate(om)]
+    cl = ch.vol[rows(5)][..., None] * ch.ginv[rows(5)]  # vol g^ii
+    div = dn(cl[..., ax, None] * om[ax], 3)
+    c3 = cl[rows(3)]
+    om3 = [c[rows(3)] for c in om]
+    for t in range(ax):
+        div += st.deriv_node(c3[..., t, None] * om3[t], t, ch.h[t], True)
+    lap = -div / ch.vol[rows(3)][..., None]
+    if Al is not None:
+        g3, a3 = ch.ginv[rows(3)], Al[rows(3)]
+        for i in range(ax + 1):
+            lap = lap - coeff_bracket(a3[..., i, :], g3[..., i, None] * om3[i])
+    return lap
 
 
 def boundary_operator_T(f, A=None, split=False):
-    """Obstruction operator: d_A(Lap_A f)(nu) + 2(n-1) H Lap_A f per face.
-
-    Every normal derivative in the chain uses the same inward-anchored
-    stencil on layers counted from the face, keeping the composition second
-    order; tangential derivatives are the periodic centered stencils.
-    With split=True the derivative and curvature terms come back separately.
-    """
+    """Obstruction operator T_A = r_A Lap_A: d_A(Lap_A f)(nu) + 2(n-1) H Lap_A f,
+    the face map of the face-layer Laplacian. With split=True the derivative
+    and curvature terms come back separately."""
     if not isinstance(f, Section):
         raise RankMismatch("boundary_operator_T expects a Section")
     A = _conn(f.chart, A)
     ch = f.chart
     if ch.shape[-1] < 8:
         raise BadGeometry("the obstruction operator needs at least 8 normal layers")
-    n = ch.n
-    ax = n - 1
-    hn = ch.h[-1]
-    H = mean_curvature(ch)
-    vg = ch.vol[..., None] * ch.ginv  # vol g^ii
-    first = lambda arr, k: arr[(slice(None),) * ax + (slice(0, k),)]
-    dvals = {}
-    hvals = {}
-    for fc in ch.faces:
-        sgn = fc.inward_sign
-        # slabs of face layers whose normal axis counts inward from the face
-        layers = lambda arr, k: first(arr if fc.side == 0 else np.flip(arr, ax), k)
-        dn = lambda v, depth: sgn * st.face_layer_deriv(v, ax, hn, 0, depth)
-        fl = layers(f.data, 7)
-        f5 = first(fl, 5)
-        cl = layers(vg, 5)
-        Al = None if A.is_flat else layers(A.eta.data, 5)
-        om = []  # covariant derivative on layers 0..4, one array per axis
-        for t in range(n - 1):
-            c = st.deriv_node(f5, t, ch.h[t], True)
-            if Al is not None:
-                c = c + coeff_bracket(Al[..., t, :], f5)
-            om.append(c)
-        cn = dn(fl, 5)
-        if Al is not None:
-            cn = cn + coeff_bracket(Al[..., ax, :], f5)
-        om.append(cn)
-        div = dn(cl[..., ax, None] * om[ax], 3)  # layers 0..2
-        c3 = first(cl, 3)
-        om3 = [first(c, 3) for c in om]
-        for t in range(n - 1):
-            div += st.deriv_node(c3[..., t, None] * om3[t], t, ch.h[t], True)
-        lap = -div / layers(ch.vol, 3)[..., None]
-        if Al is not None:
-            g3 = layers(ch.ginv, 3)
-            a3 = first(Al, 3)
-            for i in range(n):
-                lap = lap - coeff_bracket(a3[..., i, :], g3[..., i, None] * om3[i])
-        lap0 = np.take(lap, 0, axis=ax)
-        dlap = np.take(dn(lap, 1), 0, axis=ax)
-        if Al is not None:
-            dlap = dlap + coeff_bracket(np.take(Al, 0, axis=ax)[..., ax, :], lap0)
-        dvals[fc.side] = along_normal(ch, fc, dlap)
-        hvals[fc.side] = 2.0 * (n - 1) * H.values[fc.side][..., None] * lap0
-    d_part = BoundaryField(ch, dvals)
-    h_part = BoundaryField(ch, hvals)
-    if split:
-        return d_part, h_part
-    return d_part + h_part
+    d_part, h_part = _face_map(ch, lambda fc: _face_layer_laplacian(f, A, fc), A)
+    return (d_part, h_part) if split else d_part + h_part
 
 
 def _cancellation_ratio(f, A):

@@ -259,6 +259,13 @@ def test_face_slices_cover_normal_ends(ann32):
     assert ann32.face_slice(f0)[-1] == 0
     assert ann32.face_slice(f1)[-1] == -1
     assert f0.inward_sign == 1.0 and f1.inward_sign == -1.0
+    # the k layers nearest each face, in array order, of the grid or of a
+    # slab of layers at that face
+    rows = np.arange(32)
+    for f, want in ((f0, [0, 1, 2]), (f1, [29, 30, 31])):
+        assert rows[ann32.face_rows(f, 3)[-1]].tolist() == want
+        slab = rows[ann32.face_rows(f, 5)[-1]]
+        assert slab[ann32.face_rows(f, 3)[-1]].tolist() == want
 
 
 def test_tangential_uniformity_looks_at_the_midpoints():

@@ -194,6 +194,11 @@ def test_config_rejects_unknown_keys(tmp_path):
         {"ladder": [64, 64]},
         {"domain": "moebius"},
         {"domain": "custom"},
+        {"grid": [32, 32], "ladder": [[8, 8, 8], [16, 16, 16]]},
+        {"grid": [16, 16, 16], "ladder": [8, [12, 12]]},
+        {"thresholds": {"mean-curvature.slab-zero": math.nan}},
+        {"thresholds": {"mean-curvature.slab-zero": math.inf}},
+        {"thresholds": {"gauge.cocycle": -math.inf}},
     ],
 )
 def test_config_rejects_malformed_values(tmp_path, raw):
@@ -212,9 +217,14 @@ def test_config_rejects_malformed_values(tmp_path, raw):
         {"thresholds": {"no-such-suite.x": 1.0}},
         {"thresholds": {"gauge": 2.0}},
         {"thresholds": {"gauge.": 2.0}},
+        {"ladder": [(32, 32, 32), (64, 64, 64)]},
+        {"grid": (32, 32, 32), "ladder": [(16, 16), (32, 32)]},
+        {"thresholds": {"gauge.cocycle": math.nan}},
+        {"thresholds": {"gauge.cocycle": math.inf}},
     ],
     ids=["method-name", "small-grid", "decreasing-ladder",
-         "threshold-unknown-suite", "threshold-no-check", "threshold-empty-check"],
+         "threshold-unknown-suite", "threshold-no-check", "threshold-empty-check",
+         "ladder-3d-on-2d-grid", "ladder-2d-on-3d-grid", "threshold-nan", "threshold-inf"],
 )
 def test_overrides_reject_malformed_values(kw):
     with pytest.raises(ConfigError):
@@ -267,7 +277,8 @@ def test_valid_configs_round_trip(cfg_file, kw):
 
 
 #: field -> values its check refuses: wrong types, bools where ints are
-#: due, out-of-range sizes and non-increasing ladders
+#: due, out-of-range sizes, non-increasing ladders, ladder shapes of another
+#: dimension than the (default, 2d) grid's and non-finite thresholds
 _INVALID = {
     "domain": hs.text(max_size=12).filter(lambda v: v not in harness._DOMAINS)
     | hs.just("custom") | hs.integers() | hs.none() | hs.lists(hs.text(max_size=3)),
@@ -282,13 +293,15 @@ _INVALID = {
         lambda l: hs.sampled_from([
             l[::-1] if l[0] != l[-1] else l, l + [l[-1]], [2] + l, l + [True],
             [str(s) for s in l], [float(s) for s in l], [(s,) for s in l],
+            [(s,) * 3 for s in l],
         ])
     ) | hs.integers() | hs.text(max_size=4) | hs.booleans(),
     "seed": hs.booleans() | hs.text(max_size=4) | _finite | hs.none() | hs.lists(_sizes),
     "solve_tol": hs.floats(max_value=0.0) | hs.just(math.inf) | hs.just(math.nan)
     | hs.booleans() | hs.text(max_size=4) | hs.none(),
     "thresholds": hs.dictionaries(_threshold_keys, hs.booleans() | hs.text(max_size=4)
-                                  | hs.none(), min_size=1)
+                                  | hs.none() | hs.sampled_from([math.nan, math.inf, -math.inf]),
+                                  min_size=1)
     | hs.dictionaries(hs.text(max_size=8), _finite, min_size=1).filter(
         lambda d: not all(harness._is_threshold_key(k) for k in d))
     | hs.lists(_finite) | hs.none(),
@@ -308,6 +321,8 @@ def _refused(call):
 
 @_PROPERTY
 @given(_invalid_items)
+@example(("ladder", [(8, 8, 8), (16, 16, 16)]))  # 3d shapes for the 2d grid
+@example(("thresholds", {"mean-curvature.slab-zero": math.nan}))
 def test_invalid_values_raise_config_error(cfg_file, item):
     key, value = item
     cfg_file.write_text(json.dumps({key: value}))
@@ -586,6 +601,27 @@ def test_cli_suite_error_keeps_the_report(capsys):
     assert rc == 1
     at = lines.index("    FAIL error: 1 <= 0")
     assert lines[at + 1].strip() == f"BadCover: {gen['metrics']['message']}"
+
+
+def test_cli_study_names_the_error_of_a_suite_without_a_ladder(capsys):
+    # the generator's BadCover, as in the text report above
+    rc = cli.main(["study", "--grid", "32x32", "generator", "mean-curvature"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    at = lines.index("# generator")
+    assert lines[at + 1] == "    FAIL error: 1 <= 0"
+    assert lines[at + 2].strip().startswith("BadCover: collar too shallow")
+    assert "# mean-curvature" in lines
+
+
+def test_cli_config_ladder_of_another_dimension_exits_two(tmp_path, capsys):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"grid": [32, 32], "ladder": [[8, 8, 8], [16, 16, 16]]}))
+    rc = cli.main(["verify", "--config", str(cfgp), "boundary-identity"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error: ladder grid shapes must have the grid's 2 sizes" in captured.err
 
 
 def test_cli_short_rung_fails_the_identity_suites_with_bad_geometry(capsys):

@@ -114,11 +114,12 @@ def test_only_the_ladder_helper_uses_the_ladder_statistics(path):
 
 
 #: the face layer's names, and where each may be read outside geometry.py:
-#: every other boundary evaluation goes through geometry.normal_derivative
-#: or geometry.along_normal
+#: nowhere, since every boundary evaluation goes through
+#: geometry.normal_derivative or geometry.along_normal (the face-layer
+#: Laplacian of T_A takes the face's side, not its sign)
 _FACE_LAYER = {
     "one_sided_deriv_at_face": None,
-    "inward_sign": ("operators.py", "boundary_operator_T"),
+    "inward_sign": None,
 }
 
 

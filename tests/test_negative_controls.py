@@ -9,10 +9,17 @@ import numpy as np
 
 import gaugekit.constructions as con
 import gaugekit.coulomb as cm
-from gaugekit import boundary_identity_residual, build_chart, random_smooth_field
+import gaugekit.operators as ops
+from gaugekit import (
+    boundary_identity_residual,
+    build_chart,
+    horizontal_project,
+    obstruction_report,
+    random_smooth_field,
+)
 from gaugekit.algebra import qexp, qmul
 from gaugekit.geometry import BoundaryField
-from gaugekit.harness import RunConfig, run_suite
+from gaugekit.harness import _GENTLE, RunConfig, run_suite
 
 
 def _area_law(result):
@@ -90,6 +97,34 @@ def test_flipped_source_terms_fail_the_general_identity(monkeypatch):
 
     monkeypatch.setattr(cm, "_codiff_at_faces", flipped)
     assert _general_over_plain() >= 0.25
+
+
+def _face_map_ratios():
+    # the boundary-identity suite's first pair at seed 0 on the 128^2
+    # annulus, flat: its identity ratio, and T_A's cancellation ratio on the
+    # pair's curvature value, as the obstruction suite takes it
+    ch = build_chart("annulus", (128, 128))
+    a, b = (horizontal_project(random_smooth_field(ch, "oneform", s, **_GENTLE))
+            for s in (100, 101))
+    return boundary_identity_residual(a, b).ratio, obstruction_report(a, b).ratio_curvature
+
+
+def test_flipped_mean_curvature_fails_the_identity_and_the_obstruction(monkeypatch):
+    # both boundary operators read H in the face map alone; the bounds are
+    # the identity's final-ratio (1e-3) and the obstruction's curvature
+    # ratio (2e-2). At 64^2 the unmutated values already miss them.
+    identity, cancellation = _face_map_ratios()
+    assert identity < 1e-3 and cancellation < 2e-2  # 3.7e-4 and 1.3e-2
+
+    curvature = ops.mean_curvature
+
+    def flipped(ch):
+        H = curvature(ch)
+        return BoundaryField(ch, {side: -v for side, v in H.values.items()})
+
+    monkeypatch.setattr(ops, "mean_curvature", flipped)
+    identity, cancellation = _face_map_ratios()
+    assert identity >= 1e-3 and cancellation >= 2e-2  # 8.0 and 1.0
 
 
 def _chart_inverse_failures():
