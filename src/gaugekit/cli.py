@@ -1,4 +1,4 @@
-"""Command-line entry point: verify, construct, study, dump."""
+"""Command-line entry point: verify, study, dump."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from .harness import (
     run_all,
 )
 
-_CONSTRUCT = ["chart-inverse", "generator", "full-decompose"]
 _STUDY = [
     "boundary-identity",
     "chart-inverse",
@@ -44,9 +43,6 @@ def _config_flags(sp):
 def _report_flags(sp):
     _config_flags(sp)
     sp.add_argument("--out", help="write the report to this file")
-    sp.add_argument(
-        "--format", dest="fmt", choices=("text", "json", "csv"), default="text"
-    )
 
 
 def build_parser():
@@ -57,10 +53,9 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     v = sub.add_parser("verify", help="run verification suites (default: all)")
     _report_flags(v)
+    v.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     v.add_argument("suites", nargs="*", metavar="suite",
                    help=f"subset of {', '.join(sorted(SUITES))}")
-    c = sub.add_parser("construct", help="run the constructive suites")
-    _report_flags(c)
     s = sub.add_parser(
         "study", help="ladder tables: every series per rung, then the order checks"
     )
@@ -105,18 +100,10 @@ def main(argv=None):
             for path in dump_run_fields(cfg, args.out):
                 sys.stdout.write(path + "\n")
             return 0
-        if args.command == "verify":
-            names = args.suites or None
-        elif args.command == "construct":
-            names = _CONSTRUCT
-        else:
-            names = args.suites or _STUDY
+        study = args.command == "study"
         with _output(args.out) as fh:
-            report = run_all(cfg, names)
-            if args.command == "study" and args.fmt == "text":
-                fh.write(emit_study(report))
-            else:
-                fh.write(emit_report(report, args.fmt))
+            report = run_all(cfg, args.suites or (_STUDY if study else None))
+            fh.write(emit_study(report) if study else emit_report(report, args.fmt))
         return 0 if report.passed else 1
     except (GaugekitError, OSError) as exc:  # OSError: a report or dump not written
         sys.stderr.write(f"error: {exc}\n")

@@ -351,16 +351,16 @@ class GeneratorResult:
     hopf_min: float
 
 
-def _hopf_potential(ch, A, solve_tol):
-    """Green potential of an interior bump; Hopf gives a strictly positive
-    inward normal derivative on each face."""
+def _hopf_potential(ch, solve_tol):
+    """Flat Green potential of an interior bump; Hopf gives a strictly
+    positive inward normal derivative on each face."""
     xn = ch.coords[-1]
     lo, hi = xn[0], xn[-1]
     t = (xn - lo) / (hi - lo)
     prof = BumpKit.bump01((t - 0.35) / 0.3)
     src = np.zeros(ch.shape + (ALGEBRA_DIM,))
     src[..., 0] = prof[None, :]
-    w = green_A(Section(ch, src), A, tol=solve_tol)
+    w = green_A(Section(ch, src), tol=solve_tol)
     return w.data[..., 0]
 
 
@@ -377,9 +377,9 @@ def _collar_extension(ch, side, depth):
     return t, plateau, ext
 
 
-def generator_for_boundary_data(target, side=0, A=None, solve_tol=1e-10,
-                                _shared=None):
-    """Commutator pairs whose obstruction trace realizes the target data.
+def generator_for_boundary_data(target, side=0, solve_tol=1e-10, _shared=None):
+    """Commutator pairs whose obstruction trace realizes the target data, at
+    the flat base point.
 
     Each algebra direction d uses the double bracket [[e_{d+2}, e_d], e_{d+2}]
     = c^2 e_d: one Green potential with a collar source scaled by the Hopf
@@ -398,15 +398,12 @@ def generator_for_boundary_data(target, side=0, A=None, solve_tol=1e-10,
     _check_side(side)
     if not ch.is_type_a:
         raise NotTypeA("the collar extension needs a unit-speed normal coordinate")
-    A = _conn(ch, A)
-    if not A.is_flat:
-        raise BadGeometry("the generator is built at the flat base point")
     xn = ch.coords[-1]
     depth = _GENERATOR_DEPTH * (xn[-1] - xn[0])
     if 2 * ch.h[-1] >= 0.5 * depth:
         raise BadCover("collar too shallow for the extension plateau")
 
-    wvals = _hopf_potential(ch, A, solve_tol) if _shared is None else _shared
+    wvals = _hopf_potential(ch, solve_tol) if _shared is None else _shared
     bprime = normal_derivative(ch, wvals, ch.faces[side])
     hopf_min = float(np.min(bprime))
     if hopf_min <= 0.0:
@@ -425,7 +422,7 @@ def generator_for_boundary_data(target, side=0, A=None, solve_tol=1e-10,
         face_coef = fvals[..., d] / (3.0 * bprime * c2)
         profile = face_coef[:, None] * plateau[None, :] * ext
         src += (profile * chi[None, :])[..., None] * coeff_bracket(_unit((d + 2) % 3), _unit(d))
-    g = green_A(Section(ch, src), A, tol=solve_tol) if active else None
+    g = green_A(Section(ch, src), tol=solve_tol) if active else None
     pairs = []
     u = Section.zeros(ch)
     for d in active:
@@ -436,7 +433,7 @@ def generator_for_boundary_data(target, side=0, A=None, solve_tol=1e-10,
         u = u + Section(ch, coeff_bracket(g_d.data, h_d.data))
         pairs.append((g_d, h_d))
 
-    realized = boundary_operator_T(u, A)
+    realized = boundary_operator_T(u)
     scale = max(target.sup(), _TINY)
     residual = (realized - target).sup() / scale
     return GeneratorResult(
@@ -459,8 +456,8 @@ class KernelDecomposition:
     gate_ratio: float
 
 
-def kernel_decompose(v, gate=1e-8, A=None, solve_tol=1e-10):
-    """Solve a section in the obstruction kernel back from its Laplacian.
+def kernel_decompose(v, gate=1e-8, solve_tol=1e-10):
+    """Solve a section in the flat obstruction kernel back from its Laplacian.
 
     Gates on the relative obstruction trace of v, then solves the pointwise
     Laplacian of v through the Dirichlet Green operator; the certificate is
@@ -468,14 +465,13 @@ def kernel_decompose(v, gate=1e-8, A=None, solve_tol=1e-10):
     """
     ch = v.chart
     _check_construction_chart(ch)
-    A = _conn(ch, A)
-    ratio, _ = _cancellation_ratio(v, A)
+    ratio, _ = _cancellation_ratio(v, None)
     if ratio > gate:
         raise KernelConditionViolated(
             f"obstruction trace ratio {ratio:.3e} exceeds the gate {gate:.1e}"
         )
-    q = laplacian_A(v, A, form="pointwise")
-    reconstruction = green_A(q, A, tol=solve_tol)
+    q = laplacian_A(v, form="pointwise")
+    reconstruction = green_A(q, tol=solve_tol)
     vn = l2_norm(v)
     residual = l2_norm(reconstruction - v) / max(vn, _TINY)
     return KernelDecomposition(
@@ -496,8 +492,9 @@ class DecompositionCertificate:
     n_pairs: int
 
 
-def full_decompose(u, kernel_gate=0.25, A=None, solve_tol=1e-10):
-    """Decompose a Dirichlet section into generator pairs plus a kernel part.
+def full_decompose(u, kernel_gate=0.25, solve_tol=1e-10):
+    """Decompose a Dirichlet section into generator pairs plus a kernel part,
+    at the flat base point.
 
     Stage one realizes the obstruction trace of u through commutator pairs
     at both faces; stage two solves the remainder back from its Laplacian,
@@ -505,8 +502,7 @@ def full_decompose(u, kernel_gate=0.25, A=None, solve_tol=1e-10):
     matched the trace.
     """
     ch = u.chart
-    A = _conn(ch, A)
-    trace = boundary_operator_T(u, A)
+    trace = boundary_operator_T(u)
     wvals = None  # solved once, for the first face with a nonzero trace
     u_comm = Section.zeros(ch)
     gen_res = 0.0
@@ -515,9 +511,9 @@ def full_decompose(u, kernel_gate=0.25, A=None, solve_tol=1e-10):
         if float(np.max(np.abs(trace.values[side]))) == 0.0:
             continue
         if wvals is None:
-            wvals = _hopf_potential(ch, A, solve_tol)
+            wvals = _hopf_potential(ch, solve_tol)
         gen = generator_for_boundary_data(
-            trace, side=side, A=A, solve_tol=solve_tol, _shared=wvals
+            trace, side=side, solve_tol=solve_tol, _shared=wvals
         )
         u_comm = u_comm + gen.u
         # each call targets one face; the other face's trace is left to the
@@ -527,7 +523,7 @@ def full_decompose(u, kernel_gate=0.25, A=None, solve_tol=1e-10):
         gen_res = max(gen_res, miss / max(float(np.max(np.abs(face))), _TINY))
         n_pairs += len(gen.pairs)
     v = u - u_comm
-    kd = kernel_decompose(v, gate=kernel_gate, A=A, solve_tol=solve_tol)
+    kd = kernel_decompose(v, gate=kernel_gate, solve_tol=solve_tol)
     recombined = u_comm + kd.reconstruction
     residual = l2_norm(recombined - u) / max(l2_norm(u), _TINY)
     return DecompositionCertificate(
@@ -545,19 +541,19 @@ def full_decompose(u, kernel_gate=0.25, A=None, solve_tol=1e-10):
 # bracket identity
 # ---------------------------------------------------------------------------
 
-def bracket_identity_check(g1, g2, A=None):
-    """Residual of Lap[g1,g2] = [Lap g1, g2] + [g1, Lap g2] - 2 [dg1 . dg2].
+def bracket_identity_check(g1, g2):
+    """Residual of Lap[g1,g2] = [Lap g1, g2] + [g1, Lap g2] - 2 [dg1 . dg2]
+    at the flat connection.
 
     Measured on the rows where the adjoint-form Laplacian is the consistent
     conservative operator (all nodes except the two face layers).
     """
     ch = g1.chart
-    A = _conn(ch, A)
     prod = Section(ch, coeff_bracket(g1.data, g2.data))
-    lhs = laplacian_A(prod, A, form="adjoint")
-    l1 = laplacian_A(g1, A, form="adjoint")
-    l2 = laplacian_A(g2, A, form="adjoint")
-    cross = bracket_dot(d_A(g1, A), d_A(g2, A))
+    lhs = laplacian_A(prod)
+    l1 = laplacian_A(g1)
+    l2 = laplacian_A(g2)
+    cross = bracket_dot(d_A(g1), d_A(g2))
     rhs = Section(
         ch,
         coeff_bracket(l1.data, g2.data)
@@ -625,19 +621,14 @@ def bracket_boundary_identity_check(g1, f1, g2, f2):
     """
     ch = g1.chart
     u = Section(ch, coeff_bracket(g1.data, g2.data))
-    lhs = boundary_operator_T(u, None)
-    residual = 0.0
-    scale = _TINY
+    lhs = boundary_operator_T(u)
+    residuals, scales = [0.0], [_TINY]
     for fc in ch.faces:
         sl = ch.face_slice(fc)
         dg1 = normal_derivative(ch, g1.data, fc, order=4)
         dg2 = normal_derivative(ch, g2.data, fc, order=4)
         rhs = 3.0 * coeff_bracket(f1.data[sl], dg2) + 3.0 * coeff_bracket(dg1, f2.data[sl])
-        res = lhs.values[fc.side] - rhs
-        residual = max(residual, float(np.max(np.abs(res))))
-        scale = max(
-            scale,
-            float(np.max(np.abs(lhs.values[fc.side]))),
-            float(np.max(np.abs(rhs))),
-        )
-    return IdentityReport(residual, scale)
+        residuals.append(np.max(np.abs(lhs.values[fc.side] - rhs)))
+        scales += [np.max(np.abs(lhs.values[fc.side])), np.max(np.abs(rhs))]
+    # np.max keeps a NaN wherever it stands; the builtin max drops it
+    return IdentityReport(float(np.max(residuals)), float(np.max(scales)))

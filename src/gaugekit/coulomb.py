@@ -18,6 +18,7 @@ codifferential on the face layers only (`operators._codiff_at_faces`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,6 +205,9 @@ class IdentityReport:
 
     @property
     def ratio(self):
+        """residual / scale; 0 for a zero scale, NaN when either is NaN."""
+        if math.isnan(self.residual) or math.isnan(self.scale):
+            return math.nan
         return self.residual / self.scale if self.scale > 0 else 0.0
 
 
@@ -229,7 +233,8 @@ def boundary_identity_residual(alpha, beta, A=None, general=False):
         for side, lhs in res.items():
             res[side] = lhs - (-coeff_bracket(ca.values[side], bnu[side])
                                - coeff_bracket(anu[side], cb.values[side]))
-    residual = max(0.0, *(float(np.max(np.abs(v))) for v in res.values()))
+    # np.max keeps a NaN face; the builtin max would drop it
+    residual = float(np.max([0.0, *(np.max(np.abs(v)) for v in res.values())]))
     return IdentityReport(residual, s.sup())
 
 

@@ -263,8 +263,9 @@ def _root(square):
 DBC_TOL = 1e-12
 
 
-def check_dbc(field, tol=DBC_TOL):
-    """Return (ok, worst violation) for the field's Dirichlet condition.
+def check_dbc(field):
+    """Return (ok, worst violation) for the field's Dirichlet condition; ok
+    when the violation is at most DBC_TOL.
 
     Sections and scalars must vanish on the boundary node set; one-forms must
     have vanishing tangential components there (the normal slot is free).
@@ -281,13 +282,13 @@ def check_dbc(field, tol=DBC_TOL):
             raise RankMismatch("check_dbc expects a Section, ScalarField, or OneForm")
         if vals.size:
             worst = max(worst, float(np.max(np.abs(vals))))
-    return worst <= tol, worst
+    return worst <= DBC_TOL, worst
 
 
-def require_dbc(field, tol=DBC_TOL):
-    ok, worst = check_dbc(field, tol)
+def require_dbc(field):
+    ok, worst = check_dbc(field)
     if not ok:
-        raise DbcViolation(f"boundary violation {worst:.3e} exceeds {tol:.1e}")
+        raise DbcViolation(f"boundary violation {worst:.3e} exceeds {DBC_TOL:.1e}")
 
 
 # ---------------------------------------------------------------------------

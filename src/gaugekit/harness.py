@@ -148,18 +148,7 @@ _CONFIG_CHECKS = {
     ),
     "seed": (_is_int, "an integer"),
     "solve_tol": (lambda v: _is_number(v) and 0 < v < math.inf, "a positive number"),
-    "thresholds": (
-        lambda v: isinstance(v, dict)
-        and all(_is_threshold_key(k) and _is_number(t) and math.isfinite(t)
-                for k, t in v.items()),
-        "an object of '<suite>.<check>' keys and finite numeric thresholds",
-    ),
 }
-
-
-def _is_threshold_key(key):
-    suite, _, check = str(key).partition(".")
-    return suite in SUITES and check != ""
 
 
 def _check_keys(values):
@@ -178,8 +167,6 @@ class RunConfig:
     ladder: list = None
     seed: int = 0
     solve_tol: float = 1e-10
-    #: optional "suite.check" -> value overrides for the documented defaults
-    thresholds: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._update({f.name: getattr(self, f.name) for f in fields(self)})
@@ -229,7 +216,6 @@ class RunConfig:
             else [s if np.isscalar(s) else tuple(s) for s in self.ladder],
             "seed": self.seed,
             "solve_tol": self.solve_tol,
-            "thresholds": dict(self.thresholds),
         }
 
     def ladder_shapes(self):
@@ -339,21 +325,24 @@ class Report:
         }
 
 
-def convergence_order(hs, errs, floor=ORDER_FLOOR):
+def convergence_order(hs, errs):
     """Observed order from the finest ladder pair, floored at machine noise."""
     if len(errs) < 2:
         return float("nan")
     e1, e2 = errs[-2], errs[-1]
     h1, h2 = hs[-2], hs[-1]
-    if e2 <= floor:
+    if e2 <= ORDER_FLOOR:
         return float("inf")
-    if e1 <= floor or h1 <= h2:
+    if e1 <= ORDER_FLOOR or h1 <= h2:
         return float("nan")
     return math.log(e1 / e2) / math.log(h1 / h2)
 
 
 def _monotone_ratio(values):
-    """Largest consecutive ratio; < 1 means strictly decreasing."""
+    """Largest consecutive ratio; < 1 means strictly decreasing. A NaN
+    value gives NaN."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
     worst = 0.0
     for a, b in zip(values, values[1:]):
         worst = max(worst, b / a if a > 0 else float("inf"))
@@ -376,7 +365,8 @@ def _ladder_checks(series, hs, grids, rules):
     """The checks of a ladder and its metrics block, from `_ladder`'s output.
 
     The statistics are each member's finest-rung value, finest-pair
-    `convergence_order` or `_monotone_ratio`. A calibrated bound binds when
+    `convergence_order` or `_monotone_ratio`; a NaN statistic of any member
+    makes the check's value NaN, which fails. A calibrated bound binds when
     the finest rung has the calibration grid's dimension and at least its
     node count on every axis; otherwise it is left out and listed under
     "not-binding". The block keeps every series (rungs x members) and each
@@ -402,7 +392,8 @@ def _ladder_checks(series, hs, grids, rules):
             block["orders"][r.name] = values
         else:
             values = [_monotone_ratio(m) for m in zip(*rows)]
-        checks.append(Check(r.name, r.reduce(values), r.threshold, r.kind))
+        value = math.nan if any(math.isnan(v) for v in values) else r.reduce(values)
+        checks.append(Check(r.name, value, r.threshold, r.kind))
     return checks, block
 
 
@@ -580,8 +571,9 @@ def suite_chart_inverse(cfg):
     return SuiteResult("chart-inverse", checks, {"ladders": [block]})
 
 
-def make_boundary_target(ch, side, seed, scale=1.0):
-    """Smooth periodic face data, resolution-consistent for a fixed seed."""
+def make_boundary_target(ch, side, seed):
+    """Smooth periodic face data of sup norm 1, resolution-consistent for a
+    fixed seed."""
     rng = np.random.default_rng(seed)
     theta = ch.coords[0]
     span = ch.shape[0] * ch.h[0]
@@ -596,7 +588,7 @@ def make_boundary_target(ch, side, seed, scale=1.0):
         vals[..., d] = prof
     peak = float(np.max(np.abs(vals)))
     if peak > 0:
-        vals *= scale / peak
+        vals *= 1.0 / peak
     values = {f.side: np.zeros_like(vals) for f in ch.faces}
     values[side] = vals
     return BoundaryField(ch, values)
@@ -900,21 +892,14 @@ def run_suite(name, cfg):
 
     A Green solve that hits its iteration cap becomes a failed `solve` check;
     any other package error raised inside the suite becomes a failed `error`
-    check naming it. A malformed configuration still propagates, and so does
-    a threshold override of a suite that ran to its checks but names none of
-    them nor a bound its ladders leave not binding (`ConfigError`).
+    check naming it. A malformed configuration still propagates
+    (`ConfigError`).
     """
     name = _resolve_suite(name)
     try:
-        res = SUITES[name](cfg)
-        known = {f"{name}.{c.name}" for c in res.checks}
-        for ladder in res.metrics.get("ladders", ()):
-            known.update(f"{name}.{b}" for b in ladder["not-binding"])
-        stray = sorted(k for k in cfg.thresholds if k.startswith(f"{name}.") and k not in known)
-        if stray:
-            raise ConfigError(f"threshold overrides {stray} name no check of {name!r}")
+        return SUITES[name](cfg)
     except NoConvergence as exc:
-        res = SuiteResult(
+        return SuiteResult(
             name,
             [Check("solve", exc.residual, cfg.solve_tol)],
             {"iterations": exc.iterations, "residual": exc.residual},
@@ -922,16 +907,11 @@ def run_suite(name, cfg):
     except ConfigError:
         raise
     except GaugekitError as exc:
-        res = SuiteResult(
+        return SuiteResult(
             name,
             [Check("error", 1.0, 0.0)],
             {"error": type(exc).__name__, "message": str(exc)},
         )
-    for c in res.checks:
-        override = cfg.thresholds.get(f"{res.suite}.{c.name}")
-        if override is not None:
-            c.threshold = float(override)
-    return res
 
 
 def run_all(cfg, names=None):
@@ -956,17 +936,6 @@ def _fmt(x):
 def emit_report(report, fmt="text"):
     if fmt == "json":
         return json.dumps(report.to_dict(), indent=2, sort_keys=True, default=str) + "\n"
-    if fmt == "csv":
-        lines = ["suite,check,kind,value,threshold,passed"]
-        for s in report.suites:
-            for c in s.checks:
-                lines.append(
-                    ",".join(
-                        [s.suite, c.name, c.kind, _fmt(c.value), _fmt(c.threshold),
-                         str(c.passed)]
-                    )
-                )
-        return "\n".join(lines) + "\n"
     if fmt == "text":
         lines = []
         cfgd = report.config

@@ -86,6 +86,22 @@ def test_ladder_checks_fail_a_first_order_series():
     assert not first.passed and abs(first.value - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("rule", [
+    harness._Rule("order", "e", "order", min, 1.5, "min"),
+    harness._Rule("median-order", "e", "order", np.median, 1.5, "min"),
+    harness._Rule("monotone", "e", "monotone", max, 1.0, "lt"),
+    harness._Rule("final", "e", "final", max, 5e-3),
+], ids=lambda r: r.name)
+def test_ladder_checks_fail_a_nan_member(rule):
+    # the first member alone passes each rule; a NaN in the second member's
+    # finest rung makes the check NaN, whichever member it is
+    series = [[1e-2, 1e-2], [3e-3, 3e-3], [1e-3, math.nan]]
+    assert _one_check([row[:1] for row in series], rule)[0].passed
+    for rows in (series, [row[::-1] for row in series]):
+        check, _ = _one_check(rows, rule)
+        assert math.isnan(check.value) and not check.passed
+
+
 def test_calibrated_bound_binds_only_at_its_grid_or_finer():
     rule = harness._Rule("final-ratio", "e", "final", max, 1e-3, calibrated=(128, 128))
     values = [8e-3, 2e-3, 5e-4]
@@ -155,7 +171,6 @@ def test_config_json_roundtrip(tmp_path):
         grid=(48, 48),
         ladder=[24, 48],
         seed=3,
-        thresholds={"mean-curvature.slab-zero": 1e-10},
     )
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
@@ -176,7 +191,7 @@ def test_config_rejects_unknown_keys(tmp_path):
     "raw",
     [
         {"domain_params": [1.0]},
-        {"thresholds": [["gauge.cocycle", 1e-12]]},
+        {"thresholds": {}},  # the retired threshold overrides
         {"grid": "64"},
         {"grid": [64]},
         {"grid": [64, 2]},
@@ -187,7 +202,7 @@ def test_config_rejects_unknown_keys(tmp_path):
         {"solve_tol": "x"},
         {"solve_tol": -1e-10},
         {"domain": 3},
-        {"thresholds": {"gauge.cocycle": "1e-12"}},
+        {"solve_tol": math.nan},
         {"ladder_shapes": None},
         [64, 64],
         {"ladder": [64, 32]},
@@ -196,9 +211,9 @@ def test_config_rejects_unknown_keys(tmp_path):
         {"domain": "custom"},
         {"grid": [32, 32], "ladder": [[8, 8, 8], [16, 16, 16]]},
         {"grid": [16, 16, 16], "ladder": [8, [12, 12]]},
-        {"thresholds": {"mean-curvature.slab-zero": math.nan}},
-        {"thresholds": {"mean-curvature.slab-zero": math.inf}},
-        {"thresholds": {"gauge.cocycle": -math.inf}},
+        {"solve_tol": math.inf},
+        {"seed": True},
+        {"domain_params": None},
     ],
 )
 def test_config_rejects_malformed_values(tmp_path, raw):
@@ -214,6 +229,7 @@ def test_config_rejects_malformed_values(tmp_path, raw):
         {"ladder_shapes": 3},
         {"grid": (2, 2)},
         {"ladder": [64, 32]},
+        # the retired `thresholds` field is an unknown key, whatever its value
         {"thresholds": {"no-such-suite.x": 1.0}},
         {"thresholds": {"gauge": 2.0}},
         {"thresholds": {"gauge.": 2.0}},
@@ -236,9 +252,6 @@ _PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=
 
 _sizes = hs.integers(4, 256)
 _finite = hs.floats(allow_nan=False, allow_infinity=False)
-_threshold_keys = hs.builds(
-    "{}.{}".format, hs.sampled_from(sorted(harness.SUITES)), hs.text(min_size=1, max_size=12)
-)
 
 
 @hs.composite
@@ -257,7 +270,6 @@ def _valid_configs(draw):
         "ladder": ladder,
         "seed": draw(hs.integers(-(2**70), 2**70)),
         "solve_tol": draw(hs.floats(0.0, exclude_min=True, allow_infinity=False)),
-        "thresholds": draw(hs.dictionaries(_threshold_keys, _finite | hs.integers())),
     }
 
 
@@ -278,7 +290,7 @@ def test_valid_configs_round_trip(cfg_file, kw):
 
 #: field -> values its check refuses: wrong types, bools where ints are
 #: due, out-of-range sizes, non-increasing ladders, ladder shapes of another
-#: dimension than the (default, 2d) grid's and non-finite thresholds
+#: dimension than the (default, 2d) grid's
 _INVALID = {
     "domain": hs.text(max_size=12).filter(lambda v: v not in harness._DOMAINS)
     | hs.just("custom") | hs.integers() | hs.none() | hs.lists(hs.text(max_size=3)),
@@ -299,12 +311,6 @@ _INVALID = {
     "seed": hs.booleans() | hs.text(max_size=4) | _finite | hs.none() | hs.lists(_sizes),
     "solve_tol": hs.floats(max_value=0.0) | hs.just(math.inf) | hs.just(math.nan)
     | hs.booleans() | hs.text(max_size=4) | hs.none(),
-    "thresholds": hs.dictionaries(_threshold_keys, hs.booleans() | hs.text(max_size=4)
-                                  | hs.none() | hs.sampled_from([math.nan, math.inf, -math.inf]),
-                                  min_size=1)
-    | hs.dictionaries(hs.text(max_size=8), _finite, min_size=1).filter(
-        lambda d: not all(harness._is_threshold_key(k) for k in d))
-    | hs.lists(_finite) | hs.none(),
 }
 _UNKNOWN_KEYS = hs.sampled_from(["ladder_shapes", "to_dict", "gird"]) | hs.text(
     max_size=10
@@ -322,7 +328,6 @@ def _refused(call):
 @_PROPERTY
 @given(_invalid_items)
 @example(("ladder", [(8, 8, 8), (16, 16, 16)]))  # 3d shapes for the 2d grid
-@example(("thresholds", {"mean-curvature.slab-zero": math.nan}))
 def test_invalid_values_raise_config_error(cfg_file, item):
     key, value = item
     cfg_file.write_text(json.dumps({key: value}))
@@ -335,6 +340,7 @@ def test_invalid_values_raise_config_error(cfg_file, item):
 @_PROPERTY
 @given(_UNKNOWN_KEYS, _sizes | hs.none() | hs.text(max_size=4))
 @example("jobs", 1)  # the retired suite-worker count
+@example("thresholds", {"gauge.cocycle": 1e-12})  # the retired check-bound overrides
 def test_unknown_keys_raise_config_error(cfg_file, key, value):
     cfg_file.write_text(json.dumps({key: value}))
     _refused(lambda: RunConfig.from_json(cfg_file))
@@ -376,36 +382,6 @@ def test_runs_are_deterministic():
     assert a == b
 
 
-def test_threshold_override_flips_a_check():
-    cfg = RunConfig(grid=(32, 32))
-    base = run_suite("mean-curvature", cfg)
-    assert base.passed
-    forced = run_suite(
-        "mean-curvature",
-        cfg.with_overrides(thresholds={"mean-curvature.slab-zero": -1.0}),
-    )
-    assert not forced.passed
-    names = [c.name for c in forced.checks if not c.passed]
-    assert names == ["slab-zero"]
-
-
-def test_threshold_overrides_must_name_a_check():
-    cfg = RunConfig(grid=(32, 32))
-    with pytest.raises(ConfigError, match="gauge.no-such-check"):
-        run_suite("gauge", cfg.with_overrides(thresholds={"gauge.no-such-check": -1.0}))
-    # a calibrated bound that does not bind at 32^2 is still a name it knows
-    res = run_suite(
-        "mean-curvature",
-        cfg.with_overrides(thresholds={"mean-curvature.type-agreement": -1.0}),
-    )
-    assert "type-agreement" in res.metrics["ladders"][0]["not-binding"]
-    assert res.passed
-    # another suite's key is that suite's to check
-    assert run_suite(
-        "gauge", cfg.with_overrides(thresholds={"mean-curvature.slab-zero": -1.0})
-    ).passed
-
-
 def test_malformed_chart_parameters_fail_the_suite_with_bad_geometry():
     res = run_suite("gauge", RunConfig(grid=(16, 16), domain_params={"r0": "a"}))
     assert [(c.name, c.passed) for c in res.checks] == [("error", False)]
@@ -443,17 +419,11 @@ def test_report_json_roundtrip(small_report):
     assert [s["suite"] for s in data["suites"]] == ["mean-curvature", "gauge"]
 
 
-def test_report_csv_row_count(small_report):
-    text = emit_report(small_report, "csv")
-    rows = text.strip().splitlines()
-    nchecks = sum(len(s.checks) for s in small_report.suites)
-    assert rows[0] == "suite,check,kind,value,threshold,passed"
-    assert len(rows) == 1 + nchecks
-
-
 def test_unknown_format_raises(small_report):
     with pytest.raises(ConfigError):
         emit_report(small_report, "yaml")
+    with pytest.raises(ConfigError):  # the retired CSV report
+        emit_report(small_report, "csv")
 
 
 _LADDER_SUITES = [
@@ -638,14 +608,15 @@ def test_cli_short_rung_fails_the_identity_suites_with_bad_geometry(capsys):
     assert mc["suite"] == "mean-curvature" and mc["passed"]
 
 
-def test_cli_exit_one_on_failed_check(tmp_path, capsys):
-    cfgp = tmp_path / "cfg.json"
-    cfgp.write_text(json.dumps({"thresholds": {"mean-curvature.slab-zero": -1.0}}))
-    rc = cli.main(
-        ["verify", "--config", str(cfgp), "--grid", "32x32", "mean-curvature"]
-    )
+def test_cli_exit_one_on_failed_check(monkeypatch, capsys):
+    def failing(cfg):
+        return harness.SuiteResult("stub", [Check("value", 2.0, 1.0)])
+
+    monkeypatch.setitem(harness.SUITES, "stub", failing)
+    rc = cli.main(["verify", "--grid", "32x32", "stub"])
     out = capsys.readouterr().out
     assert rc == 1
+    assert "    FAIL value: 2 <= 1" in out.splitlines()
     assert "FAILURES PRESENT" in out
 
 
@@ -657,28 +628,36 @@ def test_cli_exit_two_on_config_error(capsys):
 
 
 def test_cli_config_naming_jobs_exits_two(tmp_path, capsys):
+    # the retired suite-worker count, and the retired check-bound overrides
     cfgp = tmp_path / "cfg.json"
-    cfgp.write_text(json.dumps({"jobs": 1}))
-    rc = cli.main(["verify", "--config", str(cfgp), "--grid", "32x32", "gauge"])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert "error: unknown config key 'jobs'" in captured.err
+    for key, value in (("jobs", 1), ("thresholds", {"gauge.cocycle": -1.0})):
+        cfgp.write_text(json.dumps({key: value}))
+        rc = cli.main(["verify", "--config", str(cfgp), "--grid", "32x32", "gauge"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"error: unknown config key '{key}'" in captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--jobs", "2"],
-    ["verify", "--dump-fields", "x"],
-    ["construct", "--dump-fields", "x"],
-    ["study", "--dump-fields", "x"],
-    ["dump", "--format", "json"],
-], ids=["verify-jobs", "verify-dump-fields", "construct-dump-fields",
-        "study-dump-fields", "dump-format"])
-def test_cli_rejects_a_flag_the_command_does_not_read(capsys, argv):
+_UNREAD = "unrecognized arguments"
+_RETIRED = "invalid choice"  # a retired command or report format
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--jobs", "2"], _UNREAD),
+    (["verify", "--dump-fields", "x"], _UNREAD),
+    (["study", "--dump-fields", "x"], _UNREAD),
+    (["study", "--format", "json"], _UNREAD),
+    (["dump", "--format", "json"], _UNREAD),
+    (["construct"], _RETIRED),
+    (["verify", "--format", "csv"], _RETIRED),
+], ids=["verify-jobs", "verify-dump-fields", "study-dump-fields", "study-format",
+        "dump-format", "construct", "verify-format-csv"])
+def test_cli_rejects_a_flag_the_command_does_not_read(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -761,7 +740,7 @@ def test_cli_exit_two_on_a_dump_directory_under_a_file(tmp_path, capsys):
 
 def test_cli_refinement_sizes_set_ladder(capsys):
     rc = cli.main(
-        ["study", "--grid", "16,32", "--format", "json", "mean-curvature"]
+        ["verify", "--grid", "16,32", "--format", "json", "mean-curvature"]
     )
     out = capsys.readouterr().out
     assert rc == 0

@@ -1,11 +1,12 @@
 """Every import in the package's modules is used by that module and sits at
 module level, every private module-level definition is used somewhere in
 the package, every name the package exports is used by it or is a named
-library entry point, only the harness's ladder-check helper names the ladder
-statistics, the face layer's one-sided derivative and inward sign are read
-only in geometry (and the sign in T_A's layer chain), numpy.linalg is
-reached only by one geometry helper, for LAPACK's determinant, and only the
-harness's pair projection starts threads."""
+library entry point, every defaulted parameter of a public function is
+passed by some package or benchmark call or is a named entry parameter, only
+the harness's ladder-check helper names the ladder statistics, the face
+layer's one-sided derivative and inward sign are read only in geometry,
+numpy.linalg is reached only by one geometry helper, for LAPACK's
+determinant, and only the harness's pair projection starts threads."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 import gaugekit
 
 _PACKAGE = Path(gaugekit.__file__).parent
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # the package's __init__ imports only to re-export
 _MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -386,3 +388,113 @@ def test_module_imports_at_module_level(path):
 def test_private_definitions_are_used(path):
     sources = {p.name: p.read_text() for p in _PACKAGE.glob("*.py")}
     assert _unused_private_definitions(path.name, sources) == []
+
+
+#: defaulted parameters of public functions that no package or benchmark
+#: call passes, each a library entry point: (function, parameter)
+_ENTRY_PARAMETERS = {
+    # a window inverse's collar depth; the suites use the default 0.8 of the
+    # normal extent
+    ("boundary_chart_inverse", "depth"),
+    # the covariant star route under a connection; the package reaches it
+    # through `_codiff_2form_data`
+    ("codiff_2form", "A"),
+    # the Green solve's iteration cap, below the default 200 sqrt(#nodes)
+    # for a caller that bounds a solve's time
+    ("green_A", "maxiter"),
+    # a custom chart's dump reloads only onto the chart given here
+    ("load_field", "chart"),
+    # the command line's arguments, which the console script reads from sys.argv
+    ("main", "argv"),
+    # the group logarithm's margin from the cut locus, which its property
+    # test sweeps
+    ("quat_log", "tol"),
+}
+
+
+def _public_functions(sources):
+    """The public module-level function definitions in `sources`."""
+    return [
+        fn for src in sources.values() for fn in ast.parse(src).body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+    ]
+
+
+def _defaulted_parameters(sources):
+    """(function, parameter) of each parameter with a default of each public
+    module-level function in `sources`."""
+    found = set()
+    for fn in _public_functions(sources):
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        defaulted = positional[len(positional) - len(a.defaults):] + [
+            arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+        ]
+        found.update((fn.name, arg.arg) for arg in defaulted)
+    return found
+
+
+def _passed_parameters(defs_sources, call_sources):
+    """The (function, parameter) pairs of the public functions in
+    `defs_sources` that some call in `call_sources` passes, by position or
+    keyword; a `*sequence` passes every later position and a `**mapping`
+    every parameter. A call names its function by a name or an attribute."""
+    params = {}  # function -> (positional parameters, all parameters)
+    for fn in _public_functions(defs_sources):
+        a = fn.args
+        positional = [x.arg for x in a.posonlyargs + a.args]
+        params[fn.name] = (positional, positional + [x.arg for x in a.kwonlyargs])
+    passed = set()
+    for src in call_sources.values():
+        for call in ast.walk(ast.parse(src)):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name not in params:
+                continue
+            positional, every = params[name]
+            for i, arg in enumerate(call.args):
+                if isinstance(arg, ast.Starred):
+                    passed.update((name, p) for p in positional[i:])
+                    break
+                passed.update((name, p) for p in positional[i:i + 1])
+            for kw in call.keywords:
+                passed.update((name, p) for p in (every if kw.arg is None else [kw.arg]))
+    return passed
+
+
+def _unpassed_parameters(defs_sources, call_sources):
+    """Defaulted parameters of the public functions in `defs_sources` that no
+    call in `call_sources` passes, sorted."""
+    return sorted(
+        _defaulted_parameters(defs_sources) - _passed_parameters(defs_sources, call_sources)
+    )
+
+
+def test_the_check_sees_an_unpassed_parameter():
+    defs = {"a.py": (
+        "def f(x, y=1, /, z=2, *, w=3, v=4):\n    pass\n"
+        "def g(p=0, q=1):\n    pass\n"
+        "def h(r=1, s=2):\n    pass\n"
+        "def _k(t=1):\n    pass\n"
+        "def m(u=1):\n    pass\n"
+    )}
+    calls = {"b.py": (
+        "f(1, 2)\nobj.f(1, v=3)\nkw = {}\ng(**kw)\nh(*xs)\n"
+        "m\nrun(m, u=2)\n"
+    )}
+    assert _unpassed_parameters(defs, calls) == [("f", "w"), ("f", "z"), ("m", "u")]
+    calls["b.py"] += "f(1, 2, 3, w=4)\n"
+    assert _unpassed_parameters(defs, calls) == [("m", "u")]
+
+
+def test_every_defaulted_parameter_is_passed_or_an_entry_parameter():
+    public = {p.name: p.read_text() for p in _MODULES if not p.name.startswith("_")}
+    callers = {
+        str(p): p.read_text()
+        for p in sorted(_PACKAGE.glob("*.py")) + sorted(_PERFBENCH.glob("*.py"))
+    }
+    assert sorted(set(_unpassed_parameters(public, callers)) - _ENTRY_PARAMETERS) == []
+    # each entry parameter still exists
+    assert _ENTRY_PARAMETERS <= _defaulted_parameters(public)
