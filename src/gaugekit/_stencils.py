@@ -5,8 +5,14 @@ rest, so algebra components ride along untouched. The staggered
 (cell-midpoint) difference and average, together with their exact
 transposes, carry the energy form of the elliptic operators. They write
 into a caller's `out` buffer when given one, and periodic axes wrap by
-slicing, so the Green solve's inner loop allocates nothing. Contiguous
-node-shaped buffers pair as one flat shifted op, not one loop per row.
+slicing. Contiguous node-shaped buffers pair as one flat shifted op, not
+one loop per row. Given a `calls` list (and `out`), deriv_mid, deriv_mid_t
+and their pair helpers append each ufunc call to it as
+`(ufunc, (*operands, out))` over views built once, instead of running it
+(`emit`); the energy form replays that list (`replay`) in every iteration
+of the Green solve, so the Green solve's inner loop builds nothing. `_pair`
+and `_pair_t` are the one home of the axis stride and of the flat shifted
+and wrap slices.
 
 Node derivatives are centered second order inside; periodic axes wrap. The
 one-sided rules at a bounded face live in one place, `face_layer_deriv`:
@@ -51,41 +57,56 @@ def deriv_node(v, axis, h, periodic):
     return out
 
 
-def _pair(v, axis, periodic, op, out):
+def emit(calls, op, *operands, out):
+    """op(*operands, out=out): run at once when `calls` is None, else
+    appended to `calls` as (op, (*operands, out)) and left for `replay`."""
+    if calls is None:
+        return op(*operands, out=out)
+    calls.append((op, operands + (out,)))
+    return out
+
+
+def replay(calls):
+    """Run the ufunc calls that `emit` recorded, in order; each takes its
+    output array as its last positional argument."""
+    for op, args in calls:
+        op(*args)
+
+
+def _pair(v, axis, periodic, op, out, calls=None):
     """op(v_{i+1}, v_i) at every cell midpoint; a periodic axis wraps by
     slicing, so `out` may be a preallocated buffer. A node-shaped `out` on a
     bounded axis gets a pad of unspecified value in its last slot. With v
     and `out` contiguous the pairs are one op over the flat arrays shifted by
     the axis stride; the last slots pair across rows, then are the pad or
-    take the wrap."""
+    take the wrap. With `calls` the ops are recorded there (`emit`)."""
     v = np.asarray(v, dtype=float)
     nd = v.ndim
     s = lambda sl: _axslice(nd, axis, sl)
     if not periodic and (out is None or out.shape != v.shape):  # N-1 midpoints
-        return op(v[s(slice(1, None))], v[s(slice(0, -1))], out=out)
+        return emit(calls, op, v[s(slice(1, None))], v[s(slice(0, -1))], out=out)
     if out is None:
         out = np.empty_like(v)
     if v.flags.c_contiguous and out.flags.c_contiguous:
         k = math.prod(v.shape[axis + 1:])
         flat = v.reshape(-1)
-        op(flat[k:], flat[:-k], out=out.reshape(-1)[:-k])
+        emit(calls, op, flat[k:], flat[:-k], out=out.reshape(-1)[:-k])
     else:
-        op(v[s(slice(1, None))], v[s(slice(0, -1))], out=out[s(slice(0, -1))])
+        emit(calls, op, v[s(slice(1, None))], v[s(slice(0, -1))], out=out[s(slice(0, -1))])
     if periodic:
-        op(v[s(slice(0, 1))], v[s(slice(-1, None))], out=out[s(slice(-1, None))])
+        emit(calls, op, v[s(slice(0, 1))], v[s(slice(-1, None))], out=out[s(slice(-1, None))])
     return out
 
 
-def deriv_mid(v, axis, h, periodic, out=None):
+def deriv_mid(v, axis, h, periodic, out=None, calls=None):
     """Difference at cell midpoints: (v_{i+1} - v_i)/h.
 
     Periodic axes return N midpoints (the last wraps); bounded axes N-1, or
     a pad after them in a node-shaped `out`. The result goes to `out` when
-    one is given.
+    one is given; with `calls` (and `out`) the ops are recorded there.
     """
-    out = _pair(v, axis, periodic, np.subtract, out)
-    out /= h
-    return out
+    out = _pair(v, axis, periodic, np.subtract, out, calls)
+    return emit(calls, np.true_divide, out, h, out=out)
 
 
 def avg_mid(v, axis, periodic, out=None):
@@ -95,13 +116,14 @@ def avg_mid(v, axis, periodic, out=None):
     return out
 
 
-def _pair_t(m, axis, periodic, op, out):
+def _pair_t(m, axis, periodic, op, out, calls=None):
     """op(m_{i-1}, m_i) at every node, from the midpoints on either side of
     node i: a periodic axis wraps, and on a bounded axis each end node pairs
     its one midpoint with 0, which a node-shaped m (given `out`) holds as the
     pad in its last slot. With m and `out` contiguous the pairs are one op
     over the flat arrays shifted by the axis stride; the first slots are
-    then paired again with the wrap or with 0."""
+    then paired again with the wrap or with 0. With `calls` the ops are
+    recorded there (`emit`)."""
     m = np.asarray(m, dtype=float)
     nd = m.ndim
     s = lambda sl: _axslice(nd, axis, sl)
@@ -110,33 +132,34 @@ def _pair_t(m, axis, periodic, op, out):
         shape[axis] += 0 if periodic else 1
         out = np.empty(shape)
     if out.shape != m.shape:  # the N-1 midpoints of a bounded axis
-        op(m[s(slice(0, -1))], m[s(slice(1, None))], out=out[s(slice(1, -1))])
-        op(m[s(slice(-1, None))], 0.0, out=out[s(slice(-1, None))])
+        emit(calls, op, m[s(slice(0, -1))], m[s(slice(1, None))], out=out[s(slice(1, -1))])
+        emit(calls, op, m[s(slice(-1, None))], 0.0, out=out[s(slice(-1, None))])
     elif m.flags.c_contiguous and out.flags.c_contiguous:
         k = math.prod(m.shape[axis + 1:])
         flat = m.reshape(-1)
-        op(flat[:-k], flat[k:], out=out.reshape(-1)[k:])
+        emit(calls, op, flat[:-k], flat[k:], out=out.reshape(-1)[k:])
     else:
-        op(m[s(slice(0, -1))], m[s(slice(1, None))], out=out[s(slice(1, None))])
-    op(m[s(slice(-1, None))] if periodic else 0.0, m[s(slice(0, 1))], out=out[s(slice(0, 1))])
+        emit(calls, op, m[s(slice(0, -1))], m[s(slice(1, None))], out=out[s(slice(1, None))])
+    emit(calls, op, m[s(slice(-1, None))] if periodic else 0.0, m[s(slice(0, 1))],
+         out=out[s(slice(0, 1))])
     return out
 
 
-def deriv_mid_t(m, axis, h, periodic, out=None):
+def deriv_mid_t(m, axis, h, periodic, out=None, calls=None):
     """Exact transpose of deriv_mid, mapping midpoint arrays back to nodes.
 
     With `out` the result goes there, and on a bounded axis m is divided by
-    h in place, so the call allocates nothing.
+    h in place, so the call allocates nothing; with `calls` as well the ops
+    are recorded there.
     """
     if periodic:
-        out = _pair_t(m, axis, True, np.subtract, out)
-        out /= h
-        return out
+        out = _pair_t(m, axis, True, np.subtract, out, calls)
+        return emit(calls, np.true_divide, out, h, out=out)
     if out is None:
         m = np.asarray(m) / h
     else:
-        m /= h
-    return _pair_t(m, axis, False, np.subtract, out)
+        emit(calls, np.true_divide, m, h, out=m)
+    return _pair_t(m, axis, False, np.subtract, out, calls)
 
 
 def avg_mid_t(m, axis, periodic, out=None):

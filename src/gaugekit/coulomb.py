@@ -42,7 +42,6 @@ from .fields import (
     Section,
     _node_inner,
     _root,
-    exterior_d,
     l2_norm,
     normal_component,
     random_smooth_field,
@@ -443,6 +442,22 @@ def _run_lengths(runs, ks):
     return need
 
 
+def _exterior_d_at(omega, i, j, nodes):
+    """The (i, j) component of `fields.exterior_d(omega)` at each node of
+    `nodes`, bit for bit. deriv_node treats every grid line along its axis
+    on its own, so it is taken on the lines through the nodes alone, all
+    nodes' lines in one call per axis."""
+    ch = omega.chart
+
+    def deriv(ax, comp):
+        lines = np.stack([omega.data[at[:ax] + (slice(None),) + at[ax + 1:] + (comp,)]
+                          for at in nodes], axis=1)
+        d = st.deriv_node(lines, 0, ch.h[ax], ch.periodic[ax])
+        return [d[at[ax], p] for p, at in enumerate(nodes)]
+
+    return [di - dj for di, dj in zip(deriv(i, j), deriv(j, i))]
+
+
 def small_loop_holonomy(A, k=(2, 4)):
     """Holonomy defects of loops with sides k and 2k cells in the plane of
     the first tangential axis and the normal axis, for each size in the
@@ -495,19 +510,20 @@ def small_loop_holonomy(A, k=(2, 4)):
 
     # curvature two-form component along the loop plane, read at the center
     # of each probe's smaller loop
-    dd = exterior_d(A.eta)
-    F = dd.data[..., dd.pairs.index((i, j)), :]
-
-    probes = []
+    centers = []
     for k in ks:
-        d1, idx, gpt = small[k]
-        d2 = large[k]
-        at = list(idx)
+        at = list(small[k][1])
         at[i] = (at[i] + k // 2) % ch.shape[i]
         at[j] += 2 + k // 2
-        at = tuple(at)
+        centers.append(tuple(at))
+    F = _exterior_d_at(A.eta, i, j, centers)
+
+    probes = []
+    for k, at, dF in zip(ks, centers, F):
+        d1, _, gpt = small[k]
+        d2 = large[k]
         eta = A.eta.data[at]
-        fpt = F[at] + coeff_bracket(eta[i], eta[j])
+        fpt = dF + coeff_bracket(eta[i], eta[j])
         dot = float(np.dot(gpt, fpt))
         denom = float(np.sqrt(np.dot(gpt, gpt)) * np.sqrt(np.dot(fpt, fpt)))
         cosine = abs(dot) / denom if denom > 0 else 0.0

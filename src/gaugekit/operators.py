@@ -23,7 +23,15 @@ components. Fields keep their node-major layout (*chart.shape, 3);
 d_A_cell and the adjoint codiff_A convert at their edges. The pair writes
 into node-shaped buffers its caller passes in (`_scratch`), so that every
 stencil is one flat shifted op; the 1/2 of its averages is folded into the
-bracket, which rounds identically.
+bracket, which rounds identically. The pair and its stencils either run
+each ufunc call at once (d_A_cell, the codifferential) or, given a list,
+record it there with the views it reads and writes (`_stencils.emit`).
+`_energy_apply` records one evaluation of the energy form so: 51 calls in
+2-d and 77 in 3-d under a connection (16 and 24 flat), over views of its
+input, its output, the scratch buffers, the cell coefficients and the
+connection's midpoint average. It keeps the list on the scratch set and
+replays it whenever it is called again with the same connection, input and
+output arrays, and records a new list for any other.
 
 The adjoint codifferential (`_codiff_adjoint_c`), the star route of
 codiff_2form (`_codiff_2form_data`) and the node inner product
@@ -48,10 +56,12 @@ solve allocates its work buffers once and reuses them in every iteration:
 four CG arrays (the preconditioned residual and the product A p share one)
 and three of energy-form scratch. The CG state is whole component-first
 node arrays whose Dirichlet face rows stay zero, so its updates are
-contiguous loops; the inner products multiply the interior rows into a
-node-major buffer and sum there, in the order of a node-major field. The
-buffers belong to the call, not to the chart or the module, because the
-two projections of a horizontal pair solve at once on two threads in the
+contiguous loops; the inner products multiply the interior rows, viewed
+once per solve, into a node-major buffer and sum there, in the order of a
+node-major field. The energy form's calls are recorded in the first
+iteration and replayed in every later one. The buffers and the recorded
+calls belong to the call, not to the chart or the module, because the two
+projections of a horizontal pair solve at once on two threads in the
 harness; what a chart or a connection caches is published only once it is
 complete.
 
@@ -187,6 +197,14 @@ def _mids(ch, ax, a):
     return a if ch.periodic[ax] else a[..., :-1]
 
 
+class _Scratch(tuple):
+    """The (gradient, sum, bracket) buffers of `_scratch`. `plan` is
+    (A, x, out, calls): the calls of the last `_energy_apply` made with
+    these buffers, and the connection and arrays they were recorded for."""
+
+    plan = None
+
+
 def _scratch(A, ncomp=ALGEBRA_DIM):
     """Work buffers of one energy-form evaluation under the connection A:
     (gradient, sum, bracket), shared by all axes, for ncomp components (3
@@ -199,30 +217,28 @@ def _scratch(A, ncomp=ALGEBRA_DIM):
     """
     ch = A.chart
     shape = (ncomp,) + ch.shape
-    if A.is_flat:
-        return np.zeros(shape), np.zeros(shape), None
-    return np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    return _Scratch((np.zeros(shape), np.zeros(shape), None if A.is_flat else np.zeros(shape)))
 
 
-def _half_bracket(u, v, out, tmp):
+def _half_bracket(u, v, out, tmp, calls=None):
     """[u, v] / 2 of component-first arrays, written into `out`; `tmp` (the
     shape of `out`) is scratch. Halving is exact, so [u, 2 w] / 2 rounds as
     `algebra.coeff_bracket(u, w)` bit for bit (barring subnormals).
 
     Component k is u_i v_j - u_j v_i over the cyclic (k, i, j); the rows
     (u_2, u_0) are one view of u with a stride of -2 rows, so each product
-    is formed for two components at once."""
+    is formed for two components at once. With `calls` the ops are recorded
+    there (`_stencils.emit`), like those of `_grad_mid` and `_add_div_mid`."""
     u20 = u[2::-2]
-    np.multiply(u[1], v[2], out=out[0])
-    np.multiply(u20, v[:2], out=out[1:])
-    np.multiply(u20, v[1:], out=tmp[:2])
-    np.multiply(u[1], v[0], out=tmp[2])
-    out -= tmp
-    out *= 0.5 * STRUCTURE_C
-    return out
+    st.emit(calls, np.multiply, u[1], v[2], out=out[0])
+    st.emit(calls, np.multiply, u20, v[:2], out=out[1:])
+    st.emit(calls, np.multiply, u20, v[1:], out=tmp[:2])
+    st.emit(calls, np.multiply, u[1], v[0], out=tmp[2])
+    st.emit(calls, np.subtract, out, tmp, out=out)
+    return st.emit(calls, np.multiply, out, 0.5 * STRUCTURE_C, out=out)
 
 
-def _grad_mid(A, x, ax, out, avg, br):
+def _grad_mid(A, x, ax, out, avg, br, calls=None):
     """Staggered covariant gradient of the component-first node values x
     along ax, written into the node-shaped `out` (see `_scratch`); `avg` and
     `br` (the shape of `out`) are scratch. The bracket takes avg_mid without
@@ -231,28 +247,30 @@ def _grad_mid(A, x, ax, out, avg, br):
     ch = A.chart
     Am = A._mid_A(ax)
     if Am is not None:
-        st._pair(x, ax + 1, ch.periodic[ax], np.add, avg)
-        _half_bracket(Am, avg, br, out)
-    st.deriv_mid(x, ax + 1, ch.h[ax], ch.periodic[ax], out=out)
+        st._pair(x, ax + 1, ch.periodic[ax], np.add, avg, calls)
+        _half_bracket(Am, avg, br, out, calls)
+    st.deriv_mid(x, ax + 1, ch.h[ax], ch.periodic[ax], out=out, calls=calls)
     if Am is not None:
-        out += br
+        st.emit(calls, np.add, out, br, out=out)
     return out
 
 
-def _add_div_mid(out, A, mid, ax, node, br):
+def _add_div_mid(out, A, mid, ax, node, br, calls=None):
     """Add to the component-first node array `out` the transpose of
     _grad_mid along ax applied to the node-shaped midpoint values `mid`
     weighted by `Chart.cell_c`. `mid` is overwritten; `node` and `br` (the
     shape of `out`) are scratch."""
     ch = A.chart
     per = ch.periodic[ax]
-    mid *= ch.padded_cell_c[ax]
+    st.emit(calls, np.multiply, mid, ch.padded_cell_c[ax], out=mid)
     Am = A._mid_A(ax)
     if Am is not None:
-        _half_bracket(Am, mid, br, node)
-    out += st.deriv_mid_t(mid, ax + 1, ch.h[ax], per, out=node)
+        _half_bracket(Am, mid, br, node, calls)
+    st.deriv_mid_t(mid, ax + 1, ch.h[ax], per, out=node, calls=calls)
+    st.emit(calls, np.add, out, node, out=out)
     if Am is not None:
-        out -= st._pair_t(br, ax + 1, per, np.add, node)
+        st._pair_t(br, ax + 1, per, np.add, node, calls)
+        st.emit(calls, np.subtract, out, node, out=out)
     return out
 
 
@@ -344,14 +362,32 @@ def _codiff_adjoint(A, src):
 def _energy_apply(A, x, out=None, scratch=None):
     """Energy matrix of the covariant Dirichlet form applied to the
     component-first node values x. The result goes to `out`, and `scratch`
-    is a `_scratch` set; both are allocated when not given."""
+    is a `_scratch` set; both are allocated when not given.
+
+    The evaluation is a list of ufunc calls over views of x, `out`, the
+    scratch buffers and the connection's coefficients, recorded by
+    `_grad_mid` and `_add_div_mid` (`_stencils.emit`) and then replayed.
+    The list is kept on the scratch set (`_Scratch.plan`) and replayed by
+    every later call with the same A, x and `out`, whose values may change
+    in place in between; other arrays rebuild it. So the Green solve builds
+    its list in its first iteration and replays it in every later one."""
+    # an x that is not float64 is converted afresh, and its calls rebuilt,
+    # on every call: recorded views of a converted copy would go stale
+    x = np.asarray(x, dtype=float)
     if out is None:
         out = np.empty(x.shape)
-    t, avg, br = _scratch(A) if scratch is None else scratch
-    out.fill(0.0)
-    for ax in range(A.chart.n):
-        _grad_mid(A, x, ax, t, avg, br)
-        _add_div_mid(out, A, t, ax, avg, br)
+    if scratch is None:
+        scratch = _scratch(A)
+    plan = scratch.plan
+    if plan is None or plan[0] is not A or plan[1] is not x or plan[2] is not out:
+        t, avg, br = scratch
+        calls = []
+        st.emit(calls, np.positive, 0.0, out=out)  # out.fill(0.0)
+        for ax in range(A.chart.n):
+            _grad_mid(A, x, ax, t, avg, br, calls)
+            _add_div_mid(out, A, t, ax, avg, br, calls)
+        plan = scratch.plan = (A, x, out, calls)
+    st.replay(plan[3])
     return out
 
 
@@ -505,6 +541,11 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
     on the interior unknowns; the cap is 200 sqrt(#nodes) iterations. A
     right-hand side or a residual that is not finite raises NoConvergence at
     once, with residual NaN.
+
+    Each iteration makes one `_energy_apply` call on the solve's own search
+    direction, product and scratch arrays: the first records the energy
+    form's ufunc calls on the scratch set, and every later one replays them.
+    The list lives as long as the solve.
     """
     if not isinstance(g, Section):
         raise RankMismatch("green_A expects a Section right-hand side")
@@ -517,19 +558,20 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
     # docstring); r starts as the right-hand side M g. The solve holds no
     # reference to g after this, so a temporary right-hand side is freed.
     r = np.zeros(shape)
-    np.multiply((ch.quad_w * ch.vol)[ii], _comps(g.data)[ic], out=r[ic])
+    r_i = r[ic]  # interior views are built once per solve
+    np.multiply((ch.quad_w * ch.vol)[ii], _comps(g.data)[ic], out=r_i)
     del g
     scratch = _scratch(A)
     # Interior products summed in node-major order round as on node-major
     # fields; they live in the sum buffer, which only the energy apply uses.
-    prod = scratch[1].reshape(-1)[: r[ic].size].reshape(r[ic].shape[1:] + (ALGEBRA_DIM,))
+    prod = scratch[1].reshape(-1)[: r_i.size].reshape(r_i.shape[1:] + (ALGEBRA_DIM,))
     cprod = _comps(prod)
 
-    def dot(u, v):
-        np.multiply(u[ic], v[ic], out=cprod)
+    def dot(u, v):  # of interior views
+        np.multiply(u, v, out=cprod)
         return float(prod.sum())
 
-    bnorm = float(np.sqrt(dot(r, r)))
+    bnorm = float(np.sqrt(dot(r_i, r_i)))
     if info is None:
         info = SolveInfo()
     if bnorm == 0.0:
@@ -547,31 +589,32 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
         pre = lambda v, out: np.multiply(dinv, v, out=out)
     # w holds the preconditioned residual z and the product A p in turn
     x, p, w = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    p_i, w_i = p[ic], w[ic]
     pre(r, w)
     p[...] = w
-    rz = dot(r, w)
+    rz = dot(r_i, w_i)
     res = bnorm
     for k in range(1, maxiter + 1):
         _energy_apply(A, p, w, scratch)
         w[..., 0] = w[..., -1] = 0.0  # the Dirichlet face rows
-        alpha = rz / dot(p, w)
+        alpha = rz / dot(p_i, w_i)
         # A p is spent once r is updated; w is then the temporary of x's
         r -= np.multiply(w, alpha, out=w)
         x += np.multiply(p, alpha, out=w)
-        res = float(np.sqrt(dot(r, r)))
+        res = float(np.sqrt(dot(r_i, r_i)))
         if res <= tol * bnorm:
             break
         if not math.isfinite(res):
             raise _no_convergence(info, k, math.nan, "met a non-finite residual")
         pre(r, w)
-        rz_new = dot(r, w)
+        rz_new = dot(r_i, w_i)
         p *= rz_new / rz
         p += w
         rz = rz_new
     else:
         raise _no_convergence(info, maxiter, res / bnorm, f"at relative residual {res / bnorm:.3e}")
     info.iterations, info.residual, info.converged = k, res / bnorm, True
-    del r, p, w, scratch, prod, cprod  # the solution is built from x alone
+    del r, p, w, r_i, p_i, w_i, scratch, prod, cprod  # the solution is built from x alone
     sol = Section.zeros(ch)
     sol.data[ii] = np.moveaxis(x[ic], 0, -1)
     return sol

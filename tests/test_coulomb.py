@@ -28,9 +28,11 @@ from gaugekit.algebra import (
     quat_log,
     quat_to_matrix,
 )
+from gaugekit import coulomb
 from gaugekit.coulomb import (
     GaugeTransformation,
     _cut,
+    _exterior_d_at,
     _links,
     _loop_transports,
     _qprod,
@@ -40,7 +42,7 @@ from gaugekit.coulomb import (
     small_loop_holonomy,
 )
 from gaugekit.errors import BadGeometry, DbcViolation, NotHorizontal
-from gaugekit.fields import check_dbc
+from gaugekit.fields import check_dbc, exterior_d
 from gaugekit.operators import bracket_dot
 from gaugekit import _stencils as st
 
@@ -283,6 +285,53 @@ def test_holonomy_rejects_flat_and_odd_loops(ann32):
     A = _rand_conn(ann32, 23)
     with pytest.raises(BadGeometry):
         small_loop_holonomy(A, k=(3,))
+
+
+_PROBE_CHARTS = pytest.mark.parametrize(
+    "kind, shape", [("annulus", (64, 64)), ("cylindrical_shell", (16, 16, 16))],
+    ids=["annulus64", "shell16"],
+)
+
+
+def _whole_two_form_at(omega, i, j, nodes):
+    dd = exterior_d(omega)
+    return [dd.data[at][dd.pairs.index((i, j))] for at in nodes]
+
+
+@_PROBE_CHARTS
+def test_curvature_at_nodes_is_the_whole_two_form_there(kind, shape):
+    # any node, the face rows and the periodic wrap included
+    ch = build_chart(kind, shape)
+    eta = random_smooth_field(ch, "oneform", 3, scale=0.4)
+    j = ch.n - 1
+    rng = np.random.default_rng(0)
+    nodes = [tuple(int(v) for v in rng.integers(0, ch.shape)) for _ in range(6)]
+    for row in (0, 1, 2, ch.shape[j] - 3, ch.shape[j] - 1):
+        nodes.append((0,) * j + (row,))
+        nodes.append(tuple(s - 1 for s in ch.shape[:j]) + (row,))
+    for i in range(j):
+        got = _exterior_d_at(eta, i, j, nodes)
+        want = _whole_two_form_at(eta, i, j, nodes)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@_PROBE_CHARTS
+def test_holonomy_reads_the_curvature_at_its_probe_nodes(monkeypatch, kind, shape):
+    # the probes equal those read off the whole two-form, at centers two or
+    # more layers from the faces, where deriv_node is centred
+    ch = build_chart(kind, shape)
+    A = _rand_conn(ch, 3, scale=0.4)
+    got = small_loop_holonomy(A)
+    centers = []
+
+    def whole(omega, i, j, nodes):
+        centers.extend(nodes)
+        return _whole_two_form_at(omega, i, j, nodes)
+
+    monkeypatch.setattr(coulomb, "_exterior_d_at", whole)
+    assert small_loop_holonomy(A) == got
+    assert len(centers) == len(got)
+    assert all(2 <= at[-1] <= ch.shape[-1] - 3 for at in centers)
 
 
 @pytest.mark.parametrize("k", [2.0, 4.0, "2", (), None, (2, 4.0), True, 2, (True,)],

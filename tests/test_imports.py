@@ -6,7 +6,9 @@ passed by some package or benchmark call or is a named entry parameter, only
 the harness's ladder-check helper names the ladder statistics, the face
 layer's one-sided derivative and inward sign are read only in geometry,
 numpy.linalg is reached only by one geometry helper, for LAPACK's
-determinant, and only the harness's pair projection starts threads."""
+determinant, only the harness's pair projection starts threads, and only
+the stencils' pair helpers compute an axis stride or slice a flat array by
+it."""
 
 import ast
 from pathlib import Path
@@ -290,6 +292,101 @@ def test_only_the_harness_starts_threads(path):
         assert len(inside) == 1 and len(imports) == 1
     else:
         assert inside == imports == []
+
+
+#: the stencils' pair helpers, the one home of the axis stride of a
+#: contiguous array and of the flat slices shifted by it
+_STRIDE_HELPERS = ("_stencils.py", {"_pair", "_pair_t"})
+_FLATTENERS = {"ravel", "flatten"}
+
+
+def _stride_uses(source):
+    """(line, function, kind) of each axis-stride product
+    (`prod(<array>.shape[<axis> + 1:])`, kind "stride") and of each slice
+    of a flat array by a variable offset (`flat[k:]`, `flat[:-k]`, kind
+    "shift") in `source`; a flat array is a `.reshape(-1)`, `.ravel()` or
+    `.flatten()` of one, or a name assigned one. `function` is the
+    module-level function holding the use, or None."""
+    tree = ast.parse(source)
+
+    def flattens(node):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            return False
+        if node.func.attr in _FLATTENERS:
+            return True
+        return node.func.attr == "reshape" and len(node.args) == 1 and (
+            ast.unparse(node.args[0]) in ("-1", "(-1,)"))
+
+    flat_names = {
+        t.id for node in ast.walk(tree) if isinstance(node, ast.Assign) and flattens(node.value)
+        for t in node.targets if isinstance(t, ast.Name)
+    }
+
+    def offset(bound):
+        if isinstance(bound, ast.UnaryOp) and isinstance(bound.op, ast.USub):
+            bound = bound.operand
+        return isinstance(bound, ast.Name)
+
+    def kind(node):
+        if (isinstance(node, ast.Call) and node.args
+                and (node.func.id if isinstance(node.func, ast.Name)
+                     else getattr(node.func, "attr", None)) == "prod"):
+            arg = node.args[0]
+            if (isinstance(arg, ast.Subscript) and isinstance(arg.value, ast.Attribute)
+                    and arg.value.attr == "shape" and isinstance(arg.slice, ast.Slice)
+                    and isinstance(arg.slice.lower, ast.BinOp)
+                    and isinstance(arg.slice.lower.op, ast.Add)
+                    and ast.unparse(arg.slice.lower.right) == "1"):
+                return "stride"
+        if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)
+                and (flattens(node.value)
+                     or isinstance(node.value, ast.Name) and node.value.id in flat_names)
+                and any(offset(b) for b in (node.slice.lower, node.slice.upper) if b)):
+            return "shift"
+        return None
+
+    found = []
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            k = kind(node)
+            if k:
+                found.append((node.lineno, name, k))
+    return sorted(found, key=lambda u: (u[0], u[2]))
+
+
+def test_the_check_sees_a_hand_built_stride():
+    src = (
+        "import math\n"
+        "def _pair(v, axis, op, out):\n"
+        "    k = math.prod(v.shape[axis + 1:])\n"
+        "    flat = v.reshape(-1)\n"
+        "    op(flat[k:], flat[:-k], out=out.reshape(-1)[:-k])\n"
+        "def replay(x, ax, n):\n"
+        "    s = np.prod(x.shape[ax + 1:])\n"
+        "    y = x.ravel()[n:]\n"
+        "    z = x.reshape(-1)[: x.size]\n"
+        "    return x.shape[ax + 1:], math.prod(x.shape[1:-2]), x[n:], y[2:]\n"
+        "w = buf.flatten()\nhead = w[:-k]\n"
+    )
+    assert _stride_uses(src) == [
+        (3, "_pair", "stride"), (5, "_pair", "shift"), (5, "_pair", "shift"),
+        (5, "_pair", "shift"), (7, "replay", "stride"), (8, "replay", "shift"),
+        (12, None, "shift"),
+    ]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_only_the_pair_helpers_index_by_the_axis_stride(path):
+    uses = _stride_uses(path.read_text())
+    if path.name != _STRIDE_HELPERS[0]:
+        assert uses == []
+        return
+    assert {fn for _, fn, _ in uses} == _STRIDE_HELPERS[1]
+    # each helper: one stride, and the flat shifted slices that use it
+    for fn in _STRIDE_HELPERS[1]:
+        kinds = [k for _, f, k in uses if f == fn]
+        assert kinds.count("stride") == 1 and kinds.count("shift") >= 2
 
 
 def test_the_check_sees_an_unused_import():

@@ -395,6 +395,37 @@ def test_warm_energy_apply_allocates_less_than_a_field(kind, shape):
     assert peak < x.nbytes
 
 
+@pytest.mark.parametrize("connected", [True, False], ids=["connected", "flat"])
+@pytest.mark.parametrize(
+    "kind, shape", [("annulus", (32, 32)), ("cylindrical_shell", (8, 8, 10))],
+    ids=["annulus32", "shell8x8x10"],
+)
+def test_green_solve_applies_the_energy_form_once_per_iteration(
+        monkeypatch, kind, shape, connected):
+    # one _energy_apply call per CG iteration; the stencils run only while
+    # the first call records its ufunc calls, which the later calls replay
+    from gaugekit import operators
+
+    ch = build_chart(kind, shape)
+    A = _rand_conn(ch, 3) if connected else Connection.flat(ch)
+    counts = {"apply": 0, "deriv_mid": 0}
+
+    def counted(name, fn):
+        def call(*args, **kw):
+            counts[name] += 1
+            return fn(*args, **kw)
+        return call
+
+    monkeypatch.setattr(operators, "_energy_apply", counted("apply", operators._energy_apply))
+    monkeypatch.setattr(st, "deriv_mid", counted("deriv_mid", st.deriv_mid))
+    info = SolveInfo()
+    green_A(random_smooth_field(ch, "section", 4), A, info=info)
+    assert info.converged and info.iterations == counts["apply"]
+    assert counts["deriv_mid"] == ch.n
+    if connected:
+        assert info.iterations > 1  # so the later calls replay
+
+
 def test_connected_projection_peak_memory():
     # tracemalloc peak of one connected horizontal projection, in sections:
     # the solve's seven work arrays plus numpy's iteration buffers (7.9

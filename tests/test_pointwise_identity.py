@@ -3,9 +3,10 @@
 Random fields are evaluated on 1-D coordinates, the metric contractions
 broadcast the stored diagonal of the metric, and the energy coefficients
 read g^aa as 1/g_aa. The energy form pairs padded node-shaped buffers as
-flat shifts, folds the 1/2 of its averages into the bracket, and the Green
-solve keeps its CG state on whole node arrays. Each is compared here with
-the formula or loop it replaced.
+flat shifts, folds the 1/2 of its averages into the bracket, and replays
+the ufunc calls it recorded on its scratch set; the Green solve keeps its
+CG state on whole node arrays. Each is compared here with the formula or
+loop it replaced.
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from gaugekit.algebra import ALGEBRA_DIM, coeff_bracket
 from gaugekit.operators import (
     SolveInfo,
     _energy_apply,
+    _scratch,
     _separable_solver,
     bracket_dot,
     d_A_cell,
@@ -327,3 +329,49 @@ def test_energy_form_and_green_solve_match_the_sliced_loop(chart, connected):
     ref_sol, ref_iters = _ref_green(g, A)
     assert info.iterations == ref_iters
     assert np.array_equal(sol.data[ch.interior_slice()], ref_sol)
+
+
+@pytest.mark.parametrize("connected", [True, False], ids=["connected", "flat"])
+def test_replayed_energy_apply_follows_its_arrays_in_place(chart, connected):
+    # the calls recorded on a scratch set read x and write out in place:
+    # after x is overwritten, the replay is the new x's energy bit for bit
+    ch = chart
+    eta = random_smooth_field(ch, "oneform", 3, scale=0.3) if connected else None
+    A = Connection(ch, eta)
+    x = np.ascontiguousarray(
+        np.moveaxis(random_smooth_field(ch, "section", 4, dbc=False).data, -1, 0))
+    out, scratch = np.empty_like(x), _scratch(A)
+    ii = (slice(None),) + ch.interior_slice()
+    assert np.array_equal(_energy_apply(A, x, out, scratch)[ii], _ref_energy(A, x)[ii])
+    calls = scratch.plan[-1]
+    for seed in (5, 6):
+        x[...] = np.moveaxis(random_smooth_field(ch, "section", seed, dbc=False).data, -1, 0)
+        out.fill(np.nan)  # the replay must not read what out held
+        assert _energy_apply(A, x, out, scratch) is out
+        assert scratch.plan[-1] is calls  # replayed, not rebuilt
+        assert np.array_equal(out[ii], _ref_energy(A, x)[ii])
+
+
+def test_new_energy_arrays_rebuild_the_recorded_calls(chart):
+    # a scratch set replays its calls only for the arrays they were
+    # recorded on: another x, out or connection records afresh, and the
+    # arrays it was first given are left as they were
+    ch = chart
+    A = Connection(ch, random_smooth_field(ch, "oneform", 3, scale=0.3))
+    B = Connection(ch, random_smooth_field(ch, "oneform", 7, scale=0.3))
+    xs = [np.ascontiguousarray(np.moveaxis(
+        random_smooth_field(ch, "section", seed, dbc=False).data, -1, 0)) for seed in (4, 5)]
+    outs = [np.empty_like(xs[0]) for _ in range(3)]
+    scratch = _scratch(A)
+    ii = (slice(None),) + ch.interior_slice()
+    _energy_apply(A, xs[0], outs[0], scratch)
+    first, last = outs[0].copy(), scratch.plan[-1]
+    for conn, x, out in ((A, xs[1], outs[0]), (A, xs[1], outs[1]), (B, xs[1], outs[2])):
+        _energy_apply(conn, x, out, scratch)
+        assert scratch.plan[-1] is not last
+        last = scratch.plan[-1]
+        assert np.array_equal(out[ii], _ref_energy(conn, x)[ii])
+    assert np.array_equal(outs[1][ii], _ref_energy(A, xs[1])[ii])
+    assert np.array_equal(xs[0], np.ascontiguousarray(np.moveaxis(
+        random_smooth_field(ch, "section", 4, dbc=False).data, -1, 0)))
+    assert not np.array_equal(first[ii], outs[0][ii])
