@@ -58,10 +58,8 @@ from .fields import (
     Section,
     TwoForm,
     check_dbc,
-    dump_field,
     l2_inner,
     l2_norm,
-    load_field,
     random_smooth_field,
 )
 from .geometry import (

@@ -1,4 +1,4 @@
-"""Command-line entry point: verify, study, dump."""
+"""Command-line entry point: verify, study."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from .errors import GaugekitError
 from .harness import (
     SUITES,
     RunConfig,
-    dump_run_fields,
     emit_report,
     emit_study,
     parse_grid,
@@ -27,7 +26,7 @@ _STUDY = [
 ]
 
 
-def _config_flags(sp):
+def _run_flags(sp):
     sp.add_argument("--config", help="JSON run configuration file")
     sp.add_argument("--seed", type=int, help="run seed (overrides config)")
     sp.add_argument(
@@ -38,10 +37,6 @@ def _config_flags(sp):
         "--domain",
         help="annulus | slab | shell | annulus_log (long names accepted)",
     )
-
-
-def _report_flags(sp):
-    _config_flags(sp)
     sp.add_argument("--out", help="write the report to this file")
 
 
@@ -52,18 +47,15 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
     v = sub.add_parser("verify", help="run verification suites (default: all)")
-    _report_flags(v)
+    _run_flags(v)
     v.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     v.add_argument("suites", nargs="*", metavar="suite",
                    help=f"subset of {', '.join(sorted(SUITES))}")
     s = sub.add_parser(
         "study", help="ladder tables: every series per rung, then the order checks"
     )
-    _report_flags(s)
+    _run_flags(s)
     s.add_argument("suites", nargs="*", metavar="suite")
-    d = sub.add_parser("dump", help="write representative fields as text dumps")
-    _config_flags(d)
-    d.add_argument("--out", default="gaugekit-fields", help="directory for the dumps")
     return p
 
 
@@ -96,16 +88,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        if args.command == "dump":
-            for path in dump_run_fields(cfg, args.out):
-                sys.stdout.write(path + "\n")
-            return 0
         study = args.command == "study"
         with _output(args.out) as fh:
             report = run_all(cfg, args.suites or (_STUDY if study else None))
             fh.write(emit_study(report) if study else emit_report(report, args.fmt))
         return 0 if report.passed else 1
-    except (GaugekitError, OSError) as exc:  # OSError: a report or dump not written
+    except (GaugekitError, OSError) as exc:  # OSError: a report not written
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -14,15 +14,12 @@ coefficients of the staggered energy form, which the chart owns
 
 from __future__ import annotations
 
-import io
-import math
-
 import numpy as np
 
 from . import _stencils as st
 from .algebra import ALGEBRA_DIM
-from .errors import BadGeometry, ChartMismatch, DbcViolation, RankMismatch
-from .geometry import BoundaryField, along_normal, build_chart, require_same_chart
+from .errors import DbcViolation, RankMismatch
+from .geometry import BoundaryField, along_normal, require_same_chart
 
 _PAIR_TABLE = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 
@@ -365,70 +362,3 @@ def random_smooth_field(chart, rank, seed, dbc=True, scale=1.0, modes=2, degree=
         data *= float(scale / peak)
     return cls(chart, data)
 
-
-# ---------------------------------------------------------------------------
-# text dump / reload
-# ---------------------------------------------------------------------------
-
-def dump_field(field, path, seed=None):
-    """Write a field as a text header plus row-major %.17g records.
-
-    %.17g round-trips float64 exactly, so reload is bit-exact.
-    """
-    ch = field.chart
-    lines = ["gaugekit-field 1", f"kind {ch.kind}", "shape " + " ".join(map(str, ch.shape))]
-    for k in sorted(ch.params):
-        v = ch.params[k]
-        if isinstance(v, (int, float)):
-            lines.append(f"param {k} {v!r}")
-    lines.append(f"rank {field.rank}")
-    lines.append(f"seed {seed if seed is not None else '-'}")
-    lines.append(f"values {field.data.size}")
-    buf = io.StringIO()
-    np.savetxt(buf, field.data.reshape(-1, 1), fmt="%.17g")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-        fh.write(buf.getvalue())
-
-
-def load_field(path, chart=None):
-    """Reload a dumped field; rebuilds built-in charts from the header. A
-    malformed dump raises BadGeometry (a missing, unknown or non-numeric
-    entry, a blank header line, or a wrong number of values)."""
-    with open(path) as fh:
-        text = fh.read().splitlines()
-    if not text or not text[0].startswith("gaugekit-field"):
-        raise BadGeometry("not a field dump")
-    header, params = {}, {}
-    try:
-        for idx, line in enumerate(text):
-            key, *rest = line.split()
-            if key == "param":
-                name, value = rest
-                params[name] = float(value)
-            elif key == "values":
-                (count,) = rest
-                break
-            elif key != "gaugekit-field":
-                header[key] = rest
-        else:
-            raise BadGeometry("field dump has no values line")
-        (kind,), (rank,) = header["kind"], header["rank"]
-        shape = tuple(int(s) for s in header["shape"])
-        cls = _RANKS[rank]
-        flat = np.array([float(x) for x in text[idx + 1 :] if x.strip()])
-        count = int(count)
-    except (KeyError, ValueError) as exc:
-        raise BadGeometry(f"malformed field dump: {exc!r}") from exc
-    if not flat.size == count >= math.prod(shape):  # before building a chart of that shape
-        raise BadGeometry(f"dump holds {flat.size} values, not {count} for shape {shape}")
-    if chart is None:
-        if kind == "custom":
-            raise BadGeometry("custom charts must be supplied to load_field")
-        chart = build_chart(kind, shape, **params)
-    elif chart.kind != kind or chart.shape != shape:
-        raise ChartMismatch("dump header does not match the supplied chart")
-    value_shape = chart.shape + cls.value_shape(chart)
-    if count != math.prod(value_shape):
-        raise BadGeometry(f"dump holds {count} values, not {math.prod(value_shape)}")
-    return cls(chart, flat.reshape(value_shape))

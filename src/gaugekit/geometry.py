@@ -347,8 +347,16 @@ def _metric_shell(mesh):
     return _diagonal_metric(mesh, mesh[2] ** 2, 1.0, 1.0)
 
 
+#: the parameters each chart kind reads, with the built-in kinds' defaults
+_KIND_PARAMS = {
+    "annulus": {"r0": 0.5, "r1": 1.0},
+    "annulus_log": {"r0": 0.5, "r1": 1.0},
+    "periodic_slab": {"length": 2.0 * np.pi, "height": 1.0},
+    "cylindrical_shell": {"r0": 0.5, "r1": 1.0, "length": 2.0 * np.pi},
+    "custom": {"metric": None, "extents": None},
+}
 #: chart kinds `build_chart` constructs, and the short names it accepts
-CHART_KINDS = ("annulus", "annulus_log", "periodic_slab", "cylindrical_shell", "custom")
+CHART_KINDS = tuple(_KIND_PARAMS)
 CHART_ALIASES = {"slab": "periodic_slab", "shell": "cylindrical_shell"}
 
 
@@ -384,56 +392,36 @@ def build_chart(kind, shape, **params):
     Built-ins: "annulus" (r0, r1), "periodic_slab" (length, height),
     "cylindrical_shell" (r0, r1, length), "annulus_log" (r0, r1; same
     geometry as the annulus with normal coordinate s, r = r0*exp(s)).
-    "custom" takes metric=callable(mesh)->(..., n, n), extents (one (lo, hi)
-    pair per axis) and periodic. The custom metric must be diagonal, with
-    finite entries and a positive diagonal, at the nodes and at every axis's
-    midpoints: off-diagonal entries above 1e-12 are rejected (the midpoint
-    samples when the chart first reads them), and the chart keeps only the
-    diagonal. Every numeric parameter must convert to a finite float;
-    malformed input raises BadGeometry.
+    "custom" takes metric=callable(mesh)->(..., n, n) and extents (one
+    (lo, hi) pair per axis); its tangential axes are periodic and its normal
+    axis bounded. The custom metric must be diagonal, with finite entries
+    and a positive diagonal, at the nodes and at every axis's midpoints:
+    off-diagonal entries above 1e-12 are rejected (the midpoint samples when
+    the chart first reads them), and the chart keeps only the diagonal.
+    Every numeric parameter must convert to a finite float, and a parameter
+    the kind does not read is refused; malformed input raises BadGeometry.
     """
     kind = CHART_ALIASES.get(kind, kind) if isinstance(kind, str) else kind
     shape = _grid_shape(shape)
     n = len(shape)
-    r0, r1, length, height = (
-        _number(params.get(k, d), k)
-        for k, d in (("r0", 0.5), ("r1", 1.0), ("length", 2.0 * np.pi), ("height", 1.0))
-    )
-    if kind in ("annulus", "annulus_log"):
-        if n != 2 or not (0 < r0 < r1):
-            raise BadGeometry(f"{kind} needs a 2d grid and 0 < r0 < r1")
-        normal = (np.linspace(r0, r1, shape[1]) if kind == "annulus"
-                  else np.linspace(0.0, np.log(r1 / r0), shape[1]))
-        coords = [np.arange(shape[0]) * (2.0 * np.pi / shape[0]), normal]
-        metric = _metric_annulus if kind == "annulus" else _metric_annulus_log(r0)
-        return Chart(kind, shape, coords, [True, False], metric, {"r0": r0, "r1": r1})
-    if kind == "periodic_slab":
-        coords = [np.arange(shape[ax]) * (length / shape[ax]) for ax in range(n - 1)]
-        coords.append(np.linspace(0.0, height, shape[-1]))
-        return Chart(kind, shape, coords, [True] * (n - 1) + [False],
-                     _metric_identity(n), {"length": length, "height": height})
-    if kind == "cylindrical_shell":
-        if n != 3 or not (0 < r0 < r1):
-            raise BadGeometry("cylindrical_shell needs a 3d grid and 0 < r0 < r1")
-        coords = [
-            np.arange(shape[0]) * (2.0 * np.pi / shape[0]),
-            np.arange(shape[1]) * (length / shape[1]),
-            np.linspace(r0, r1, shape[2]),
-        ]
-        return Chart(kind, shape, coords, [True, True, False], _metric_shell,
-                     {"r0": r0, "r1": r1, "length": length})
+    if kind not in CHART_KINDS:
+        raise BadGeometry(f"unknown chart kind: {kind!r}")
+    accepted = _KIND_PARAMS[kind]
+    for name in params:
+        if name not in accepted:
+            raise BadGeometry(
+                f"chart parameter {name!r} is not read by {kind}, which takes "
+                + ", ".join(accepted)
+            )
     if kind == "custom":
-        metric = params.get("metric")
-        extents = params.get("extents")
-        periodic = params.get("periodic", [True] * (n - 1) + [False])
+        metric, extents = params.get("metric"), params.get("extents")
+        periodic = [True] * (n - 1) + [False]
         if not callable(metric):
             raise BadGeometry("a custom chart needs metric=callable(mesh)")
         if not isinstance(extents, (list, tuple)) or len(extents) != n or any(
             np.size(e) != 2 for e in extents
         ):
             raise BadGeometry(f"a custom chart needs one (lo, hi) extent per axis ({n})")
-        if not isinstance(periodic, (list, tuple)) or len(periodic) != n:
-            raise BadGeometry(f"a custom chart needs one periodic flag per axis ({n})")
         coords = []
         for ax in range(n):
             lo, hi = (_number(e, f"extents[{ax}]") for e in extents[ax])
@@ -441,9 +429,30 @@ def build_chart(kind, shape, **params):
                 coords.append(lo + np.arange(shape[ax]) * ((hi - lo) / shape[ax]))
             else:
                 coords.append(np.linspace(lo, hi, shape[ax]))
-        numeric = {k: v for k, v in params.items() if isinstance(v, (int, float))}
-        return Chart(kind, shape, coords, periodic, metric, numeric)
-    raise BadGeometry(f"unknown chart kind: {kind!r}")
+        return Chart(kind, shape, coords, periodic, metric)
+    p = {k: _number(params.get(k, d), k) for k, d in accepted.items()}
+    r0, r1, length, height = (p.get(k) for k in ("r0", "r1", "length", "height"))
+    if kind in ("annulus", "annulus_log"):
+        if n != 2 or not (0 < r0 < r1):
+            raise BadGeometry(f"{kind} needs a 2d grid and 0 < r0 < r1")
+        normal = (np.linspace(r0, r1, shape[1]) if kind == "annulus"
+                  else np.linspace(0.0, np.log(r1 / r0), shape[1]))
+        coords = [np.arange(shape[0]) * (2.0 * np.pi / shape[0]), normal]
+        metric = _metric_annulus if kind == "annulus" else _metric_annulus_log(r0)
+        return Chart(kind, shape, coords, [True, False], metric, p)
+    if kind == "periodic_slab":
+        coords = [np.arange(shape[ax]) * (length / shape[ax]) for ax in range(n - 1)]
+        coords.append(np.linspace(0.0, height, shape[-1]))
+        return Chart(kind, shape, coords, [True] * (n - 1) + [False],
+                     _metric_identity(n), p)
+    if n != 3 or not (0 < r0 < r1):
+        raise BadGeometry("cylindrical_shell needs a 3d grid and 0 < r0 < r1")
+    coords = [
+        np.arange(shape[0]) * (2.0 * np.pi / shape[0]),
+        np.arange(shape[1]) * (length / shape[1]),
+        np.linspace(r0, r1, shape[2]),
+    ]
+    return Chart(kind, shape, coords, [True, True, False], _metric_shell, p)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
-import os
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field, fields
 
@@ -47,7 +46,6 @@ from .fields import (
     OneForm,
     Section,
     check_dbc,
-    dump_field,
     l2_inner,
     l2_norm,
     random_smooth_field,
@@ -994,25 +992,3 @@ def emit_study(report):
             lines.append("")
     return "\n".join(lines) + "\n"
 
-
-def dump_run_fields(cfg, outdir):
-    """Write representative fields of a run as text dumps."""
-    os.makedirs(outdir, exist_ok=True)
-    ch = _chart(cfg)
-    A = _rand_connection(ch, cfg.seed + 11)
-    eta = random_smooth_field(ch, "oneform", cfg.seed + 21)
-    alpha = horizontal_project(eta, A, tol=cfg.solve_tol)
-    written = []
-    for name, fld in (("connection", A.eta), ("horizontal", alpha)):
-        path = os.path.join(outdir, f"{name}.txt")
-        dump_field(fld, path, seed=cfg.seed)
-        written.append(path)
-    if ch.n == 2:
-        psi = band_profile(ch, side=0)
-        res = boundary_chart_inverse(psi, side=0)
-        for name, fld in (("psi", psi), ("inverse-alpha", res.alpha),
-                          ("inverse-beta", res.beta)):
-            path = os.path.join(outdir, f"{name}.txt")
-            dump_field(fld, path, seed=cfg.seed)
-            written.append(path)
-    return written

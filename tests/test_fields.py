@@ -1,11 +1,10 @@
-"""Fields: inner products, boundary traces, seeded smoothness, dump format."""
+"""Fields: inner products, boundary traces, seeded smoothness."""
 
 import numpy as np
 import pytest
 
 from gaugekit import (
     ALGEBRA_DIM,
-    BadGeometry,
     OneForm,
     RankMismatch,
     ScalarField,
@@ -14,10 +13,8 @@ from gaugekit import (
     build_chart,
     check_dbc,
     d_A,
-    dump_field,
     l2_inner,
     l2_norm,
-    load_field,
     random_smooth_field,
 )
 from gaugekit.fields import exterior_d, normal_component
@@ -299,50 +296,3 @@ def test_sup_is_the_largest_magnitude(ann32):
         assert Section(ann32, x).sup() == float(np.max(np.abs(x)))
     zero = Section(ann32, -np.zeros(ann32.shape + (ALGEBRA_DIM,))).sup()
     assert zero == 0.0 and not np.signbit(zero)
-
-
-def test_dump_reload_roundtrip(tmp_path, ann32):
-    f = random_smooth_field(ann32, "oneform", 7)
-    path = tmp_path / "field.txt"
-    dump_field(f, str(path), seed=7)
-    g = load_field(str(path))
-    assert g.chart.kind == ann32.kind and g.chart.shape == ann32.shape
-    np.testing.assert_allclose(g.data, f.data, atol=1e-15)
-
-
-def _drop(prefix):
-    return lambda lines: [ln for ln in lines if not ln.startswith(prefix)]
-
-
-def _edit(old, new):
-    return lambda lines: [new if ln == old else ln for ln in lines]
-
-
-# header edits of a dumped annulus 8^2 section, each a malformed dump
-MALFORMED_DUMPS = {
-    "unknown-rank": _edit("rank section", "rank threeform"),
-    "no-kind": _drop("kind "),
-    "no-shape": _drop("shape "),
-    "no-rank": _drop("rank "),
-    "no-values-line": _drop("values "),
-    "blank-line": lambda lines: lines[:2] + [""] + lines[2:],
-    "shape-not-numeric": _edit("shape 8 8", "shape 8 eight"),
-    "param-not-numeric": _edit("param r0 0.5", "param r0 half"),
-    "param-without-value": _edit("param r0 0.5", "param r0"),
-    "value-not-numeric": lambda lines: lines[:-1] + ["nan?"],
-    "one-value-short": lambda lines: lines[:-1],
-    "count-disagrees": _edit("values 192", "values 191"),
-    # checked against the values before a chart of that shape is built
-    "shape-beyond-values": _edit("shape 8 8", "shape 100000 100000"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(MALFORMED_DUMPS))
-def test_malformed_dumps_raise_bad_geometry(tmp_path, case):
-    ch = build_chart("annulus", (8, 8))
-    path = tmp_path / "field.txt"
-    dump_field(random_smooth_field(ch, "section", 1), str(path), seed=3)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(MALFORMED_DUMPS[case](lines)) + "\n")
-    with pytest.raises(BadGeometry):
-        load_field(str(path))

@@ -207,6 +207,11 @@ _MALFORMED = [
     ("periodic_slab", (16, 16), {"height": -1.0}, "steps must be finite and positive"),
     ("periodic_slab", (16, 16), {"length": 0.0}, "steps must be finite and positive"),
     ("cylindrical_shell", (8, 8, 8), {"length": -2.0}, "steps must be finite and positive"),
+    # a parameter the kind does not read: misspelled, or another kind's
+    ("annulus", (16, 16), {"r_0": 0.7}, "'r_0' is not read by annulus, which takes r0, r1"),
+    ("annulus", (16, 16), {"length": 1.0}, "'length' is not read by annulus"),
+    ("custom", (16, 16), {"extents": [(0.0, 1.0), (0.0, 1.0)], "periodic": [True, False]},
+     "'periodic' is not read by custom, which takes metric, extents"),
 ]
 
 
@@ -242,7 +247,7 @@ def test_bad_geometry_rejected():
         custom(diagonal(-1.0, -1.0))
     with pytest.raises(BadGeometry, match="metric entries must be finite"):
         custom(diagonal(np.nan, 1.0))
-    with pytest.raises(BadGeometry, match="periodic flag per axis"):
+    with pytest.raises(BadGeometry, match="'periodic' is not read by custom"):
         build_chart("custom", (16, 16), metric=diagonal(1.0, 1.0),
                     extents=[(0.0, 1.0), (0.0, 1.0)], periodic=[True])
     with pytest.raises(BadGeometry, match=r"extents\[1\]='a'"):

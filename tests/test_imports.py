@@ -6,16 +6,18 @@ passed by some package or benchmark call or is a named entry parameter, only
 the harness's ladder-check helper names the ladder statistics, the face
 layer's one-sided derivative and inward sign are read only in geometry,
 numpy.linalg is reached only by one geometry helper, for LAPACK's
-determinant, only the harness's pair projection starts threads, and only
-the stencils' pair helpers compute an axis stride or slice a flat array by
-it."""
+determinant, only the harness's pair projection starts threads, only the
+stencils' pair helpers compute an axis stride or slice a flat array by it,
+and the command line has exactly its pinned commands and flags."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
 
 import gaugekit
+from gaugekit import cli
 
 _PACKAGE = Path(gaugekit.__file__).parent
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -417,8 +419,6 @@ _ENTRY_POINTS = {
     "commutator_decompose",
     # the paper's flat restriction operator, next to its connected form
     "boundary_operator_T0",
-    # reads back what `gaugekit dump` writes
-    "load_field",
     # the metric's star on 2-d one- and two-forms, which the package applies
     # through its private kernels (`_star_oneform`, `_star_twoform`)
     "hodge_star",
@@ -451,10 +451,10 @@ def _unused_exports(init_source, sources):
 
 
 def test_the_check_sees_an_unused_export():
-    init = "from .a import helper, kept, load_field\nfrom .b import Used\n"
+    init = "from .a import helper, kept, hodge_star\nfrom .b import Used\n"
     sources = {
         "a.py": "def helper():\n    pass\ndef kept():\n    return helper\n"
-                "def load_field():\n    pass\n",
+                "def hodge_star():\n    pass\n",
         "b.py": "from .a import kept\nclass Used:\n    pass\n",
         "c.py": "import b\nb.Used()\n",
     }
@@ -499,8 +499,6 @@ _ENTRY_PARAMETERS = {
     # the Green solve's iteration cap, below the default 200 sqrt(#nodes)
     # for a caller that bounds a solve's time
     ("green_A", "maxiter"),
-    # a custom chart's dump reloads only onto the chart given here
-    ("load_field", "chart"),
     # the command line's arguments, which the console script reads from sys.argv
     ("main", "argv"),
     # the group logarithm's margin from the cut locus, which its property
@@ -595,3 +593,33 @@ def test_every_defaulted_parameter_is_passed_or_an_entry_parameter():
     assert sorted(set(_unpassed_parameters(public, callers)) - _ENTRY_PARAMETERS) == []
     # each entry parameter still exists
     assert _ENTRY_PARAMETERS <= _defaulted_parameters(public)
+
+
+#: the command line: each command's flags and positional arguments. A new
+#: command or flag edits this pin, with the reason it is needed, as a
+#: defaulted parameter that nothing passes edits `_ENTRY_PARAMETERS`
+_RUN_FLAGS = ["--config", "--seed", "--grid", "--domain", "--out"]
+_COMMAND_LINE = {
+    "verify": (_RUN_FLAGS + ["--format"], ["suites"]),
+    "study": (_RUN_FLAGS, ["suites"]),
+}
+
+
+def _command_line(parser):
+    """{command: (flags, positional arguments)} of an argparse parser's
+    subcommands, without the help flag."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: (
+            [f for a in sp._actions for f in a.option_strings if f not in ("-h", "--help")],
+            [a.dest for a in sp._actions if not a.option_strings],
+        )
+        for name, sp in sub.choices.items()
+    }
+
+
+def test_the_command_line_is_pinned():
+    parser = cli.build_parser()
+    assert _command_line(parser) == _COMMAND_LINE
+    # no flag before the command
+    assert [f for a in parser._actions for f in a.option_strings] == ["-h", "--help"]
