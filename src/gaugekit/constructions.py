@@ -423,6 +423,7 @@ def generator_for_boundary_data(target, side=0, solve_tol=1e-10, _shared=None):
         profile = face_coef[:, None] * plateau[None, :] * ext
         src += (profile * chi[None, :])[..., None] * coeff_bracket(_unit((d + 2) % 3), _unit(d))
     g = green_A(Section(ch, src), tol=solve_tol) if active else None
+    del src
     pairs = []
     u = Section.zeros(ch)
     for d in active:
@@ -430,8 +431,9 @@ def generator_for_boundary_data(target, side=0, solve_tol=1e-10, _shared=None):
         g_d = Section.zeros(ch)
         g_d.data[..., k] = g.data[..., k]
         h_d = Section(ch, wvals[..., None] * _unit((d + 2) % 3))
-        u = u + Section(ch, coeff_bracket(g_d.data, h_d.data))
+        u.data += coeff_bracket(g_d.data, h_d.data)  # rounds as u + [g_d, h_d]
         pairs.append((g_d, h_d))
+    del g
 
     realized = boundary_operator_T(u)
     scale = max(target.sup(), _TINY)
@@ -499,7 +501,8 @@ def full_decompose(u, kernel_gate=0.25, solve_tol=1e-10):
     Stage one realizes the obstruction trace of u through commutator pairs
     at both faces; stage two solves the remainder back from its Laplacian,
     which passes the (loosened) kernel gate because stage one already
-    matched the trace.
+    matched the trace. It holds one face's generator result at a time: each
+    is dropped once its u, realized trace and pair count are read.
     """
     ch = u.chart
     trace = boundary_operator_T(u)
@@ -515,13 +518,14 @@ def full_decompose(u, kernel_gate=0.25, solve_tol=1e-10):
         gen = generator_for_boundary_data(
             trace, side=side, solve_tol=solve_tol, _shared=wvals
         )
-        u_comm = u_comm + gen.u
+        u_comm.data += gen.u.data
         # each call targets one face; the other face's trace is left to the
         # call that targets it
         face = trace.values[side]
         miss = float(np.max(np.abs(gen.realized.values[side] - face)))
         gen_res = max(gen_res, miss / max(float(np.max(np.abs(face))), _TINY))
         n_pairs += len(gen.pairs)
+        del gen  # before the other face's generator
     v = u - u_comm
     kd = kernel_decompose(v, gate=kernel_gate, solve_tol=solve_tol)
     recombined = u_comm + kd.reconstruction

@@ -60,6 +60,7 @@ from .geometry import (
 from .operators import (
     Connection,
     SolveInfo,
+    _build_solve_caches,
     bracket_dot,
     codiff_A,
     d_A,
@@ -432,7 +433,10 @@ def _project_pair(e1, e2, A, tol):
     each is computed as alone, so the pair is bit for bit the two projections
     in turn; numpy releases the GIL in their array loops. An error of the
     first projection is raised before one of the second, as in turn.
-    `horizontal_project` is looked up at call time."""
+    `horizontal_project` is looked up at call time. What the projections
+    cache on A and its chart is built here, before the worker starts, so
+    that the two threads never both build it."""
+    _build_solve_caches(A)
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
         first = pool.submit(horizontal_project, e1, A, tol=tol)
         try:

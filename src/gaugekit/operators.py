@@ -54,7 +54,14 @@ one iteration. Solves under a connection, and flat solves on other charts,
 use the Jacobi diagonal, which the chart caches as a normal profile. Each
 solve allocates its work buffers once and reuses them in every iteration:
 four CG arrays (the preconditioned residual and the product A p share one)
-and three of energy-form scratch. The CG state is whole component-first
+and three of energy-form scratch (two when the connection is flat). The
+scratch buffers are views of one block, which also holds the separable
+solve's spectrum: they are dead from the end of one energy apply until the
+next inner product, which is when the preconditioner runs. So a warm flat
+solve allocates nothing field-sized beyond its work arrays. The one
+condition is that the scratch stays finite (`_scratch`); the spectrum is
+finite whenever the residual is, and the solve checks the residual before
+each preconditioner step. The CG state is whole component-first
 node arrays whose Dirichlet face rows stay zero, so its updates are
 contiguous loops; the inner products multiply the interior rows, viewed
 once per solve, into a node-major buffer and sum there, in the order of a
@@ -63,7 +70,8 @@ iteration and replayed in every later one. The buffers and the recorded
 calls belong to the call, not to the chart or the module, because the two
 projections of a horizontal pair solve at once on two threads in the
 harness; what a chart or a connection caches is published only once it is
-complete.
+complete, and the pair builds it before its worker starts
+(`_build_solve_caches`).
 
 The boundary operators share one face map r_A(u) = d_A u(nu) + 2(n-1) H u
 (`_face_map`), the one place the mean curvature H enters: T0 is the flat
@@ -200,7 +208,9 @@ def _mids(ch, ax, a):
 class _Scratch(tuple):
     """The (gradient, sum, bracket) buffers of `_scratch`. `plan` is
     (A, x, out, calls): the calls of the last `_energy_apply` made with
-    these buffers, and the connection and arrays they were recorded for."""
+    these buffers, and the connection and arrays they were recorded for.
+    `spectrum` is the separable solve's complex spectrum, over the same
+    memory."""
 
     plan = None
 
@@ -208,16 +218,31 @@ class _Scratch(tuple):
 def _scratch(A, ncomp=ALGEBRA_DIM):
     """Work buffers of one energy-form evaluation under the connection A:
     (gradient, sum, bracket), shared by all axes, for ncomp components (3
-    under a connection).
+    under a connection; no bracket buffer when A is flat).
 
     They are node-shaped and contiguous: on the bounded axis the N-1
     midpoints lead and the last slot is a pad, which the zero pad of
-    `Chart.padded_cell_c` clears (they start as zeros: a NaN pad would not
-    clear). The sum buffer is also the transposes' node output.
+    `Chart.padded_cell_c` clears. So the buffers must hold finite values
+    between evaluations: a NaN pad would not clear. They start as zeros.
+    The sum buffer is also the transposes' node output.
+
+    The buffers are consecutive views of one block, which also holds the
+    separable solve's spectrum from its start (`_Scratch.spectrum`); the
+    block is sized so that the spectrum always fits.
     """
     ch = A.chart
     shape = (ncomp,) + ch.shape
-    return _Scratch((np.zeros(shape), np.zeros(shape), None if A.is_flat else np.zeros(shape)))
+    size = math.prod(shape)
+    nbuf = 2 if A.is_flat else 3
+    # the spectrum: the interior normal nodes first, then the components and
+    # the tangential modes, the last axis the rfft's half spectrum
+    *tang, nn = ch.shape
+    spec = (nn - 2, ncomp, *tang[:-1], tang[-1] // 2 + 1)
+    block = np.zeros(max(nbuf * size, 2 * math.prod(spec)))
+    bufs = [block[k * size:(k + 1) * size].reshape(shape) for k in range(nbuf)]
+    out = _Scratch(bufs + [None] * (3 - nbuf))
+    out.spectrum = block[:2 * math.prod(spec)].view(complex).reshape(spec)
+    return out
 
 
 def _half_bracket(u, v, out, tmp, calls=None):
@@ -482,19 +507,13 @@ class SolveInfo:
     converged: bool = False
 
 
-def _separable_solver(ch):
-    """Direct solve of the flat energy matrix on a tangentially uniform chart.
-
-    There S = sum_t L_t (x) diag(c_t) + I (x) K_n, with L_t the circulant
-    deriv_mid^T deriv_mid along tangential axis t and c_t, c_n the normal
-    profiles of the cell coefficients. A real FFT over the tangential axes
-    leaves one SPD tridiagonal system sum_t lam_t(k) c_t + K_n per mode, with
-    lam_t(k) = 4 sin^2(pi k / N_t) / h_t^2, on the interior normal nodes;
-    a batched Thomas sweep solves them. The pivots are cached on the chart.
-    """
-    n = ch.n
-    tang = tuple(range(n - 1))  # chart axes
+def _separable_pivots(ch):
+    """Thomas pivots (off, mult, inv) of the flat energy matrix on a
+    tangentially uniform chart, per interior normal node and mode (see
+    `_separable_solver`), cached on the chart."""
     if ch._separable is None:
+        n = ch.n
+        tang = tuple(range(n - 1))  # chart axes
         c = ch.cell_c
         t0 = (0,) * (n - 1)
         col = (-1,) + (1,) * (n - 1)
@@ -516,17 +535,49 @@ def _separable_solver(ch):
             mult[j] = off[j - 1] * inv[j - 1]
             inv[j] = 1.0 / (diag[j] - mult[j] * off[j - 1])
         ch._separable = (off, mult[:, None], inv[:, None])
-    off, mult, inv = ch._separable
-    axes = tuple(t + 1 for t in tang)  # behind the component axis
+    return ch._separable
+
+
+def _separable_solver(ch, spectrum):
+    """Direct solve of the flat energy matrix on a tangentially uniform chart.
+
+    There S = sum_t L_t (x) diag(c_t) + I (x) K_n, with L_t the circulant
+    deriv_mid^T deriv_mid along tangential axis t and c_t, c_n the normal
+    profiles of the cell coefficients. A real FFT over the tangential axes
+    leaves one SPD tridiagonal system sum_t lam_t(k) c_t + K_n per mode, with
+    lam_t(k) = 4 sin^2(pi k / N_t) / h_t^2, on the interior normal nodes;
+    a batched Thomas sweep solves them. The pivots are cached on the chart
+    (`_separable_pivots`).
+
+    `solve(r, out)` reads the interior rows r of a component-first residual
+    and writes the interior rows `out` of the result. The spectrum lives in
+    `spectrum` (a `_Scratch.spectrum`), normal axis first, so that the sweep
+    runs over contiguous rows. The transforms run one axis at a time, in
+    place, with out=: rfft along the last tangential axis, then fft along
+    the others, and the reverse for the inverse. That is the order of rfftn
+    and irfftn, and the same numbers bit for bit. So a solve allocates
+    nothing field-sized; the sweep's temporaries are one normal row each.
+    The spectrum is finite whenever r is, which keeps the scratch pads
+    finite.
+    """
+    off, mult, inv = _separable_pivots(ch)
+    last = ch.n - 1  # the last tangential axis, behind the component axis
+    nt = ch.shape[last - 1]
+    y = spectrum
+    modes = np.moveaxis(y, 0, ch.n)  # the spectrum in the layout of r
 
     def solve(r, out):
-        y = np.moveaxis(np.fft.rfftn(r, axes=axes), n, 0).copy()
+        np.fft.rfft(r, axis=last, out=modes)
+        for t in range(last - 1, 0, -1):
+            np.fft.fft(modes, axis=t, out=modes)
         for j in range(1, y.shape[0]):
             y[j] -= mult[j] * y[j - 1]
         y[-1] *= inv[-1]
         for j in range(y.shape[0] - 2, -1, -1):
             y[j] = (y[j] - off[j] * y[j + 1]) * inv[j]
-        out[...] = np.fft.irfftn(np.moveaxis(y, 0, n), s=ch.shape[:-1], axes=axes)
+        for t in range(1, last):
+            np.fft.ifft(modes, axis=t, out=modes)
+        np.fft.irfft(modes, n=nt, axis=last, out=out)
 
     return solve
 
@@ -545,7 +596,10 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
     Each iteration makes one `_energy_apply` call on the solve's own search
     direction, product and scratch arrays: the first records the energy
     form's ufunc calls on the scratch set, and every later one replays them.
-    The list lives as long as the solve.
+    The list lives as long as the solve. The separable solve keeps its
+    spectrum in that scratch, which the residual check before each
+    preconditioner step keeps finite; so a warm flat solve allocates nothing
+    field-sized beyond its work arrays and its result.
     """
     if not isinstance(g, Section):
         raise RankMismatch("green_A expects a Section right-hand side")
@@ -581,8 +635,8 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
         raise _no_convergence(info, 0, math.nan, "met a non-finite right-hand side")
     if maxiter is None:
         maxiter = int(200 * np.sqrt(float(np.prod(ch.shape))))
-    if A.is_flat and ch.is_tangentially_uniform:
-        solve = _separable_solver(ch)
+    if _is_separable(A):
+        solve = _separable_solver(ch, scratch.spectrum)
         pre = lambda v, out: solve(v[ic], out[ic])
     else:
         dinv = _jacobi_inverse(ch)
@@ -618,6 +672,25 @@ def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):
     sol = Section.zeros(ch)
     sol.data[ii] = np.moveaxis(x[ic], 0, -1)
     return sol
+
+
+def _is_separable(A):
+    """Whether a Green solve under A is preconditioned by the separable
+    solve; otherwise it takes the Jacobi diagonal."""
+    return A.is_flat and A.chart.is_tangentially_uniform
+
+
+def _build_solve_caches(A):
+    """Build what a projection under A caches: the connection's midpoint
+    averages, and the chart's separable pivots or Jacobi profile, whichever
+    its Green solve reads. `harness._project_pair` calls it before its
+    worker thread starts, so that the pair's two projections never both
+    build one of them."""
+    A._mid_A(0)  # every axis's average, or nothing when A is flat
+    if _is_separable(A):
+        _separable_pivots(A.chart)
+    else:
+        _jacobi_inverse(A.chart)
 
 
 def _jacobi_inverse(ch):

@@ -38,7 +38,7 @@ from gaugekit.errors import (
 )
 from gaugekit.fields import check_dbc
 from gaugekit.geometry import BoundaryField
-from gaugekit.harness import RunConfig, run_suite
+from gaugekit.harness import RunConfig, make_boundary_target, run_suite
 from gaugekit.operators import boundary_operator_T, bracket_dot, codiff_2form
 
 
@@ -430,6 +430,31 @@ def test_suite_solves_per_rung(green_rhs, suite, per_rung):
     res = run_suite(suite, cfg)
     assert res.passed
     assert len(green_rhs) == per_rung * len(cfg.ladder_shapes())
+
+
+@pytest.mark.parametrize("stage, bound", [("generator", 11.5), ("full-decompose", 12.5)])
+def test_flat_construction_peak_memory(stage, bound):
+    # tracemalloc peak of one warm call at annulus 128^2 on its suite's
+    # input, in sections: 11.03 and 12.06 measured. It was 12.7 and 20.7
+    # while the generator kept its source and its solution to the end and
+    # full_decompose kept one face's generator result through the other's
+    import tracemalloc
+
+    ch = build_chart("annulus", (128, 128))
+    if stage == "generator":
+        target = make_boundary_target(ch, 0, 55)
+        call = lambda: generator_for_boundary_data(target)
+    else:
+        u = random_smooth_field(ch, "section", 100)
+        call = lambda: full_decompose(u, kernel_gate=0.9)
+    call()  # builds the chart coefficients and the separable pivots
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / Section.zeros(ch).data.nbytes <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from gaugekit import build_chart, cli, harness, horizontal_project, random_smooth_field
+from gaugekit import _stencils as st
+from gaugekit import (
+    Connection,
+    build_chart,
+    cli,
+    harness,
+    horizontal_project,
+    random_smooth_field,
+)
 from gaugekit.errors import ConfigError, NoConvergence
 from gaugekit.harness import (
     Check,
@@ -503,6 +511,29 @@ def test_pair_projection_is_the_two_projections_in_turn(kind, shape):
     al, be = harness._project_pair(e1, e2, A, 1e-10)
     assert np.array_equal(al.data, horizontal_project(e1, A, tol=1e-10).data)
     assert np.array_equal(be.data, horizontal_project(e2, A, tol=1e-10).data)
+
+
+@pytest.mark.parametrize("connected", [True, False], ids=["connected", "flat"])
+def test_pair_projection_builds_each_cache_once(monkeypatch, connected):
+    # what the two projections cache is built before the worker starts, so
+    # neither thread builds it again: the connection's midpoint averages and
+    # the chart's Jacobi profile, or, when flat, the separable pivots alone
+    ch = build_chart("cylindrical_shell", (8, 8, 10))
+    A = harness._rand_connection(ch, 5) if connected else Connection.flat(ch)
+    e1 = random_smooth_field(ch, "oneform", 6)
+    e2 = random_smooth_field(ch, "oneform", 7)
+    calls = {"avg_mid": [], "avg_mid_t": []}
+    for name, seen in calls.items():
+        def counted(*args, _real=getattr(st, name), _seen=seen, **kw):
+            _seen.append(1)  # atomic on either thread
+            return _real(*args, **kw)
+        monkeypatch.setattr(st, name, counted)
+    harness._project_pair(e1, e2, A, 1e-10)
+    # each projection's codifferential averages every axis once more
+    averages = (3 if connected else 2) * ch.n
+    assert {k: len(v) for k, v in calls.items()} == {
+        "avg_mid": averages, "avg_mid_t": ch.n if connected else 0}
+    assert (ch._jacobi is not None) == connected and (ch._separable is None) == connected
 
 
 @pytest.mark.parametrize("failing", ["worker", "caller", "both"])

@@ -6,7 +6,8 @@ passed by some package or benchmark call or is a named entry parameter, only
 the harness's ladder-check helper names the ladder statistics, the face
 layer's one-sided derivative and inward sign are read only in geometry,
 numpy.linalg is reached only by one geometry helper, for LAPACK's
-determinant, only the harness's pair projection starts threads, only the
+determinant, numpy.fft only by the separable solve, every call of it with
+out=, only the harness's pair projection starts threads, only the
 stencils' pair helpers compute an axis stride or slice a flat array by it,
 and the command line has exactly its pinned commands and flags."""
 
@@ -234,6 +235,72 @@ def test_only_the_geometry_module_uses_linalg(path):
     if helper:
         # one determinant call, in the helper
         assert called == ["det"]
+
+
+#: the one function that may use numpy.fft: the separable solve, whose
+#: transforms write into the Green solve's scratch
+_FFT_HELPER = ("operators.py", "_separable_solver")
+
+
+def _fft_uses(source, helper=None):
+    """Lines that reach numpy.fft outside the module-level function `helper`
+    (a `.fft` attribute, or an import of numpy.fft or of its names), the
+    numpy.fft functions that `helper` calls, and the lines of those calls
+    that pass no `out=`."""
+    tree = ast.parse(source)
+
+    def lines(root):
+        found = set()
+        for node in ast.walk(root):
+            if isinstance(node, ast.Attribute) and node.attr == "fft":
+                found.add(node.lineno)
+            elif isinstance(node, ast.Import) and any(
+                a.name.startswith("numpy.fft") for a in node.names
+            ):
+                found.add(node.lineno)
+            elif isinstance(node, ast.ImportFrom) and (
+                (node.module or "").startswith("numpy.fft")
+                or (node.module == "numpy" and any(a.name == "fft" for a in node.names))
+            ):
+                found.add(node.lineno)
+        return found
+
+    helpers = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == helper]
+    inside = set().union(*(lines(fn) for fn in helpers))
+    calls = [
+        node for fn in helpers for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "fft"
+    ]
+    called = sorted({node.func.attr for node in calls})
+    no_out = sorted(node.lineno for node in calls if all(k.arg != "out" for k in node.keywords))
+    return sorted(lines(tree) - inside), called, no_out
+
+
+def test_the_check_sees_an_fft_without_out():
+    src = (
+        "import numpy as np\nfrom numpy import fft, sum\n"
+        "import numpy.fft as nf\nfrom numpy.fft import rfft\n"
+        "y = np.fft.rfftn(a)\n"
+        "def _separable_solver(ch, spec):\n"
+        "    def solve(r, out):\n"
+        "        np.fft.rfft(r, axis=1, out=spec)\n"
+        "        np.fft.irfft(spec, n=4, axis=1)\n"
+        "    return solve\n"
+        "def other(r):\n    return np.fft.fft(r, out=r)\n"
+    )
+    assert _fft_uses(src) == ([2, 3, 4, 5, 8, 9, 12], [], [])
+    assert _fft_uses(src, "_separable_solver") == ([2, 3, 4, 5, 12], ["irfft", "rfft"], [9])
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_separable_solve_uses_fft_and_always_with_out(path):
+    helper = _FFT_HELPER[1] if path.name == _FFT_HELPER[0] else None
+    outside, called, no_out = _fft_uses(path.read_text(), helper)
+    assert outside == [] and no_out == []
+    if helper:
+        # one axis at a time, each transform written into the scratch
+        assert called == ["fft", "ifft", "irfft", "rfft"]
 
 
 #: the one function that starts threads, and the names that start them

@@ -5,8 +5,9 @@ broadcast the stored diagonal of the metric, and the energy coefficients
 read g^aa as 1/g_aa. The energy form pairs padded node-shaped buffers as
 flat shifts, folds the 1/2 of its averages into the bracket, and replays
 the ufunc calls it recorded on its scratch set; the Green solve keeps its
-CG state on whole node arrays. Each is compared here with the formula or
-loop it replaced.
+CG state on whole node arrays, and its separable preconditioner transforms
+one axis at a time in that scratch. Each is compared here with the formula
+or loop it replaced.
 """
 
 import numpy as np
@@ -28,6 +29,7 @@ from gaugekit.operators import (
     SolveInfo,
     _energy_apply,
     _scratch,
+    _separable_pivots,
     _separable_solver,
     bracket_dot,
     d_A_cell,
@@ -259,6 +261,25 @@ def _ref_energy(A, x):
     return _ref_div(A, [_ref_grad(A, x, ax) for ax in range(A.chart.n)])
 
 
+def _ref_separable(ch):
+    """The separable solve through the composite transforms: rfftn, the
+    spectrum moved normal axis first and copied, the Thomas sweep, irfftn."""
+    n = ch.n
+    off, mult, inv = _separable_pivots(ch)
+    axes = tuple(range(1, n))
+
+    def solve(r, out):
+        y = np.moveaxis(np.fft.rfftn(r, axes=axes), n, 0).copy()
+        for j in range(1, y.shape[0]):
+            y[j] -= mult[j] * y[j - 1]
+        y[-1] *= inv[-1]
+        for j in range(y.shape[0] - 2, -1, -1):
+            y[j] = (y[j] - off[j] * y[j + 1]) * inv[j]
+        out[...] = np.fft.irfftn(np.moveaxis(y, 0, n), s=ch.shape[:-1], axes=axes)
+
+    return solve
+
+
 def _ref_green(g, A, tol=1e-10):
     """The Jacobi- or separable-preconditioned CG loop on interior arrays,
     with the search direction the interior of a zero-padded node array."""
@@ -273,7 +294,7 @@ def _ref_green(g, A, tol=1e-10):
         return float(prod.sum())
 
     if A.is_flat and ch.is_tangentially_uniform:
-        pre = _separable_solver(ch)
+        pre = _ref_separable(ch)
     else:
         diag = sum(
             _ref_pair_t(c, ax, ch.periodic[ax], np.add) * 0.5 * 2.0 / ch.h[ax] ** 2
@@ -329,6 +350,32 @@ def test_energy_form_and_green_solve_match_the_sliced_loop(chart, connected):
     ref_sol, ref_iters = _ref_green(g, A)
     assert info.iterations == ref_iters
     assert np.array_equal(sol.data[ch.interior_slice()], ref_sol)
+
+
+@pytest.mark.parametrize("connected", [True, False], ids=["connected", "flat"])
+@pytest.mark.parametrize("kind, shape", [
+    *CHARTS.values(),
+    ("annulus", (15, 12)),  # an odd half spectrum
+    ("cylindrical_shell", (16, 16, 20)),  # a spectrum larger than one buffer
+], ids=[*CHARTS, "annulus15x12", "shell16x16x20"])
+def test_separable_solve_matches_the_composite_transforms(kind, shape, connected):
+    # the transforms one axis at a time, in place in the scratch block, give
+    # rfftn and irfftn bit for bit; the second solve starts from the first
+    # one's spectrum, and the first from an energy apply's leftovers
+    ch = build_chart(kind, shape)
+    A = Connection(ch, random_smooth_field(ch, "oneform", 3, scale=0.3) if connected else None)
+    scratch = _scratch(A)
+    assert np.shares_memory(scratch.spectrum, scratch[0])
+    x = np.ascontiguousarray(np.moveaxis(random_smooth_field(ch, "section", 4).data, -1, 0))
+    _energy_apply(A, x, np.empty_like(x), scratch)
+    solve, ref = _separable_solver(ch, scratch.spectrum), _ref_separable(ch)
+    ic = (slice(None),) + ch.interior_slice()
+    for seed in (5, 6):
+        r = np.ascontiguousarray(np.moveaxis(random_smooth_field(ch, "section", seed).data, -1, 0))
+        got, want = np.zeros_like(r), np.zeros_like(r)
+        solve(r[ic], got[ic])
+        ref(r[ic], want[ic])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("connected", [True, False], ids=["connected", "flat"])
