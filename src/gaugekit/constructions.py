@@ -3,11 +3,12 @@
 The forward statements (boundary identity, obstruction) say what the
 curvature image cannot reach; this module builds the reaching side. Window
 inverses produce horizontal one-form pairs whose bracket product equals a
-prescribed profile exactly; the generator realizes prescribed boundary data
-through commutators of Green potentials whose sources live in a collar at
-the face; the kernel stage solves what is left back from its pointwise
-Laplacian once its obstruction trace passes a gate. All constructions live
-on 2d charts whose diagonal metric does not vary along the tangential axis.
+prescribed profile exactly; the generator realizes prescribed data on both
+faces through rank-one commutators, one per algebra direction, of Green
+potentials whose collar sources are solved at once; the kernel stage solves
+what is left back from its pointwise Laplacian once its obstruction trace
+passes a gate. All constructions live on 2d charts whose diagonal metric
+does not vary along the tangential axis.
 
 A window-inverse pair has rank one in the algebra: alpha = a (x) e_a and
 beta = b (x) e_b, so [alpha . beta] = (sum_i g^ii a_i b_i) [e_a, e_b]. Its
@@ -344,7 +345,13 @@ def interior_inverse(psi, interval, pair=(0, 1)):
 
 @dataclass
 class GeneratorResult:
-    pairs: list
+    """u = sum_d [g_d, h_d] over the sorted `directions` d in which the
+    target is nonzero on some face. Each pair has rank one: g_d = g_{d+1}
+    e_{d+1}, component d+1 of the flat solve, and h_d = w e_{d+2}, w the
+    Hopf potential, so [g_d, h_d] = c g_{d+1} w e_d; only u is kept.
+    `hopf_min` is over the faces that carry data (+inf if none does)."""
+
+    directions: list
     u: Section
     realized: BoundaryField
     residual: float
@@ -353,7 +360,8 @@ class GeneratorResult:
 
 def _hopf_potential(ch, solve_tol):
     """Flat Green potential of an interior bump; Hopf gives a strictly
-    positive inward normal derivative on each face."""
+    positive inward normal derivative on each face. A copy, so that the
+    3-component solution is freed."""
     xn = ch.coords[-1]
     lo, hi = xn[0], xn[-1]
     t = (xn - lo) / (hi - lo)
@@ -361,7 +369,7 @@ def _hopf_potential(ch, solve_tol):
     src = np.zeros(ch.shape + (ALGEBRA_DIM,))
     src[..., 0] = prof[None, :]
     w = green_A(Section(ch, src), tol=solve_tol)
-    return w.data[..., 0]
+    return w.data[..., 0].copy()
 
 
 def _collar_extension(ch, side, depth):
@@ -377,9 +385,9 @@ def _collar_extension(ch, side, depth):
     return t, plateau, ext
 
 
-def generator_for_boundary_data(target, side=0, solve_tol=1e-10, _shared=None):
-    """Commutator pairs whose obstruction trace realizes the target data, at
-    the flat base point.
+def generator_for_boundary_data(target, solve_tol=1e-10):
+    """Commutator pairs whose obstruction trace realizes the target data on
+    every face, at the flat base point.
 
     Each algebra direction d uses the double bracket [[e_{d+2}, e_d], e_{d+2}]
     = c^2 e_d: one Green potential with a collar source scaled by the Hopf
@@ -387,15 +395,13 @@ def generator_for_boundary_data(target, side=0, solve_tol=1e-10, _shared=None):
     the bracket identity turns the pair's obstruction trace into exactly the
     prescribed face data, up to discretization.
 
-    Direction d's source lies wholly on [e_{d+2}, e_d] = c e_{d+1}, so the
-    active directions fill distinct components. At the flat base point the
-    Laplacian acts on each component separately, so one componentwise Green
-    solve of the summed source gives every potential: g_d is component
-    d+1 of that solution. A direction whose face data vanish gets no pair.
+    Direction d's collar sources, at each face with data in d, lie wholly on
+    [e_{d+2}, e_d] = c e_{d+1}, so the directions fill distinct components
+    and one componentwise flat Green solve of the summed sources gives every
+    potential (see `GeneratorResult`). Without face data nothing is solved.
     """
     ch = target.chart
     _check_construction_chart(ch)
-    _check_side(side)
     if not ch.is_type_a:
         raise NotTypeA("the collar extension needs a unit-speed normal coordinate")
     xn = ch.coords[-1]
@@ -403,43 +409,42 @@ def generator_for_boundary_data(target, side=0, solve_tol=1e-10, _shared=None):
     if 2 * ch.h[-1] >= 0.5 * depth:
         raise BadCover("collar too shallow for the extension plateau")
 
-    wvals = _hopf_potential(ch, solve_tol) if _shared is None else _shared
-    bprime = normal_derivative(ch, wvals, ch.faces[side])
-    hopf_min = float(np.min(bprime))
-    if hopf_min <= 0.0:
-        raise HopfViolation("Hopf derivative is not strictly positive on the face")
-
-    t, plateau, ext = _collar_extension(ch, side, depth)
-    # the collar cutoff: 1 on the first node layers, so the source's normal
-    # derivative vanishes at the face
-    chi = 1.0 - BumpKit.smoothstep((t - 0.6) / 0.3)
+    faces = [fc for fc in ch.faces if float(np.max(np.abs(target.values[fc.side]))) != 0.0]
+    wvals = _hopf_potential(ch, solve_tol) if faces else None
     c2 = STRUCTURE_C**2
-
-    fvals = target.values[side]
-    active = [d for d in range(ALGEBRA_DIM) if float(np.max(np.abs(fvals[..., d]))) != 0.0]
+    hopf_min = math.inf
+    directions = set()
     src = np.zeros(ch.shape + (ALGEBRA_DIM,))
-    for d in active:
-        face_coef = fvals[..., d] / (3.0 * bprime * c2)
-        profile = face_coef[:, None] * plateau[None, :] * ext
-        src += (profile * chi[None, :])[..., None] * coeff_bracket(_unit((d + 2) % 3), _unit(d))
-    g = green_A(Section(ch, src), tol=solve_tol) if active else None
+    for fc in faces:
+        bprime = normal_derivative(ch, wvals, fc)
+        hopf_min = min(hopf_min, float(np.min(bprime)))
+        if hopf_min <= 0.0:
+            raise HopfViolation("Hopf derivative is not strictly positive on the face")
+        t, plateau, ext = _collar_extension(ch, fc.side, depth)
+        # the collar cutoff: 1 on the first node layers, so the source's
+        # normal derivative vanishes at the face
+        chi = 1.0 - BumpKit.smoothstep((t - 0.6) / 0.3)
+        fvals = target.values[fc.side]
+        for d in range(ALGEBRA_DIM):
+            if float(np.max(np.abs(fvals[..., d]))) == 0.0:
+                continue
+            face_coef = fvals[..., d] / (3.0 * bprime * c2)
+            profile = face_coef[:, None] * plateau[None, :] * ext
+            src[..., (d + 1) % 3] += profile * chi[None, :] * STRUCTURE_C
+            directions.add(d)
+    g = green_A(Section(ch, src), tol=solve_tol) if faces else None
     del src
-    pairs = []
     u = Section.zeros(ch)
-    for d in active:
-        k = (d + 1) % 3
-        g_d = Section.zeros(ch)
-        g_d.data[..., k] = g.data[..., k]
-        h_d = Section(ch, wvals[..., None] * _unit((d + 2) % 3))
-        u.data += coeff_bracket(g_d.data, h_d.data)  # rounds as u + [g_d, h_d]
-        pairs.append((g_d, h_d))
+    for d in directions:
+        # rounds as [g_d, h_d]: (g_{d+1} w) c
+        u.data[..., d] = g.data[..., (d + 1) % 3] * wvals * STRUCTURE_C
     del g
 
     realized = boundary_operator_T(u)
     scale = max(target.sup(), _TINY)
     residual = (realized - target).sup() / scale
     return GeneratorResult(
-        pairs=pairs,
+        directions=sorted(directions),
         u=u,
         realized=realized,
         residual=residual,
@@ -498,34 +503,22 @@ def full_decompose(u, kernel_gate=0.25, solve_tol=1e-10):
     """Decompose a Dirichlet section into generator pairs plus a kernel part,
     at the flat base point.
 
-    Stage one realizes the obstruction trace of u through commutator pairs
-    at both faces; stage two solves the remainder back from its Laplacian,
-    which passes the (loosened) kernel gate because stage one already
-    matched the trace. It holds one face's generator result at a time: each
-    is dropped once its u, realized trace and pair count are read.
+    Stage one realizes the obstruction trace of u on both faces through one
+    generator call (at most one commutator per algebra direction); stage
+    two solves the remainder back from its Laplacian, which passes the
+    (loosened) kernel gate because stage one already matched the trace.
+    The stage-one residual is the worst face's |realized - trace| / |trace|.
     """
-    ch = u.chart
     trace = boundary_operator_T(u)
-    wvals = None  # solved once, for the first face with a nonzero trace
-    u_comm = Section.zeros(ch)
+    gen = generator_for_boundary_data(trace, solve_tol=solve_tol)
     gen_res = 0.0
-    n_pairs = 0
-    for side in (0, 1):
-        if float(np.max(np.abs(trace.values[side]))) == 0.0:
+    for side, face in trace.values.items():
+        peak = float(np.max(np.abs(face)))
+        if peak == 0.0:
             continue
-        if wvals is None:
-            wvals = _hopf_potential(ch, solve_tol)
-        gen = generator_for_boundary_data(
-            trace, side=side, solve_tol=solve_tol, _shared=wvals
-        )
-        u_comm.data += gen.u.data
-        # each call targets one face; the other face's trace is left to the
-        # call that targets it
-        face = trace.values[side]
         miss = float(np.max(np.abs(gen.realized.values[side] - face)))
-        gen_res = max(gen_res, miss / max(float(np.max(np.abs(face))), _TINY))
-        n_pairs += len(gen.pairs)
-        del gen  # before the other face's generator
+        gen_res = max(gen_res, miss / max(peak, _TINY))
+    u_comm = gen.u
     v = u - u_comm
     kd = kernel_decompose(v, gate=kernel_gate, solve_tol=solve_tol)
     recombined = u_comm + kd.reconstruction
@@ -537,7 +530,7 @@ def full_decompose(u, kernel_gate=0.25, solve_tol=1e-10):
         kernel_gate_ratio=kd.gate_ratio,
         u_commutator=u_comm,
         u_kernel=kd.reconstruction,
-        n_pairs=n_pairs,
+        n_pairs=len(gen.directions),
     )
 
 

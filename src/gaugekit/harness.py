@@ -602,7 +602,7 @@ def suite_generator(cfg):
     def rung(shape):
         ch = _chart(cfg, shape)
         target = make_boundary_target(ch, 0, cfg.seed + 55)
-        gen = generator_for_boundary_data(target, side=0, solve_tol=cfg.solve_tol)
+        gen = generator_for_boundary_data(target, solve_tol=cfg.solve_tol)
         return ch, {"residual": gen.residual, "hopf-min": gen.hopf_min}
 
     checks, block = _ladder_checks(*_ladder(cfg.ladder_shapes(), rung), [

@@ -9,7 +9,8 @@ numpy.linalg is reached only by one geometry helper, for LAPACK's
 determinant, numpy.fft only by the separable solve, every call of it with
 out=, only the harness's pair projection starts threads, only the
 stencils' pair helpers compute an axis stride or slice a flat array by it,
-and the command line has exactly its pinned commands and flags."""
+no public function or method takes a `_`-prefixed parameter, and the
+command line has exactly its pinned commands and flags."""
 
 import argparse
 import ast
@@ -660,6 +661,50 @@ def test_every_defaulted_parameter_is_passed_or_an_entry_parameter():
     assert sorted(set(_unpassed_parameters(public, callers)) - _ENTRY_PARAMETERS) == []
     # each entry parameter still exists
     assert _ENTRY_PARAMETERS <= _defaulted_parameters(public)
+
+
+def _hidden_parameters(source):
+    """Sorted (function, parameter) of each `_`-prefixed parameter of a
+    public module-level function, or of a public method (a dunder counts as
+    public) of a public class, in `source`: a hidden way into a public call."""
+
+    def public(name):
+        return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+    found = []
+    for node in ast.parse(source).body:
+        fns = node.body if isinstance(node, ast.ClassDef) and public(node.name) else [node]
+        for fn in fns:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or not public(fn.name):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+            found += [(fn.name, x.arg) for x in params if x.arg.startswith("_")]
+    return sorted(found)
+
+
+def test_the_check_sees_a_hidden_parameter():
+    src = (
+        "def generator_for_boundary_data(target, side=0, solve_tol=1e-10, _shared=None):\n"
+        "    pass\n"
+        "def _private(_x):\n    pass\n"
+        "def f(a, /, *_args, _k=1, **_kw):\n    pass\n"
+        "class C:\n"
+        "    def m(self, _s):\n        pass\n"
+        "    def __init__(self, _t):\n        pass\n"
+        "    def _p(self, _u):\n        pass\n"
+        "class _D:\n    def m(self, _v):\n        pass\n"
+    )
+    assert _hidden_parameters(src) == [
+        ("__init__", "_t"), ("f", "_args"), ("f", "_k"), ("f", "_kw"),
+        ("generator_for_boundary_data", "_shared"), ("m", "_s"),
+    ]
+    assert _hidden_parameters("def f(a, b=1, *args, k, **kw):\n    pass\n") == []
+
+
+def test_no_public_function_takes_a_hidden_parameter():
+    found = {p.name: _hidden_parameters(p.read_text()) for p in sorted(_PACKAGE.glob("*.py"))}
+    assert {name: params for name, params in found.items() if params} == {}
 
 
 #: the command line: each command's flags and positional arguments. A new

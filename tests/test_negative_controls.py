@@ -174,3 +174,25 @@ def test_halved_beta_fails_the_product(monkeypatch):
     }
     for w in ("boundary", "interior"):
         assert abs(failures[f"{w}-product"] - 0.5) < 1e-12
+
+
+def _generator_failures():
+    report = run_suite("generator", RunConfig())
+    return {c.name: c.value for c in report.checks if not c.passed}
+
+
+def test_hopf_derivative_of_the_other_face_fails_the_generator(monkeypatch):
+    assert _generator_failures() == {}
+
+    derivative = con.normal_derivative
+
+    def other_face(ch, data, face, order=2):
+        # the collar source scaled by the Hopf derivative of the opposite
+        # face, which differs from the own face's on the annulus
+        return derivative(ch, data, ch.faces[1 - face.side], order)
+
+    monkeypatch.setattr(con, "normal_derivative", other_face)
+    failures = _generator_failures()
+    # at 128^2: residual 0.414 against 5e-2, monotone 1.049 against 1
+    assert set(failures) == {"residual", "monotone"}
+    assert failures["residual"] > 0.2 and failures["monotone"] > 1.0
