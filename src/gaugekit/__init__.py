@@ -56,7 +56,6 @@ from .fields import (
     OneForm,
     ScalarField,
     Section,
-    TwoForm,
     check_dbc,
     l2_inner,
     l2_norm,
@@ -77,7 +76,6 @@ from .operators import (
     codiff_A,
     d_A,
     green_A,
-    hodge_star,
     horizontal_project,
     laplacian_A,
     ritz_smallest,

@@ -12,10 +12,10 @@ does not vary along the tangential axis.
 
 A window-inverse pair has rank one in the algebra: alpha = a (x) e_a and
 beta = b (x) e_b, so [alpha . beta] = (sum_i g^ii a_i b_i) [e_a, e_b]. Its
-verification numbers (product, star route, horizontality) are computed on
-the scalar coefficients (`_window_coefficients`) through the operators'
-component-agnostic cores, with one component; the three-component fields
-are built only for the returned `InverseResult`.
+verification numbers are computed on the scalar coefficients
+(`_window_coefficients`), the star route on the potential (`_star_route`)
+and the rest through the operators' component-agnostic cores, with one
+component; the three-component fields are built only for the result.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ from .errors import (
     SupportTouchesBoundary,
     WindowTooSmall,
 )
-from .fields import OneForm, ScalarField, Section, TwoForm, l2_norm
+from .fields import OneForm, ScalarField, Section, l2_norm
 from .geometry import BoundaryField, mean_curvature, normal_derivative
 from .operators import (
     _bracket_contract,
     _cancellation_ratio,
-    _codiff_2form_data,
     _conn,
     boundary_operator_T,
     bracket_dot,
@@ -186,16 +185,15 @@ def _band_coordinates(chart, side, interval, depth):
 class InverseResult:
     """Window-inverse pair and its verification numbers.
 
-    The pair has rank one in the algebra: alpha = a (x) e_a, beta = b (x) e_b
-    and omega = (vol F) (x) e_a, with alpha = codiff_2form(omega). Every
-    number is computed on the coefficients a, b and F, through the same
-    component-agnostic cores as `bracket_dot`, `codiff_2form` and
-    `horizontality_ratio`, so it equals what those give on the fields here.
+    The pair has rank one in the algebra: alpha = a (x) e_a, beta = b (x) e_b,
+    with a the star route of a potential F (`_star_route`). The product and
+    horizontality are computed on a and b through the same component-agnostic
+    cores as `bracket_dot` and `horizontality_ratio`, so they equal what those
+    give on the fields here.
     """
 
     alpha: OneForm
     beta: OneForm
-    omega: TwoForm
     product_residual: float
     route_difference: float
     horizontality_alpha: float
@@ -221,8 +219,8 @@ def _check_pair(pair):
 def _window_coefficients(psi, t, sgn):
     """Coefficients (a, b, F) of the window pair for the profile psi on the
     band coordinate t (see `_band_coordinates`): alpha = a (x) e_a and
-    beta = b (x) e_b, with a and b shaped (*shape, 2), and the potential F
-    of omega = (vol F) (x) e_a."""
+    beta = b (x) e_b, with a and b shaped (*shape, 2), and the potential F:
+    a is its star route (`_star_route`)."""
     ch = psi.chart
     f1, f2, f3, f4, f5, f6 = LADDER
     hn = ch.h[-1]
@@ -255,6 +253,15 @@ def _window_coefficients(psi, t, sgn):
     return a, b, F
 
 
+def _star_route(ch, F):
+    """The flat star route -(star d star) of the two-form (vol F) dx^0 ^ dx^1
+    on a 2d chart, with node derivatives: the one-form coefficients
+    (vol g^11 d_1 F, -vol g^00 d_0 F), shaped (*shape, 2)."""
+    d0, d1 = (st.deriv_node(F, ax, ch.h[ax], ch.periodic[ax]) for ax in range(2))
+    ginv = ch.ginv
+    return np.stack([ch.vol * (ginv[..., 1] * d1), -(ch.vol * (ginv[..., 0] * d0))], axis=-1)
+
+
 def _along(coeffs, vec):
     """coeffs[..., None] * vec, one whole-array product per component
     (a broadcast over a trailing axis of 3 is several times slower)."""
@@ -274,15 +281,7 @@ def _window_inverse(psi, side, interval, depth, pair):
     f1, f2, f3, f4, f5, f6 = LADDER
 
     if float(np.max(np.abs(psi.data))) == 0.0:
-        return InverseResult(
-            alpha=OneForm.zeros(ch),
-            beta=OneForm.zeros(ch),
-            omega=TwoForm.zeros(ch),
-            product_residual=0.0,
-            route_difference=0.0,
-            horizontality_alpha=0.0,
-            horizontality_beta=0.0,
-        )
+        return InverseResult(OneForm.zeros(ch), OneForm.zeros(ch), 0.0, 0.0, 0.0, 0.0)
 
     in_eta = (t > f2) & (t < f3)
     in_psi = (t > f4) & (t < f5)
@@ -302,15 +301,13 @@ def _window_inverse(psi, side, interval, depth, pair):
         _bracket_contract(a[..., None], b[..., None], ch.ginv, np.multiply)[..., 0] * c,
         psi.data * c,
     )
-    omega = (ch.vol * F)[..., None, None]
-    route_difference = _relative_sup(_codiff_2form_data(flat, omega)[..., 0], a)
+    route_difference = _relative_sup(_star_route(ch, F), a)
     # every number before the 3-component fields, so that no temporary of
     # the checks overlaps them
     h_alpha, h_beta = (_horizontality(flat, x[..., None]) for x in (a, b))
     return InverseResult(
         alpha=OneForm(ch, _along(a, vec_a)),
         beta=OneForm(ch, _along(b, vec_b)),
-        omega=TwoForm(ch, _along(omega[..., 0], vec_a)),
         product_residual=product_residual,
         route_difference=route_difference,
         horizontality_alpha=h_alpha,

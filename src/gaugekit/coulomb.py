@@ -50,6 +50,7 @@ from .fields import (
 from .geometry import require_same_chart
 from .operators import (
     Connection,
+    _anchor_face_rows,
     _cancellation_ratio,
     _codiff_adjoint,
     _codiff_at_faces,
@@ -103,6 +104,8 @@ class GaugeTransformation:
         qc = quat_conj(q)
         for ax in range(ch.n):
             dq = st.deriv_node(q, ax + 1, ch.h[ax], ch.periodic[ax])
+            if ax == ch.n - 1:
+                _anchor_normal_layers(dq, q, ch)
             # vector part of U^-1 dU; coefficients carry the sqrt(2) of the basis
             mu[..., ax, :] = np.moveaxis(np.sqrt(2.0) * qmul(qc, dq)[1:], 0, -1)
         return cls(ch, q, mu)
@@ -122,6 +125,20 @@ class GaugeTransformation:
         quat = quat_conj(self.quat)
         mu = -_adjoint(quat_rotate, self.quat, self.mu)
         return GaugeTransformation(self.chart, quat, mu)
+
+
+#: the most face layers anchored, the default depth of `_anchor_face_rows`
+_ANCHOR_DEPTH = _anchor_face_rows.__defaults__[0]
+
+
+def _anchor_normal_layers(dq, q, ch):
+    """Overwrite the normal derivative dq of q (4, *shape) on the face layers
+    of `_anchor_face_rows` with its anchored 5-point rule: the node rule's
+    seam at the face row would enter g^-1 dg, and T differentiates across it."""
+    depth = min(_ANCHOR_DEPTH, ch.shape[-1] - 4)
+    for fc in ch.faces if depth > 0 else ():
+        dq[(slice(None),) + ch.face_rows(fc, depth)] = st.face_layer_deriv(
+            q, ch.n, ch.h[-1], fc.side, depth, order=4)
 
 
 def _adjoint(rotate, q, form):
@@ -443,10 +460,10 @@ def _run_lengths(runs, ks):
 
 
 def _exterior_d_at(omega, i, j, nodes):
-    """The (i, j) component of `fields.exterior_d(omega)` at each node of
-    `nodes`, bit for bit. deriv_node treats every grid line along its axis
-    on its own, so it is taken on the lines through the nodes alone, all
-    nodes' lines in one call per axis."""
+    """d_i omega_j - d_j omega_i of the one-form omega, with node derivatives,
+    at each node of `nodes`, bit for bit as on the whole grid. deriv_node
+    treats every grid line along its axis on its own, so it is taken on the
+    lines through the nodes alone, all nodes' lines in one call per axis."""
     ch = omega.chart
 
     def deriv(ax, comp):

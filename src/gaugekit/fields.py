@@ -1,9 +1,8 @@
 """Grid fields: algebra-valued forms, inner products, and flat derivatives.
 
-Sections, one-forms and two-forms carry su(2) coefficients in their trailing
-axis. There is no top-form type: the two-form operators (Hodge star,
-codifferential) work on 2d charts, where the two-form is the top form.
-ScalarField holds plain real samples for cut-offs and profiles. Derivatives
+Sections and one-forms carry su(2) coefficients in their trailing axis;
+there is no two-form type (see `constructions._star_route`). ScalarField
+holds plain real samples for cut-offs and profiles. Derivatives
 are collocated at the nodes: centered second order inside, one-sided 3-point
 second order at the two boundary layers, periodic wrap tangentially.
 
@@ -20,8 +19,6 @@ from . import _stencils as st
 from .algebra import ALGEBRA_DIM
 from .errors import DbcViolation, RankMismatch
 from .geometry import BoundaryField, along_normal, require_same_chart
-
-_PAIR_TABLE = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 
 
 class _Field:
@@ -109,21 +106,7 @@ class OneForm(_Field):
         return (chart.n, ALGEBRA_DIM)
 
 
-class TwoForm(_Field):
-    """Algebra-valued 2-form stored on sorted index pairs."""
-
-    rank = "twoform"
-
-    @staticmethod
-    def value_shape(chart):
-        return (len(_PAIR_TABLE[chart.n]), ALGEBRA_DIM)
-
-    @property
-    def pairs(self):
-        return _PAIR_TABLE[self.chart.n]
-
-
-_RANKS = {cls.rank: cls for cls in (ScalarField, Section, OneForm, TwoForm)}
+_RANKS = {cls.rank: cls for cls in (ScalarField, Section, OneForm)}
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +120,6 @@ def _node_d(ch, data):
         st.deriv_node(data, ax, ch.h[ax], ch.periodic[ax]) for ax in range(ch.n)
     ]
     return np.stack(comps, axis=ch.n)
-
-
-def exterior_d(omega):
-    """Exterior derivative of a one-form (flat, componentwise)."""
-    ch = omega.chart
-    if isinstance(omega, OneForm):
-        pairs = _PAIR_TABLE[ch.n]
-        out = np.empty(ch.shape + (len(pairs), ALGEBRA_DIM))
-        for p, (i, j) in enumerate(pairs):
-            di = st.deriv_node(omega.data[..., j, :], i, ch.h[i], ch.periodic[i])
-            dj = st.deriv_node(omega.data[..., i, :], j, ch.h[j], ch.periodic[j])
-            out[..., p, :] = di - dj
-        return TwoForm(ch, out)
-    raise RankMismatch("exterior_d expects a OneForm")
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +312,7 @@ def random_smooth_field(chart, rank, seed, dbc=True, scale=1.0, modes=2, degree=
     which is then scaled in place.
     """
     cls = _RANKS.get(rank) if isinstance(rank, str) else None
-    if cls is None or cls is TwoForm:
+    if cls is None:
         raise RankMismatch(f"unsupported rank for random field: {rank}")
     data = np.empty(chart.shape + cls.value_shape(chart))
     slots = data.reshape(chart.shape + (-1,))  # a view: value slots last

@@ -33,14 +33,13 @@ connection's midpoint average. It keeps the list on the scratch set and
 replays it whenever it is called again with the same connection, input and
 output arrays, and records a new list for any other.
 
-The adjoint codifferential (`_codiff_adjoint_c`), the star route of
-codiff_2form (`_codiff_2form_data`) and the node inner product
+The adjoint codifferential (`_codiff_adjoint_c`) and the node inner product
 (`fields._node_inner`) each have one raw-array core that broadcasts over a
 trailing component axis: any number of components when the connection is
-flat, 3 under a connection. codiff_A, hodge_star, codiff_2form, l2_inner
-and horizontality_ratio call them with the 3 su(2) components; the window
-inverses, whose pairs have rank one, call them with 1. A component of a
-3-component call equals the 1-component call on it bit for bit. The
+flat, 3 under a connection. codiff_A, l2_inner and horizontality_ratio call
+them with the 3 su(2) components; the window inverses, whose pairs have
+rank one, call them with 1. A component of a 3-component call equals the
+1-component call on it bit for bit. The
 codifferential averages a node one-form to one axis's midpoints at a time,
 in its scratch.
 
@@ -100,7 +99,6 @@ from .fields import (
     OneForm,
     ScalarField,
     Section,
-    TwoForm,
     _node_d,
     check_dbc,
     l2_inner,
@@ -758,61 +756,6 @@ def horizontal_project(eta, A=None, tol=1e-10):
     grad = _anchor_face_rows(d_A(gamma, A), gamma, ch)
     np.subtract(eta.data, grad.data, out=grad.data)
     return grad
-
-
-# ---------------------------------------------------------------------------
-# Hodge star and the two-form codifferential (2d charts)
-# ---------------------------------------------------------------------------
-
-def _require_2d(ch, what):
-    if ch.n != 2:
-        raise BadGeometry(f"{what} is implemented on 2d charts")
-
-
-def hodge_star(field):
-    """Metric Hodge star of a one-form or a two-form on a 2d chart."""
-    ch = field.chart
-    _require_2d(ch, "hodge_star")
-    if isinstance(field, OneForm):
-        return OneForm(ch, _star_oneform(ch, field.data))
-    if isinstance(field, TwoForm):
-        return Section(ch, _star_twoform(ch, field.data))
-    raise RankMismatch("hodge_star expects a OneForm or a TwoForm")
-
-
-def _star_oneform(ch, data):
-    """Hodge star of raw one-form data (*shape, 2, K) on a 2d chart."""
-    a = ch.vol[..., None]
-    up = ch.ginv[..., None] * data
-    out = np.empty_like(data)
-    out[..., 0, :] = -a * up[..., 1, :]
-    out[..., 1, :] = a * up[..., 0, :]
-    return out
-
-
-def _star_twoform(ch, data):
-    """Hodge star of raw two-form data (*shape, 1, K) on a 2d chart: node
-    data (*shape, K)."""
-    return data[..., 0, :] / ch.vol[..., None]
-
-
-def codiff_2form(omega, A=None):
-    """Covariant codifferential of a two-form on a 2d chart via the star
-    route, d*_A = -(star d_A star)."""
-    if not isinstance(omega, TwoForm):
-        raise RankMismatch("codiff_2form expects a TwoForm")
-    A = _conn(omega.chart, A)
-    _require_2d(A.chart, "codiff_2form")
-    return OneForm(A.chart, _codiff_2form_data(A, omega.data))
-
-
-def _codiff_2form_data(A, data):
-    """The star route -(star d_A star) of raw two-form data (*shape, 1, K)
-    on a 2d chart, as one-form data (*shape, 2, K); K = 3 under a
-    connection. Each component is that of a one-component call, bit for
-    bit."""
-    ch = A.chart
-    return -1.0 * _star_oneform(ch, _d_A_data(A, _star_twoform(ch, data)))
 
 
 # ---------------------------------------------------------------------------

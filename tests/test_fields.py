@@ -9,7 +9,6 @@ from gaugekit import (
     RankMismatch,
     ScalarField,
     Section,
-    TwoForm,
     build_chart,
     check_dbc,
     d_A,
@@ -17,7 +16,7 @@ from gaugekit import (
     l2_norm,
     random_smooth_field,
 )
-from gaugekit.fields import exterior_d, normal_component
+from gaugekit.fields import normal_component
 
 
 def _unit_section(ch, k):
@@ -52,16 +51,6 @@ def test_inner_product_rejects_rank_mixing(ann32):
     w = OneForm(ann32, np.zeros(ann32.shape + (2, ALGEBRA_DIM)))
     with pytest.raises(RankMismatch):
         l2_inner(u, w)
-
-
-def test_two_forms_have_no_derivative_or_inner_product(shell12):
-    # the two-form operators are the 2d star route; nothing takes d or the
-    # L2 product of a two-form
-    w = TwoForm.zeros(shell12)
-    with pytest.raises(RankMismatch):
-        exterior_d(w)
-    with pytest.raises(RankMismatch):
-        l2_inner(w, w)
 
 
 def test_dbc_trivial_cases(ann32):

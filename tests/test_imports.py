@@ -1,6 +1,8 @@
 """Every import in the package's modules is used by that module and sits at
 module level, every private module-level definition is used somewhere in
-the package, every name the package exports is used by it or is a named
+the package, every public module-level function or class is read by a
+package module or a benchmark script or is a named entry point or test
+oracle, every name the package exports is used by it or is a named
 library entry point, every defaulted parameter of a public function is
 passed by some package or benchmark call or is a named entry parameter, only
 the harness's ladder-check helper names the ladder statistics, the face
@@ -51,9 +53,9 @@ def _function_imports(source):
     })
 
 
-def _unused_private_definitions(module, sources):
-    """Module-level `_`-prefixed functions and classes of sources[module]
-    that no Name, Attribute or import alias in any of the sources names."""
+def _read_names(sources):
+    """The names that some Name, Attribute or import alias in `sources`
+    reads; a definition is not a read, and neither is a string."""
     named = set()
     for src in sources.values():
         for node in ast.walk(ast.parse(src)):
@@ -63,11 +65,22 @@ def _unused_private_definitions(module, sources):
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
+    return named
+
+
+def _module_definitions(source):
+    """The names of the module-level functions and classes in `source`."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node.name for node in ast.parse(source).body if isinstance(node, defs)]
+
+
+def _unused_private_definitions(module, sources):
+    """Module-level `_`-prefixed functions and classes of sources[module]
+    that no Name, Attribute or import alias in any of the sources names."""
+    named = _read_names(sources)
     return sorted(
-        node.name
-        for node in ast.parse(sources[module]).body
-        if isinstance(node, defs) and node.name.startswith("_") and node.name not in named
+        name for name in _module_definitions(sources[module])
+        if name.startswith("_") and name not in named
     )
 
 
@@ -487,9 +500,6 @@ _ENTRY_POINTS = {
     "commutator_decompose",
     # the paper's flat restriction operator, next to its connected form
     "boundary_operator_T0",
-    # the metric's star on 2-d one- and two-forms, which the package applies
-    # through its private kernels (`_star_oneform`, `_star_twoform`)
-    "hodge_star",
 }
 
 
@@ -506,23 +516,15 @@ def _unused_exports(init_source, sources):
     """Names exported by `init_source` that no Name, Attribute or import
     alias in the package modules' `sources` reads (a definition is not a
     read), less the library entry points."""
-    named = set()
-    for src in sources.values():
-        for node in ast.walk(ast.parse(src)):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
+    named = _read_names(sources)
     return [n for n in _exported_names(init_source) if n not in named | _ENTRY_POINTS]
 
 
 def test_the_check_sees_an_unused_export():
-    init = "from .a import helper, kept, hodge_star\nfrom .b import Used\n"
+    init = "from .a import helper, kept, boundary_operator_T0\nfrom .b import Used\n"
     sources = {
         "a.py": "def helper():\n    pass\ndef kept():\n    return helper\n"
-                "def hodge_star():\n    pass\n",
+                "def boundary_operator_T0():\n    pass\n",
         "b.py": "from .a import kept\nclass Used:\n    pass\n",
         "c.py": "import b\nb.Used()\n",
     }
@@ -537,6 +539,53 @@ def test_every_export_is_used_or_an_entry_point():
     assert _unused_exports(init, sources) == []
     # each entry point is still exported
     assert _ENTRY_POINTS <= set(_exported_names(init))
+
+
+#: public functions that only the tests read: the reference maps that the
+#: algebra tests compare the coefficient and quaternion kernels against
+_TEST_ORACLES = {"coeff_to_matrix", "matrix_to_coeff", "quat_to_matrix"}
+
+
+def _unread_public_definitions(def_sources, reader_sources):
+    """Public module-level functions and classes of `def_sources` that no
+    Name, Attribute or import alias in `reader_sources` reads, less the
+    entry points and the test oracles, sorted."""
+    named = _read_names(reader_sources) | _ENTRY_POINTS | _TEST_ORACLES
+    return sorted(
+        name for src in def_sources.values() for name in _module_definitions(src)
+        if not name.startswith("_") and name not in named
+    )
+
+
+def test_the_check_sees_an_unread_public_definition():
+    # exterior_d is named only in a string and codiff_2form read by no
+    # package module; an entry point and a test oracle need no reader
+    sources = {
+        "fields.py": (
+            "def exterior_d(w):\n    pass\n"
+            "class OneForm:\n    pass\n"
+            "def boundary_operator_T0(f):\n    pass\n"
+            "def quat_to_matrix(q):\n    pass\n"
+        ),
+        "operators.py": (
+            "from .fields import OneForm\n"
+            "def codiff_2form(w):\n    \"\"\"-star d star, as exterior_d\"\"\"\n"
+            "def green_A(g):\n    pass\n"
+        ),
+        "coulomb.py": "from . import operators\noperators.green_A(g)\n",
+    }
+    assert _unread_public_definitions(sources, sources) == ["codiff_2form", "exterior_d"]
+    # a benchmark script reads too
+    readers = {**sources, "run.py": "from gaugekit.operators import codiff_2form\n"}
+    assert _unread_public_definitions(sources, readers) == ["exterior_d"]
+
+
+def test_every_public_definition_has_a_package_reader():
+    modules = {p.name: p.read_text() for p in _MODULES}
+    readers = {**modules, **{str(p): p.read_text() for p in sorted(_PERFBENCH.glob("*.py"))}}
+    assert _unread_public_definitions(modules, readers) == []
+    # each test oracle is still defined
+    assert _TEST_ORACLES <= {n for src in modules.values() for n in _module_definitions(src)}
 
 
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
@@ -561,9 +610,6 @@ _ENTRY_PARAMETERS = {
     # a window inverse's collar depth; the suites use the default 0.8 of the
     # normal extent
     ("boundary_chart_inverse", "depth"),
-    # the covariant star route under a connection; the package reaches it
-    # through `_codiff_2form_data`
-    ("codiff_2form", "A"),
     # the Green solve's iteration cap, below the default 200 sqrt(#nodes)
     # for a caller that bounds a solve's time
     ("green_A", "maxiter"),

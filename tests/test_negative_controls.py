@@ -10,6 +10,7 @@ import numpy as np
 import gaugekit.constructions as con
 import gaugekit.coulomb as cm
 import gaugekit.operators as ops
+from gaugekit import _stencils as st
 from gaugekit import (
     boundary_identity_residual,
     build_chart,
@@ -139,8 +140,8 @@ def test_flipped_normal_coefficient_fails_route_and_horizontality(monkeypatch):
 
     def flipped(psi, t, sgn):
         # alpha's normal slot with the wrong sign: alpha is no longer the
-        # codifferential of omega, nor horizontal, but the product (beta
-        # has no normal slot) and the Dirichlet traces are untouched
+        # star route of its potential F, nor horizontal, but the product
+        # (beta has no normal slot) and the Dirichlet traces are untouched
         a, b, F = coefficients(psi, t, sgn)
         a[..., 1] *= -1.0
         return a, b, F
@@ -155,6 +156,26 @@ def test_flipped_normal_coefficient_fails_route_and_horizontality(monkeypatch):
     # at 128^2: route orders -0.13 / -0.03, codiff orders -0.10 / -0.12
     assert all(failures[f"{w}-{c}"] < 0.0 for w in ("boundary", "interior")
                for c in ("route-order", "codiff-order"))
+
+
+def test_star_route_without_its_volume_fails_the_route(monkeypatch):
+    # the route, not alpha, is broken here: alpha stays horizontal and
+    # product-exact, and only its distance from the route stops converging
+    assert _chart_inverse_failures() == {}
+
+    def unweighted(ch, F):
+        d0, d1 = (st.deriv_node(F, ax, ch.h[ax], ch.periodic[ax]) for ax in range(2))
+        return np.stack([ch.ginv[..., 1] * d1, -(ch.ginv[..., 0] * d0)], axis=-1)
+
+    monkeypatch.setattr(con, "_star_route", unweighted)
+    failures = _chart_inverse_failures()
+    assert set(failures) == {
+        f"{w}-{check}" for w in ("boundary", "interior")
+        for check in ("route-order", "route-monotone")
+    }
+    # at 128^2: route orders -0.74 / -0.96, route-monotone 1.24 / 1.32
+    assert all(failures[f"{w}-route-order"] < 0.0 and failures[f"{w}-route-monotone"] > 1.0
+               for w in ("boundary", "interior"))
 
 
 def test_halved_beta_fails_the_product(monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 
 from gaugekit import (
     ALGEBRA_DIM,
-    BadGeometry,
     Connection,
     NoConvergence,
     OneForm,
@@ -27,20 +26,18 @@ from gaugekit import (
 )
 from gaugekit import _stencils as st
 from gaugekit.algebra import STRUCTURE_C, coeff_bracket, coeff_to_matrix, matrix_to_coeff
-from gaugekit.fields import MidOneForm, TwoForm, _mid_samples, _node_inner
+from gaugekit.constructions import _star_route
+from gaugekit.fields import MidOneForm, _mid_samples, _node_inner
 from gaugekit.operators import (
     SolveInfo,
     _anchor_face_rows,
     _bracket_contract,
-    _codiff_2form_data,
     _codiff_adjoint,
     _codiff_at_faces,
     _energy_apply,
     _scratch,
     bracket_dot,
-    codiff_2form,
     d_A_cell,
-    hodge_star,
 )
 
 
@@ -614,31 +611,6 @@ def test_projector_preserves_tangential_traces(ann32):
         np.testing.assert_allclose(tang, eta.data[sl][..., : ann32.n - 1, :], atol=1e-9)
 
 
-def test_hodge_star_euclidean_closed_form():
-    ch = build_chart("periodic_slab", (16, 16), length=1.0, height=1.0)
-    dx1 = np.zeros(ch.shape + (2, ALGEBRA_DIM))
-    dx1[..., 0, 0] = 1.0
-    dx2 = np.zeros(ch.shape + (2, ALGEBRA_DIM))
-    dx2[..., 1, 0] = 1.0
-    s1 = hodge_star(OneForm(ch, dx1))
-    s2 = hodge_star(OneForm(ch, dx2))
-    np.testing.assert_allclose(s1.data, dx2, atol=1e-14)
-    np.testing.assert_allclose(s2.data, -dx1, atol=1e-14)
-
-
-def test_double_star_signature(ann32):
-    w2 = random_smooth_field(ann32, "oneform", 14)
-    ss = hodge_star(hodge_star(w2))
-    np.testing.assert_allclose(ss.data, -w2.data, atol=1e-13)
-
-
-def test_star_route_is_2d_only(shell12):
-    with pytest.raises(BadGeometry):
-        hodge_star(random_smooth_field(shell12, "oneform", 15))
-    with pytest.raises(BadGeometry):
-        codiff_2form(TwoForm.zeros(shell12))
-
-
 @pytest.mark.parametrize("kind", ["annulus", "annulus_log"])
 def test_cores_act_on_each_component_alone(kind):
     # the raw-array cores broadcast over the trailing component axis: a
@@ -646,15 +618,11 @@ def test_cores_act_on_each_component_alone(kind):
     ch = build_chart(kind, (32, 24))
     flat = Connection.flat(ch)
     w1 = random_smooth_field(ch, "oneform", 31).data
-    w2 = random_smooth_field(ch, "oneform", 32).data[..., :1, :]  # a two-form
     cod = _codiff_adjoint(flat, _mid_samples(ch, w1))
-    star = _codiff_2form_data(flat, w2)
     np.testing.assert_array_equal(cod, codiff_A(OneForm(ch, w1)).data)
-    np.testing.assert_array_equal(star, codiff_2form(TwoForm(ch, w2)).data)
     for k in range(ALGEBRA_DIM):
         one = slice(k, k + 1)
         assert np.array_equal(cod[..., one], _codiff_adjoint(flat, _mid_samples(ch, w1[..., one])))
-        assert np.array_equal(star[..., one], _codiff_2form_data(flat, w2[..., one]))
         # the inner product sums over components, so it is exact on data
         # with one nonzero component: one-forms, sections and scalars
         for data in (w1, cod):
@@ -669,15 +637,17 @@ def test_cores_act_on_each_component_alone(kind):
 def test_codiff_squared_vanishes_flat_case():
     # the untwisted codifferential squares to zero; discretely the star-route
     # composition telescopes, so the defect is pure roundoff (the twisted
-    # version instead picks up a curvature contraction and is not zero)
+    # version instead picks up a curvature contraction and is not zero). The
+    # two-form w_k dx^0 ^ dx^1 in component k has the star route of w_k / vol.
     for n in (32, 64):
         ch = build_chart("annulus", (n, n))
         th, r = ch.mesh()
-        data = np.zeros(ch.shape + TwoForm.value_shape(ch))
-        data[..., 0, 0] = np.sin(th) * np.sin(np.pi * (r - 0.5) / 0.5)
-        data[..., 0, 2] = np.cos(2 * th) * (r - 0.5) * (1.0 - r)
-        w = TwoForm(ch, data)
-        dd = codiff_A(codiff_2form(w, None), None, form="pointwise")
+        w = {0: np.sin(th) * np.sin(np.pi * (r - 0.5) / 0.5),
+             2: np.cos(2 * th) * (r - 0.5) * (1.0 - r)}
+        data = np.zeros(ch.shape + (ch.n, ALGEBRA_DIM))
+        for k, wk in w.items():
+            data[..., k] = _star_route(ch, wk / ch.vol)
+        dd = codiff_A(OneForm(ch, data), None, form="pointwise")
         assert float(np.max(np.abs(dd.data))) < 1e-12
 
 

@@ -33,7 +33,6 @@ from gaugekit.operators import (
     _separable_solver,
     bracket_dot,
     d_A_cell,
-    hodge_star,
 )
 
 CHARTS = {
@@ -145,11 +144,6 @@ def _codiff_ref(w, A):
     return -acc / ch.vol[..., None] - _bracket_dot_ref(A.eta, w)
 
 
-def _hodge_ref(w):
-    up = w.chart.vol[..., None, None] * _raise(w.chart, w.data)
-    return np.stack([-up[..., 1, :], up[..., 0, :]], axis=-2)
-
-
 def _l2_inner_ref(u, v):
     ch = u.chart
     contracted = np.einsum("...ij,...ik,...jk->...", _full_ginv(ch), u.data, v.data)
@@ -157,20 +151,17 @@ def _l2_inner_ref(u, v):
 
 
 def _contractions(ch):
-    """(got, einsum reference) for bracket_dot, the pointwise codiff_A, the
-    node l2_inner of one-forms and, on 2d charts, the one-form hodge_star.
-    The references contract with the full n x n inverse metric."""
+    """(got, einsum reference) for bracket_dot, the pointwise codiff_A and
+    the node l2_inner of one-forms. The references contract with the full
+    n x n inverse metric."""
     a = random_smooth_field(ch, "oneform", 1)
     b = random_smooth_field(ch, "oneform", 2)
     A = Connection(ch, random_smooth_field(ch, "oneform", 3, scale=0.3))
-    pairs = [
+    return [
         (bracket_dot(a, b).data, _bracket_dot_ref(a, b)),
         (codiff_A(a, A, form="pointwise").data, _codiff_ref(a, A)),
         (l2_inner(a, b), _l2_inner_ref(a, b)),
     ]
-    if ch.n == 2:
-        pairs.append((hodge_star(a).data, _hodge_ref(a)))
-    return pairs
 
 
 def test_metric_contractions_match_einsum_exactly(chart):
