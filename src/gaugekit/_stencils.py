@@ -14,7 +14,8 @@ of the Green solve, so the Green solve's inner loop builds nothing. `_pair`
 and `_pair_t` are the one home of the axis stride and of the flat shifted
 and wrap slices.
 
-Node derivatives are centered second order inside; periodic axes wrap. The
+Node derivatives are centered second order inside; periodic axes wrap,
+by slicing as well, so a node derivative forms no shifted copy. The
 one-sided rules at a bounded face live in one place, `face_layer_deriv`:
 the 3-point second-order or the 5-point fourth-order rule, re-anchored at
 every layer counted inward from the face; an axis too short for the rule
@@ -44,14 +45,21 @@ def _axslice(ndim, axis, sl):
 
 
 def deriv_node(v, axis, h, periodic):
-    """First derivative collocated at the nodes."""
+    """First derivative collocated at the nodes. The centered differences
+    are written into the result by slices, the wrap of a periodic axis
+    too, and divided by 2h in place."""
     v = np.asarray(v)
-    if periodic:
-        return (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * h)
     out = np.empty_like(v, dtype=float)
     nd = v.ndim
     s = lambda sl: _axslice(nd, axis, sl)
-    out[s(slice(1, -1))] = (v[s(slice(2, None))] - v[s(slice(0, -2))]) / (2.0 * h)
+    inner = out[s(slice(1, -1))]
+    np.subtract(v[s(slice(2, None))], v[s(slice(0, -2))], out=inner)
+    if periodic:
+        np.subtract(v[s(slice(1, 2))], v[s(slice(-1, None))], out=out[s(slice(0, 1))])
+        np.subtract(v[s(slice(0, 1))], v[s(slice(-2, -1))], out=out[s(slice(-1, None))])
+        out /= 2.0 * h
+        return out
+    inner /= 2.0 * h
     out[s(slice(0, 1))] = face_layer_deriv(v, axis, h, 0)
     out[s(slice(-1, None))] = face_layer_deriv(v, axis, h, 1)
     return out

@@ -358,15 +358,22 @@ class GeneratorResult:
 def _hopf_potential(ch, solve_tol):
     """Flat Green potential of an interior bump; Hopf gives a strictly
     positive inward normal derivative on each face. A copy, so that the
-    3-component solution is freed."""
-    xn = ch.coords[-1]
-    lo, hi = xn[0], xn[-1]
-    t = (xn - lo) / (hi - lo)
-    prof = BumpKit.bump01((t - 0.35) / 0.3)
-    src = np.zeros(ch.shape + (ALGEBRA_DIM,))
-    src[..., 0] = prof[None, :]
-    w = green_A(Section(ch, src), tol=solve_tol)
-    return w.data[..., 0].copy()
+    3-component solution is freed.
+
+    The source depends on the chart alone, so the potential is solved once
+    per chart and solve tolerance and kept on the chart, read-only."""
+    w = ch._hopf.get(solve_tol)
+    if w is None:
+        xn = ch.coords[-1]
+        lo, hi = xn[0], xn[-1]
+        t = (xn - lo) / (hi - lo)
+        prof = BumpKit.bump01((t - 0.35) / 0.3)
+        src = np.zeros(ch.shape + (ALGEBRA_DIM,))
+        src[..., 0] = prof[None, :]
+        w = green_A(Section(ch, src), tol=solve_tol).data[..., 0].copy()
+        w.flags.writeable = False
+        ch._hopf[solve_tol] = w
+    return w
 
 
 def _collar_extension(ch, side, depth):

@@ -103,9 +103,15 @@ class Chart:
             w = w * w1.reshape([-1 if a == ax else 1 for a in range(self.n)])
         self.quad_w = self._on_grid(_profile(w, self.n))
         # Thomas pivots of the flat separable Green solve and the inverse
-        # Jacobi diagonal of the others (operators.green_A)
+        # Jacobi diagonal of the others (operators.green_A), the mean
+        # curvature's face values (read-only), and the generator's Hopf
+        # potential per solve tolerance (constructions._hopf_potential,
+        # read-only): plain arrays that hold no reference to the chart, so
+        # reference counting alone frees it
         self._separable = None
         self._jacobi = None
+        self._mean_curvature = None
+        self._hopf = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -485,16 +491,23 @@ def mean_curvature(chart):
     metric is read on the `st.END_ROW_FOOTPRINT` normal layers at each
     face, the footprint of the one-sided rule, so no whole-grid array is
     formed.
+
+    The face values are computed once per chart and kept on it as read-only
+    arrays; every call returns a new BoundaryField over them.
     """
-    ax = chart.n - 1
-    values = {}
-    for f in chart.faces:
-        rows = chart.face_rows(f, st.END_ROW_FOOTPRINT)
-        sq = np.sqrt(chart.g[rows][..., -1])
-        vol = chart.vol[rows]
-        dinv = st.one_sided_deriv_at_face(1.0 / sq, ax, chart.h[-1], f.side)
-        dvol = st.one_sided_deriv_at_face(vol, ax, chart.h[-1], f.side)
-        fs = chart.face_slice(f)
-        sgn = f.inward_sign / sq[fs]
-        values[f.side] = (sq[fs] * (sgn * dinv) + (sgn * dvol) / vol[fs]) / (chart.n - 1)
-    return BoundaryField(chart, values)
+    if chart._mean_curvature is None:
+        ax = chart.n - 1
+        values = {}
+        for f in chart.faces:
+            rows = chart.face_rows(f, st.END_ROW_FOOTPRINT)
+            sq = np.sqrt(chart.g[rows][..., -1])
+            vol = chart.vol[rows]
+            dinv = st.one_sided_deriv_at_face(1.0 / sq, ax, chart.h[-1], f.side)
+            dvol = st.one_sided_deriv_at_face(vol, ax, chart.h[-1], f.side)
+            fs = chart.face_slice(f)
+            sgn = f.inward_sign / sq[fs]
+            H = (sq[fs] * (sgn * dinv) + (sgn * dvol) / vol[fs]) / (chart.n - 1)
+            H.flags.writeable = False
+            values[f.side] = H
+        chart._mean_curvature = values  # published only once complete
+    return BoundaryField(chart, chart._mean_curvature)

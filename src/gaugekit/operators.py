@@ -49,9 +49,11 @@ depends on the normal coordinate only (`Chart.is_tangentially_uniform`, true
 for every built-in chart) the energy matrix is separable, and the
 preconditioner is its direct solve: an FFT along the periodic axes and one
 cached tridiagonal sweep per mode along the normal axis, so CG stops after
-one iteration. Solves under a connection, and flat solves on other charts,
-use the Jacobi diagonal, which the chart caches as a normal profile. Each
-solve allocates its work buffers once and reuses them in every iteration:
+one iteration. The sweep runs on the spectrum's float view, with the real
+pivots doubled, and writes its products through one row buffer. Solves
+under a connection, and flat solves on other charts, use the Jacobi
+diagonal, which the chart caches as a normal profile. Each solve
+allocates its work buffers once and reuses them in every iteration:
 four CG arrays (the preconditioned residual and the product A p share one)
 and three of energy-form scratch (two when the connection is flat). The
 scratch buffers are views of one block, which also holds the separable
@@ -507,8 +509,11 @@ class SolveInfo:
 
 def _separable_pivots(ch):
     """Thomas pivots (off, mult, inv) of the flat energy matrix on a
-    tangentially uniform chart, per interior normal node and mode (see
-    `_separable_solver`), cached on the chart."""
+    tangentially uniform chart (see `_separable_solver`), cached on the
+    chart: lists with one entry per interior normal node. off is the
+    node's coupling to the next one, a number; mult and inv hold one pivot
+    per mode, each doubled, so that they scale the real and imaginary parts
+    of the spectrum's float view alike, and broadcast over its components."""
     if ch._separable is None:
         n = ch.n
         tang = tuple(range(n - 1))  # chart axes
@@ -532,7 +537,8 @@ def _separable_pivots(ch):
         for j in range(1, diag.shape[0]):
             mult[j] = off[j - 1] * inv[j - 1]
             inv[j] = 1.0 / (diag[j] - mult[j] * off[j - 1])
-        ch._separable = (off, mult[:, None], inv[:, None])
+        doubled = lambda a: list(np.repeat(a, 2, axis=-1))
+        ch._separable = (list(off), doubled(mult), doubled(inv))
     return ch._separable
 
 
@@ -553,26 +559,33 @@ def _separable_solver(ch, spectrum):
     runs over contiguous rows. The transforms run one axis at a time, in
     place, with out=: rfft along the last tangential axis, then fft along
     the others, and the reverse for the inverse. That is the order of rfftn
-    and irfftn, and the same numbers bit for bit. So a solve allocates
-    nothing field-sized; the sweep's temporaries are one normal row each.
-    The spectrum is finite whenever r is, which keeps the scratch pads
-    finite.
+    and irfftn, and the same numbers bit for bit. The sweep runs on the
+    spectrum's float view, whose real and imaginary parts the doubled real
+    pivots scale alike: the ops and their order are those of the complex
+    sweep, and so are the bits. Its products go through one row buffer with
+    out=. So a solve allocates nothing field-sized, and the sweep nothing
+    at all. The spectrum is finite whenever r is, which keeps the scratch
+    pads finite.
     """
     off, mult, inv = _separable_pivots(ch)
     last = ch.n - 1  # the last tangential axis, behind the component axis
     nt = ch.shape[last - 1]
-    y = spectrum
-    modes = np.moveaxis(y, 0, ch.n)  # the spectrum in the layout of r
+    modes = np.moveaxis(spectrum, 0, ch.n)  # the spectrum in the layout of r
+    y = list(spectrum.view(float))  # its rows, normal axis first
+    row = np.empty_like(y[0])
 
     def solve(r, out):
         np.fft.rfft(r, axis=last, out=modes)
         for t in range(last - 1, 0, -1):
             np.fft.fft(modes, axis=t, out=modes)
-        for j in range(1, y.shape[0]):
-            y[j] -= mult[j] * y[j - 1]
-        y[-1] *= inv[-1]
-        for j in range(y.shape[0] - 2, -1, -1):
-            y[j] = (y[j] - off[j] * y[j + 1]) * inv[j]
+        for j in range(1, len(y)):
+            np.multiply(mult[j], y[j - 1], out=row)
+            np.subtract(y[j], row, out=y[j])
+        np.multiply(y[-1], inv[-1], out=y[-1])
+        for j in range(len(y) - 2, -1, -1):
+            np.multiply(off[j], y[j + 1], out=row)
+            np.subtract(y[j], row, out=y[j])
+            np.multiply(y[j], inv[j], out=y[j])
         for t in range(1, last):
             np.fft.ifft(modes, axis=t, out=modes)
         np.fft.irfft(modes, n=nt, axis=last, out=out)
@@ -728,11 +741,14 @@ def _anchor_face_rows(grad, f, ch, depth=8):
     if depth <= 0:
         return grad
     h = ch.h[-1]
-    plain = st.deriv_node(f.data, ax, h, False)
     comp = grad.data[..., ax, :]
     for fc in ch.faces:
         rows = ch.face_rows(fc, depth)
-        comp[rows] += st.face_layer_deriv(f.data, ax, h, fc.side, depth, order=4) - plain[rows]
+        # deriv_node on the anchored layers and one halo layer (at least its
+        # end row's footprint) is the whole grid's on those layers, bit for bit
+        slab = f.data[ch.face_rows(fc, max(depth + 1, st.END_ROW_FOOTPRINT))]
+        plain = st.deriv_node(slab, ax, h, False)[rows]
+        comp[rows] += st.face_layer_deriv(f.data, ax, h, fc.side, depth, order=4) - plain
     return grad
 
 

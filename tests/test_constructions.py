@@ -19,6 +19,7 @@ from gaugekit.constructions import (
     LADDER,
     BumpKit,
     _band_coordinates,
+    _hopf_potential,
     _window_coefficients,
     band_profile,
     boundary_chart_inverse,
@@ -39,7 +40,7 @@ from gaugekit.errors import (
     WindowTooSmall,
 )
 from gaugekit.fields import check_dbc
-from gaugekit.geometry import BoundaryField
+from gaugekit.geometry import BoundaryField, mean_curvature
 from gaugekit.harness import RunConfig, make_boundary_target, run_suite
 from gaugekit.operators import boundary_operator_T, bracket_dot
 
@@ -459,8 +460,37 @@ def test_full_decompose_skips_the_hopf_solve_without_a_trace(green_rhs):
     assert len(green_rhs) == 1  # the kernel stage alone; no face needs a generator
 
 
-@pytest.mark.parametrize("suite, per_rung", [("generator", 2), ("full-decompose", 9)])
+def test_chart_caches_are_read_only_and_hold_no_reference_to_the_chart(green_rhs):
+    # the Hopf potential and the mean curvature are computed once per chart
+    # and kept on it; with the collector off, a reference cycle through a
+    # cache would keep the chart alive past `del`
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        ch = build_chart("annulus", (48, 48))
+        target = _directions_target(ch, (0, 1, 2))
+        generator_for_boundary_data(target)
+        generator_for_boundary_data(target)
+        # the Hopf potential once, then one merged solve per call
+        assert len(green_rhs) == 3
+        H = mean_curvature(ch)
+        for values in (*H.values.values(), _hopf_potential(ch, 1e-10)):
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+        assert len(green_rhs) == 3
+        ref = weakref.ref(ch)
+        del ch, target, H, values
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("suite, per_rung", [("generator", 2), ("full-decompose", 7)])
 def test_suite_solves_per_rung(green_rhs, suite, per_rung):
+    # full-decompose: one Hopf potential for the rung's chart, then a
+    # generator and a kernel solve per target
     cfg = RunConfig(grid=(64, 64))
     res = run_suite(suite, cfg)
     assert res.passed

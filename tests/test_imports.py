@@ -11,8 +11,9 @@ numpy.linalg is reached only by one geometry helper, for LAPACK's
 determinant, numpy.fft only by the separable solve, every call of it with
 out=, only the harness's pair projection starts threads, only the
 stencils' pair helpers compute an axis stride or slice a flat array by it,
-no public function or method takes a `_`-prefixed parameter, and the
-command line has exactly its pinned commands and flags."""
+no module calls numpy's roll, no public function or method takes a
+`_`-prefixed parameter, and the command line has exactly its pinned
+commands and flags."""
 
 import argparse
 import ast
@@ -470,6 +471,31 @@ def test_only_the_pair_helpers_index_by_the_axis_stride(path):
     for fn in _STRIDE_HELPERS[1]:
         kinds = [k for _, f, k in uses if f == fn]
         assert kinds.count("stride") == 1 and kinds.count("shift") >= 2
+
+
+def _roll_uses(source):
+    """Lines that reach numpy's `roll`: a `.roll` attribute, or an import
+    of the name."""
+    return sorted({
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "roll"
+        or isinstance(node, ast.ImportFrom) and any(a.name == "roll" for a in node.names)
+    })
+
+
+def test_the_check_sees_a_roll():
+    src = (
+        "import numpy as np\nfrom numpy import roll, sum\n"
+        "y = np.roll(x, 1, 0)\nz = x.rolled + rolls\n"
+        "def f(v):\n    return np.roll(v, -1, axis=1) - v\n"
+    )
+    assert _roll_uses(src) == [2, 3, 6]
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_rolls_an_array(path):
+    # periodic stencils wrap by slicing; a roll copies the whole array
+    assert _roll_uses(path.read_text()) == []
 
 
 def test_the_check_sees_an_unused_import():

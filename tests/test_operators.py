@@ -25,6 +25,7 @@ from gaugekit import (
     ritz_smallest,
 )
 from gaugekit import _stencils as st
+from gaugekit import operators as ops
 from gaugekit.algebra import STRUCTURE_C, coeff_bracket, coeff_to_matrix, matrix_to_coeff
 from gaugekit.constructions import _star_route
 from gaugekit.fields import MidOneForm, _mid_samples, _node_inner
@@ -597,6 +598,40 @@ def test_anchored_face_rows_match_the_per_layer_rule(ann32):
             - 16 * v[:, k - 3] + 3 * v[:, k - 4]
         ) / (12 * h)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def _whole_grid_anchor(grad, f, ch, depth=8):
+    """_anchor_face_rows with the plain normal derivative taken on the
+    whole grid, the form it replaced."""
+    ax = ch.n - 1
+    depth = min(depth, ch.shape[-1] - 4)
+    if depth <= 0:
+        return grad
+    h = ch.h[-1]
+    plain = st.deriv_node(f.data, ax, h, False)
+    comp = grad.data[..., ax, :]
+    for fc in ch.faces:
+        rows = ch.face_rows(fc, depth)
+        comp[rows] += st.face_layer_deriv(f.data, ax, h, fc.side, depth, order=4) - plain[rows]
+    return grad
+
+
+@pytest.mark.parametrize("connected", [False, True], ids=["flat", "connected"])
+@pytest.mark.parametrize("kind, shape", [
+    ("annulus", (16, 16)),
+    ("cylindrical_shell", (8, 8, 10)),
+    ("annulus", (12, 5)),  # one anchored layer: the slab is the end row's footprint
+], ids=["annulus16", "shell8x8x10", "annulus12x5"])
+def test_anchor_on_face_slabs_is_the_whole_grid_form(monkeypatch, kind, shape, connected):
+    # the plain derivative on the anchored layers and one halo layer at each
+    # face, not on the whole grid, projects bit for bit as before
+    ch = build_chart(kind, shape)
+    A = _rand_conn(ch, 3) if connected else None
+    eta = random_smooth_field(ch, "oneform", 4)
+    got = horizontal_project(eta, A)
+    monkeypatch.setattr(ops, "_anchor_face_rows", _whole_grid_anchor)
+    want = horizontal_project(eta, A)
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
 
 
 def test_projector_preserves_tangential_traces(ann32):

@@ -29,7 +29,6 @@ from gaugekit.operators import (
     SolveInfo,
     _energy_apply,
     _scratch,
-    _separable_pivots,
     _separable_solver,
     bracket_dot,
     d_A_cell,
@@ -252,11 +251,38 @@ def _ref_energy(A, x):
     return _ref_div(A, [_ref_grad(A, x, ax) for ax in range(A.chart.n)])
 
 
+def _ref_thomas_pivots(ch):
+    """Thomas pivots of the flat energy matrix's tridiagonal system per
+    tangential mode, built here from the cell coefficients: the coupling
+    off[j] of interior normal nodes j and j + 1, and complex (mult, inv),
+    shaped (interior normal node, 1, *modes) to broadcast over the
+    components of a spectrum moved normal axis first."""
+    n = ch.n
+    t0 = (0,) * (n - 1)
+    cn = ch.cell_c[-1][t0] / ch.h[-1] ** 2  # the normal axis's cell profile
+    off = -cn[1:-1]
+    # the rfft's half spectrum along the last tangential axis
+    ks = [np.arange(ch.shape[t] // 2 + 1 if t == n - 2 else ch.shape[t]) for t in range(n - 1)]
+    grids = np.ix_(*ks)
+    diag = (cn[:-1] + cn[1:]).reshape((-1,) + (1,) * (n - 1))
+    for t in range(n - 1):
+        lam = 4.0 * np.sin(np.pi * grids[t] / ch.shape[t]) ** 2 / ch.h[t] ** 2
+        diag = diag + ch.cell_c[t][t0][1:-1].reshape((-1,) + (1,) * (n - 1)) * lam[None]
+    mult = np.zeros(diag.shape, dtype=complex)
+    inv = np.empty(diag.shape, dtype=complex)
+    inv[0] = 1.0 / diag[0]
+    for j in range(1, diag.shape[0]):
+        mult[j] = off[j - 1] * inv[j - 1].real
+        inv[j] = 1.0 / (diag[j] - mult[j].real * off[j - 1])
+    return off, mult[:, None], inv[:, None]
+
+
 def _ref_separable(ch):
     """The separable solve through the composite transforms: rfftn, the
-    spectrum moved normal axis first and copied, the Thomas sweep, irfftn."""
+    spectrum moved normal axis first and copied, the complex Thomas sweep
+    with the pivots of `_ref_thomas_pivots`, irfftn."""
     n = ch.n
-    off, mult, inv = _separable_pivots(ch)
+    off, mult, inv = _ref_thomas_pivots(ch)
     axes = tuple(range(1, n))
 
     def solve(r, out):
