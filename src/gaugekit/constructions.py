@@ -45,6 +45,7 @@ from .operators import (
     _bracket_contract,
     _cancellation_ratio,
     _conn,
+    _normal_profile_solve,
     boundary_operator_T,
     bracket_dot,
     d_A,
@@ -355,25 +356,23 @@ class GeneratorResult:
     hopf_min: float
 
 
-def _hopf_potential(ch, solve_tol):
+def _hopf_potential(ch):
     """Flat Green potential of an interior bump; Hopf gives a strictly
-    positive inward normal derivative on each face. A copy, so that the
-    3-component solution is freed.
+    positive inward normal derivative on each face.
 
-    The source depends on the chart alone, so the potential is solved once
-    per chart and solve tolerance and kept on the chart, read-only."""
-    w = ch._hopf.get(solve_tol)
-    if w is None:
+    The bump depends on the normal coordinate alone and the chart is
+    tangentially uniform (`_check_construction_chart`), so the potential is
+    a normal profile: one tridiagonal solve on the normal axis
+    (`_normal_profile_solve`). It depends on the chart alone, so it is
+    solved once per chart and kept on it as a read-only view of the chart's
+    shape."""
+    if ch._hopf is None:
         xn = ch.coords[-1]
         lo, hi = xn[0], xn[-1]
         t = (xn - lo) / (hi - lo)
         prof = BumpKit.bump01((t - 0.35) / 0.3)
-        src = np.zeros(ch.shape + (ALGEBRA_DIM,))
-        src[..., 0] = prof[None, :]
-        w = green_A(Section(ch, src), tol=solve_tol).data[..., 0].copy()
-        w.flags.writeable = False
-        ch._hopf[solve_tol] = w
-    return w
+        ch._hopf = np.broadcast_to(_normal_profile_solve(ch, prof), ch.shape)
+    return ch._hopf
 
 
 def _collar_extension(ch, side, depth):
@@ -401,8 +400,10 @@ def generator_for_boundary_data(target, solve_tol=1e-10):
 
     Direction d's collar sources, at each face with data in d, lie wholly on
     [e_{d+2}, e_d] = c e_{d+1}, so the directions fill distinct components
-    and one componentwise flat Green solve of the summed sources gives every
-    potential (see `GeneratorResult`). Without face data nothing is solved.
+    and one componentwise flat Green solve of the summed sources, at
+    `solve_tol`, gives every potential (see `GeneratorResult`). The Hopf
+    potential is a normal profile, solved directly once per chart
+    (`_hopf_potential`). Without face data nothing is solved.
     """
     ch = target.chart
     _check_construction_chart(ch)
@@ -414,7 +415,7 @@ def generator_for_boundary_data(target, solve_tol=1e-10):
         raise BadCover("collar too shallow for the extension plateau")
 
     faces = [fc for fc in ch.faces if float(np.max(np.abs(target.values[fc.side]))) != 0.0]
-    wvals = _hopf_potential(ch, solve_tol) if faces else None
+    wvals = _hopf_potential(ch) if faces else None
     c2 = STRUCTURE_C**2
     hopf_min = math.inf
     directions = set()

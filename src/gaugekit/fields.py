@@ -202,13 +202,19 @@ def _node_inner(ch, u, v):
     """Node-quadrature inner product of raw scalar (*shape), section
     (*shape, K) or one-form (*shape, n, K) data, told apart by their number
     of axes. Any number K of trailing components: data with one nonzero
-    component gives the value of that component alone, bit for bit."""
+    component gives the value of that component alone, bit for bit.
+
+    A section's density adds the components' products one at a time, in
+    component order: the sum over the component axis bit for bit, up to
+    the sign of a zero, which the sum over the nodes does not see."""
     if u.ndim == ch.n + 2:
         density = np.einsum("...i,...ik,...ik->...", ch.ginv, u, v)
+    elif u.ndim > ch.n:
+        density = u[..., 0] * v[..., 0]
+        for k in range(1, u.shape[-1]):
+            density += u[..., k] * v[..., k]
     else:
         density = u * v
-        if u.ndim > ch.n:
-            density = density.sum(axis=-1)
     return float(np.sum(ch.quad_w * ch.vol * density))
 
 

@@ -105,13 +105,13 @@ class Chart:
         # Thomas pivots of the flat separable Green solve and the inverse
         # Jacobi diagonal of the others (operators.green_A), the mean
         # curvature's face values (read-only), and the generator's Hopf
-        # potential per solve tolerance (constructions._hopf_potential,
-        # read-only): plain arrays that hold no reference to the chart, so
-        # reference counting alone frees it
+        # potential (constructions._hopf_potential, a read-only view of one
+        # normal profile): plain arrays that hold no reference to the chart,
+        # so reference counting alone frees it
         self._separable = None
         self._jacobi = None
         self._mean_curvature = None
-        self._hopf = {}
+        self._hopf = None
 
     # -- construction helpers ------------------------------------------------
 

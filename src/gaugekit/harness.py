@@ -145,7 +145,7 @@ _CONFIG_CHECKS = {
         ),
         "null or a list of sizes >= 4 or of grid shapes",
     ),
-    "seed": (_is_int, "an integer"),
+    "seed": (lambda v: _is_int(v, 0), "an integer >= 0"),
     "solve_tol": (lambda v: _is_number(v) and 0 < v < math.inf, "a positive number"),
 }
 

@@ -50,7 +50,10 @@ for every built-in chart) the energy matrix is separable, and the
 preconditioner is its direct solve: an FFT along the periodic axes and one
 cached tridiagonal sweep per mode along the normal axis, so CG stops after
 one iteration. The sweep runs on the spectrum's float view, with the real
-pivots doubled, and writes its products through one row buffer. Solves
+pivots doubled, and writes its products through one row buffer. A source
+that depends on the normal coordinate alone has only the zero mode, so its
+potential is one tridiagonal solve on the normal axis with the zero mode's
+pivots (`_normal_profile_solve`), with no transform and no CG. Solves
 under a connection, and flat solves on other charts, use the Jacobi
 diagonal, which the chart caches as a normal profile. Each solve
 allocates its work buffers once and reuses them in every iteration:
@@ -450,17 +453,23 @@ def _pointwise_codiff(omega, A, rows=(...,)):
     `st.END_ROW_FOOTPRINT` rows at a face is the footprint of its one-sided
     end row, so the window's face row is the whole grid's face row bit for
     bit: every other step is pointwise or along a periodic axis.
+
+    Each axis's flux (g^ii w_i) a is formed alone, as a contiguous section,
+    and the sum is negated and divided in place: every element sees the
+    operations of the whole (..., n, 3) flux in the same order.
     """
     ch = omega.chart
     w, ginv, vol = omega.data[rows], ch.ginv[rows], ch.vol[rows]
-    flux = ginv[..., None] * w * vol[..., None, None]
     acc = np.zeros(w.shape[:-2] + (ALGEBRA_DIM,))
     for ax in range(ch.n):
-        acc += st.deriv_node(flux[..., ax, :], ax, ch.h[ax], ch.periodic[ax])
-    out = -acc / vol[..., None]
+        flux = ginv[..., ax, None] * w[..., ax, :]
+        flux *= vol[..., None]
+        acc += st.deriv_node(flux, ax, ch.h[ax], ch.periodic[ax])
+    np.negative(acc, out=acc)
+    acc /= vol[..., None]
     if not A.is_flat:
-        out = out - _bracket_contract(A.eta.data[rows], w, ginv)
-    return out
+        acc -= _bracket_contract(A.eta.data[rows], w, ginv)
+    return acc
 
 
 def _codiff_at_faces(omega, A=None):
@@ -591,6 +600,28 @@ def _separable_solver(ch, spectrum):
         np.fft.irfft(modes, n=nt, axis=last, out=out)
 
     return solve
+
+
+def _normal_profile_solve(ch, f):
+    """Flat Dirichlet Green potential of a source f that depends on the
+    normal coordinate alone, on a tangentially uniform chart, as a normal
+    profile (the face entries zero); f is a normal profile too.
+
+    Such a source has only the zero mode of `_separable_solver`, so this is
+    that solver's sweep for lam = 0: one Thomas sweep on the interior normal
+    nodes, with the real slot of the zero mode's cached pivots, of the
+    right-hand side M f that green_A forms."""
+    off, mult, inv = _separable_pivots(ch)
+    t0 = (0,) * (ch.n - 1)
+    col = (ch.quad_w[t0] * ch.vol[t0]) * f
+    col[0] = col[-1] = 0.0
+    y = col[1:-1]
+    for j in range(1, len(y)):
+        y[j] -= mult[j].flat[0] * y[j - 1]
+    y[-1] *= inv[-1].flat[0]
+    for j in range(len(y) - 2, -1, -1):
+        y[j] = (y[j] - off[j] * y[j + 1]) * inv[j].flat[0]
+    return col
 
 
 def green_A(g, A=None, tol=1e-10, maxiter=None, info=None):

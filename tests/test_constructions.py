@@ -402,8 +402,8 @@ def _relative_gap(u, parts):
 def test_merged_generator_solve_matches_separate_solves(green_rhs, dirs):
     ch = build_chart("annulus", (64, 64))
     gen = generator_for_boundary_data(_directions_target(ch, dirs))
-    assert len(green_rhs) == 2  # the Hopf potential, then every direction at once
-    merged = green_rhs[1]
+    assert len(green_rhs) == 1  # every direction at once
+    merged = green_rhs[0]
     assert gen.directions == sorted(dirs)
     # superposition: the merged solve gives the sum of one call per direction
     alone = [generator_for_boundary_data(_directions_target(ch, (d,))).u for d in dirs]
@@ -420,7 +420,7 @@ def test_generator_realizes_data_on_both_faces(green_rhs):
     faces = [_directions_target(ch, (0, 1), side=0), _directions_target(ch, (1, 2), side=1)]
     target = faces[0] + faces[1]
     gen = generator_for_boundary_data(target)
-    assert len(green_rhs) == 2  # the Hopf potential, then both faces at once
+    assert len(green_rhs) == 1  # both faces at once
     for side in (0, 1):
         face = target.values[side]
         miss = np.max(np.abs(gen.realized.values[side] - face)) / np.max(np.abs(face))
@@ -435,22 +435,23 @@ def test_generator_realizes_data_on_both_faces(green_rhs):
 # ---------------------------------------------------------------------------
 
 
-def test_generator_makes_one_solve_besides_the_hopf_potential(green_rhs):
+def test_generator_makes_one_solve(green_rhs):
+    # the Hopf potential is a normal profile solved on the normal axis, not
+    # a Green solve; the one solve carries every collar source
     ch = build_chart("annulus", (48, 48))
     generator_for_boundary_data(_directions_target(ch, (0, 1, 2)))
-    assert len(green_rhs) == 2
-    hopf, merged = green_rhs
-    # the Hopf potential's interior bump on e_0, then every collar source
-    assert np.all(hopf[..., 1:] == 0.0) and np.all(hopf[:, [0, -1], 0] == 0.0)
+    assert len(green_rhs) == 1
+    (merged,) = green_rhs
     assert all(np.any(merged[..., k] != 0.0) for k in range(ALGEBRA_DIM))
 
 
-def test_full_decompose_makes_three_solves(green_rhs):
+def test_full_decompose_makes_two_solves(green_rhs):
     ch = build_chart("annulus", (48, 48))
     cert = full_decompose(random_smooth_field(ch, "section", 5))
     assert cert.n_pairs == 3  # every direction, each covering both faces
-    # the Hopf potential, one generator solve for both faces, the kernel stage
-    assert len(green_rhs) == 3
+    # one generator solve for both faces, the kernel stage
+    assert len(green_rhs) == 2
+    assert ch._hopf is not None
 
 
 def test_full_decompose_skips_the_hopf_solve_without_a_trace(green_rhs):
@@ -458,6 +459,29 @@ def test_full_decompose_skips_the_hopf_solve_without_a_trace(green_rhs):
     cert = full_decompose(Section.zeros(ch))
     assert cert.n_pairs == 0
     assert len(green_rhs) == 1  # the kernel stage alone; no face needs a generator
+    assert ch._hopf is None  # nor the Hopf potential
+
+
+@pytest.mark.parametrize(
+    "kind, shape",
+    [("annulus", (16, 16)), ("annulus", (48, 48)), ("annulus", (96, 48)), ("periodic_slab", (24, 24))],
+)
+def test_hopf_potential_is_the_green_potential_of_its_bump(kind, shape):
+    # the normal-axis solve against a whole flat Green solve of the same
+    # source: the interior bump on e_0, constant along the tangential axis
+    ch = build_chart(kind, shape)
+    xn = ch.coords[-1]
+    bump = BumpKit.bump01(((xn - xn[0]) / (xn[-1] - xn[0]) - 0.35) / 0.3)
+    src = np.zeros(ch.shape + (ALGEBRA_DIM,))
+    src[..., 0] = bump
+    want = green_A(Section(ch, src), tol=1e-12).data[..., 0]
+    w = _hopf_potential(ch)
+    assert w.shape == ch.shape
+    assert np.max(np.abs(w - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.all(w == w[:1])  # constant along the tangential axis
+    assert np.all(w[:, [0, -1]] == 0.0)
+    with pytest.raises(ValueError):
+        w[0, 1] = 1.0
 
 
 def test_chart_caches_are_read_only_and_hold_no_reference_to_the_chart(green_rhs):
@@ -472,25 +496,25 @@ def test_chart_caches_are_read_only_and_hold_no_reference_to_the_chart(green_rhs
         ch = build_chart("annulus", (48, 48))
         target = _directions_target(ch, (0, 1, 2))
         generator_for_boundary_data(target)
+        hopf = ch._hopf
         generator_for_boundary_data(target)
-        # the Hopf potential once, then one merged solve per call
-        assert len(green_rhs) == 3
+        assert _hopf_potential(ch) is hopf  # solved once per chart
+        assert len(green_rhs) == 2  # one merged solve per call
         H = mean_curvature(ch)
-        for values in (*H.values.values(), _hopf_potential(ch, 1e-10)):
+        for values in (*H.values.values(), hopf):
             with pytest.raises(ValueError):
                 values[0] = 1.0
-        assert len(green_rhs) == 3
         ref = weakref.ref(ch)
-        del ch, target, H, values
+        del ch, target, H, values, hopf
         assert ref() is None
     finally:
         gc.enable()
 
 
-@pytest.mark.parametrize("suite, per_rung", [("generator", 2), ("full-decompose", 7)])
+@pytest.mark.parametrize("suite, per_rung", [("generator", 1), ("full-decompose", 6)])
 def test_suite_solves_per_rung(green_rhs, suite, per_rung):
-    # full-decompose: one Hopf potential for the rung's chart, then a
-    # generator and a kernel solve per target
+    # full-decompose: a generator and a kernel solve per target; the Hopf
+    # potential is no Green solve
     cfg = RunConfig(grid=(64, 64))
     res = run_suite(suite, cfg)
     assert res.passed

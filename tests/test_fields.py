@@ -285,3 +285,28 @@ def test_sup_is_the_largest_magnitude(ann32):
         assert Section(ann32, x).sup() == float(np.max(np.abs(x)))
     zero = Section(ann32, -np.zeros(ann32.shape + (ALGEBRA_DIM,))).sup()
     assert zero == 0.0 and not np.signbit(zero)
+
+
+def _old_node_inner(ch, u, v):
+    # the former section path: one sum over the component axis per node
+    density = (u * v).sum(axis=-1)
+    return float(np.sum(ch.quad_w * ch.vol * density))
+
+
+@pytest.mark.parametrize(
+    "kind, shape",
+    [("annulus", (24, 20)), ("cylindrical_shell", (6, 5, 8)), ("periodic_slab", (16, 12))],
+)
+@pytest.mark.parametrize("K", [1, 2, 3, 5])
+def test_section_inner_product_keeps_the_bits_of_the_component_sum(kind, shape, K):
+    from gaugekit.fields import _node_inner
+
+    ch = build_chart(kind, shape)
+    rng = np.random.default_rng(K)
+    u = rng.standard_normal(ch.shape + (K,))
+    v = rng.standard_normal(ch.shape + (K,))
+    u[::3, ..., 0] = -0.0  # signed zeros, alone and next to other terms
+    v[1::4, ..., -1] = -0.0
+    bits = lambda x: np.float64(x).view(np.uint64)
+    for a, b in ((u, v), (v, u), (u, u), (-np.zeros_like(u), v)):
+        assert bits(_node_inner(ch, a, b)) == bits(_old_node_inner(ch, a, b))

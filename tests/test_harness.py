@@ -276,7 +276,7 @@ def _valid_configs(draw):
         "domain_params": draw(hs.dictionaries(hs.text(max_size=8), _finite | hs.integers())),
         "grid": grid,
         "ladder": ladder,
-        "seed": draw(hs.integers(-(2**70), 2**70)),
+        "seed": draw(hs.integers(0, 2**70)),
         "solve_tol": draw(hs.floats(0.0, exclude_min=True, allow_infinity=False)),
     }
 
@@ -316,7 +316,8 @@ _INVALID = {
             [(s,) * 3 for s in l],
         ])
     ) | hs.integers() | hs.text(max_size=4) | hs.booleans(),
-    "seed": hs.booleans() | hs.text(max_size=4) | _finite | hs.none() | hs.lists(_sizes),
+    "seed": hs.booleans() | hs.text(max_size=4) | _finite | hs.none() | hs.lists(_sizes)
+    | hs.integers(max_value=-1),
     "solve_tol": hs.floats(max_value=0.0) | hs.just(math.inf) | hs.just(math.nan)
     | hs.booleans() | hs.text(max_size=4) | hs.none(),
 }
@@ -659,6 +660,25 @@ def test_cli_exit_two_on_config_error(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "error:" in err
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    # np.random.default_rng refuses a negative seed; the smallest offset a
+    # suite adds is 7, so without the check -1 ran and -500 raised numpy's
+    # ValueError with no report
+    message = "config key 'seed' must be an integer >= 0, not -500"
+    rc = cli.main(["verify", "--grid", "16x16", "--seed", "-500", "gauge", "boundary-identity"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"seed": -1}))
+    for call in (lambda: RunConfig(seed=-1), lambda: RunConfig.from_json(cfgp),
+                 lambda: RunConfig().with_overrides(seed=-500)):
+        with pytest.raises(ConfigError, match="an integer >= 0"):
+            call()
+    assert RunConfig(seed=0).seed == 0
 
 
 def test_cli_config_naming_jobs_exits_two(tmp_path, capsys):

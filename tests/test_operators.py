@@ -771,3 +771,33 @@ def test_expansion_identity_converges():
         hs.append(max(ch.h))
     order = np.log(ratios[0] / ratios[1]) / np.log(hs[0] / hs[1])
     assert order > 1.5
+
+
+def _old_pointwise_codiff(omega, A, rows=(...,)):
+    # the former formula: the whole (..., n, 3) flux and its per-axis views
+    ch = omega.chart
+    w, ginv, vol = omega.data[rows], ch.ginv[rows], ch.vol[rows]
+    flux = ginv[..., None] * w * vol[..., None, None]
+    acc = np.zeros(w.shape[:-2] + (ALGEBRA_DIM,))
+    for ax in range(ch.n):
+        acc += st.deriv_node(flux[..., ax, :], ax, ch.h[ax], ch.periodic[ax])
+    out = -acc / vol[..., None]
+    if not A.is_flat:
+        out = out - _bracket_contract(A.eta.data[rows], w, ginv)
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, shape",
+    [("annulus", (32, 24)), ("annulus_log", (24, 20)), ("cylindrical_shell", (6, 5, 12))],
+)
+@pytest.mark.parametrize("connected", [False, True], ids=["flat", "connected"])
+def test_pointwise_codiff_keeps_the_bits_of_the_whole_flux(kind, shape, connected):
+    ch = build_chart(kind, shape)
+    A = _rand_conn(ch, 41) if connected else Connection.flat(ch)
+    omega = random_smooth_field(ch, "oneform", 42)
+    windows = [(...,)] + [ch.face_rows(fc, st.END_ROW_FOOTPRINT) for fc in ch.faces]
+    for rows in windows:
+        got = ops._pointwise_codiff(omega, A, rows)
+        want = _old_pointwise_codiff(omega, A, rows)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
